@@ -424,7 +424,7 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		} else {
 			cfg.Layout = mapping.InterleavedLayout(degs, w.Chip.CrossbarRows)
 		}
-		cfg.Plan = mapping.NewUpdatePlan(degs, theta, 20)
+		cfg.Plan = cfg.Layout.UpdatePlan(theta, 20)
 		updateFraction = cfg.Plan.AvgUpdateFraction()
 	}
 	stages := stage.Build(cfg)

@@ -119,12 +119,14 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	}
 	rows := w.Chip.CrossbarRows
 	cells := w.Chip.CellsPerCrossbar()
-	layout := mapping.InterleavedLayout(degs, rows)
+	var layout *mapping.Layout
 	if fm.Enabled() {
 		needed := (len(degs) + rows - 1) / rows
 		layout = mapping.InterleavedLayoutHealthy(degs, rows, fm.DeadGroups(needed, cells))
+	} else {
+		layout = mapping.InterleavedLayout(degs, rows)
 	}
-	plan := mapping.NewUpdatePlan(degs, theta, churnStalePeriod)
+	plan := layout.UpdatePlan(theta, churnStalePeriod)
 
 	res := ChurnResult{Dataset: w.Dataset.Name, Policy: cc.Policy}
 	prevRetired := 0
@@ -183,7 +185,7 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 			if cc.Policy == churn.Adaptive {
 				theta = mapping.AdaptiveTheta(avgDegree(degs))
 			}
-			plan = mapping.NewUpdatePlan(degs, theta, churnStalePeriod)
+			plan = layout.UpdatePlan(theta, churnStalePeriod)
 			drift = 0
 			res.Refreshes++
 		}

@@ -150,9 +150,9 @@ func fig6(opt Options) (*Result, error) {
 // θ = 0.5.
 func fig7(Options) (*Result, error) {
 	degs := []float64{300, 500, 250, 450, 2, 15, 10, 1}
-	plan := mapping.NewUpdatePlan(degs, 0.5, 20)
 	osu := mapping.IndexLayout(len(degs), 4)
 	isu := mapping.InterleavedLayout(degs, 4)
+	plan := isu.UpdatePlan(0.5, 20)
 	full := mapping.FullUpdatePlan(len(degs))
 
 	res := &Result{

@@ -21,6 +21,17 @@ func BenchmarkInterleavedLayout(b *testing.B) {
 	}
 }
 
+var planSink *UpdatePlan
+
+func BenchmarkNewUpdatePlan(b *testing.B) {
+	degs := benchDegrees(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		planSink = NewUpdatePlan(degs, 0.5, 20)
+	}
+}
+
 func BenchmarkUpdatedRowsPerGroup(b *testing.B) {
 	degs := benchDegrees(100_000)
 	l := InterleavedLayout(degs, 64)

@@ -2,7 +2,7 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DeltaStats reports what an incremental re-mapping actually did.
@@ -52,9 +52,10 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 	}
 
 	// Degree-rank merge: unchanged vertices keep their relative order
-	// (their degrees are untouched, and the original stable sort broke
-	// ties by ascending vertex id), changed vertices re-sort by
-	// (-degree, id), and a single merge rebuilds the total order.
+	// (their degrees are untouched, and the ranking breaks ties by
+	// ascending vertex id), changed vertices re-sort by rankByDegree's
+	// (−degree, id) order, and a single merge under that same order
+	// rebuilds the total ranking.
 	isChanged := make(map[int]bool, len(changed))
 	for _, v := range changed {
 		if v < 0 || v >= n {
@@ -72,24 +73,12 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 	for v := range isChanged {
 		moved = append(moved, v)
 	}
-	sort.Ints(moved)
-	sort.SliceStable(moved, func(a, b int) bool {
-		da, db := newDegs[moved[a]], newDegs[moved[b]]
-		if da != db {
-			return da > db
-		}
-		return moved[a] < moved[b]
-	})
-	before := func(a, b int) bool {
-		if newDegs[a] != newDegs[b] {
-			return newDegs[a] > newDegs[b]
-		}
-		return a < b
-	}
+	order := degreeOrder(newDegs)
+	slices.SortFunc(moved, order)
 	newByDeg := make([]int, 0, n)
 	i, j := 0, 0
 	for i < len(kept) && j < len(moved) {
-		if before(kept[i], moved[j]) {
+		if order(kept[i], moved[j]) < 0 {
 			newByDeg = append(newByDeg, kept[i])
 			i++
 		} else {

@@ -35,8 +35,12 @@ func mutate(rng *rand.Rand, degs []float64, count int) []int {
 // TestApplyDeltaMatchesFullRemap pins the tentpole contract: a chain of
 // incremental deltas is bitwise-equal to rebuilding the interleaved
 // layout from scratch on the mutated degree sequence, with and without
-// retired crossbars, across sizes that exercise the spill path.
+// retired crossbars, across sizes that exercise the spill path. The
+// ranking each delta carries must also yield the plan NewUpdatePlan
+// builds from the mutated degrees, on both the incremental and the
+// full-remap path.
 func TestApplyDeltaMatchesFullRemap(t *testing.T) {
+	sawFull := false
 	for _, tc := range []struct {
 		name      string
 		n, gs     int
@@ -72,7 +76,9 @@ func TestApplyDeltaMatchesFullRemap(t *testing.T) {
 				changed := mutate(rng, degs, 1+rng.Intn(4))
 				var stats DeltaStats
 				cur, stats = cur.ApplyDelta(degs, changed, dead)
-				if !stats.Full {
+				if stats.Full {
+					sawFull = true
+				} else {
 					sawIncremental = true
 				}
 				want := InterleavedLayout(degs, tc.gs)
@@ -86,11 +92,18 @@ func TestApplyDeltaMatchesFullRemap(t *testing.T) {
 				if !isPermutation(cur.Order) {
 					t.Fatalf("step %d: order not a permutation: %v", step, cur.Order)
 				}
+				theta := []float64{0.5, 0.8, 0.1, 1}[step%4]
+				if got, want := cur.UpdatePlan(theta, 20), NewUpdatePlan(degs, theta, 20); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d (full=%v): layout plan %v, want %v", step, stats.Full, got.Important, want.Important)
+				}
 			}
 			if !sawIncremental {
 				t.Fatal("every step fell back to a full remap; incremental path untested")
 			}
 		})
+	}
+	if !sawFull {
+		t.Fatal("no step fell back to a full remap; full-remap path untested")
 	}
 }
 

@@ -16,10 +16,7 @@
 // StalePeriod epochs (paper §VI-A: 20).
 package mapping
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Layout is an ordered placement of vertices onto crossbar groups.
 // Consecutive runs of GroupSize vertices in Order share a crossbar
@@ -74,11 +71,7 @@ func IndexLayout(n, groupSize int) *Layout {
 // (paper Fig. 11).
 func InterleavedLayout(degrees []float64, groupSize int) *Layout {
 	n := len(degrees)
-	byDeg := make([]int, n)
-	for i := range byDeg {
-		byDeg[i] = i
-	}
-	sort.SliceStable(byDeg, func(a, b int) bool { return degrees[byDeg[a]] > degrees[byDeg[b]] })
+	byDeg := rankByDegree(degrees)
 	groups := numGroups(n, groupSize)
 	order := make([]int, n)
 	for i := range order {
@@ -228,27 +221,41 @@ func FullUpdatePlan(n int) *UpdatePlan {
 }
 
 // NewUpdatePlan ranks vertices by degree and marks the top theta
-// fraction (rounded up, at least one vertex for theta > 0) important.
+// fraction (rounded down, at least one vertex for theta > 0) important.
+// Where an interleaved layout of the same degrees exists, its
+// UpdatePlan gives the same plan without ranking again.
 func NewUpdatePlan(degrees []float64, theta float64, stalePeriod int) *UpdatePlan {
+	return planFromRank(rankByDegree(degrees), theta, stalePeriod)
+}
+
+// UpdatePlan marks the top theta fraction of the layout's degree
+// ranking important: bit for bit the plan NewUpdatePlan builds from the
+// degrees the layout was ranked on. It panics on an index layout, which
+// carries no ranking.
+func (l *Layout) UpdatePlan(theta float64, stalePeriod int) *UpdatePlan {
+	if l.byDeg == nil {
+		panic(fmt.Sprintf("mapping: UpdatePlan needs an interleaved layout, have %q", l.Policy))
+	}
+	return planFromRank(l.byDeg, theta, stalePeriod)
+}
+
+// planFromRank marks the leading theta fraction of a degree ranking
+// (rank k → vertex) important.
+func planFromRank(rank []int, theta float64, stalePeriod int) *UpdatePlan {
 	if theta < 0 || theta > 1 {
 		panic(fmt.Sprintf("mapping: theta %v out of [0,1]", theta))
 	}
 	if stalePeriod < 1 {
 		panic(fmt.Sprintf("mapping: stale period %d must be ≥ 1", stalePeriod))
 	}
-	n := len(degrees)
-	rank := make([]int, n)
-	for i := range rank {
-		rank[i] = i
-	}
-	sort.SliceStable(rank, func(a, b int) bool { return degrees[rank[a]] > degrees[rank[b]] })
+	n := len(rank)
 	k := int(theta * float64(n))
 	if theta > 0 && k == 0 && n > 0 {
 		k = 1
 	}
 	imp := make([]bool, n)
-	for i := 0; i < k; i++ {
-		imp[rank[i]] = true
+	for _, v := range rank[:k] {
+		imp[v] = true
 	}
 	return &UpdatePlan{Important: imp, Theta: theta, StalePeriod: stalePeriod}
 }

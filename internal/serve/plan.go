@@ -396,13 +396,14 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 	if theta == 0 {
 		theta = d.AdaptiveTheta()
 	}
+	layout := mapping.InterleavedLayout(deg.DegreesByIndex, chip.CrossbarRows)
 	cfg := stage.Config{
 		Chip:       chip,
 		Dataset:    d,
 		Deg:        deg,
 		MicroBatch: k.microBatch,
-		Layout:     mapping.InterleavedLayout(deg.DegreesByIndex, chip.CrossbarRows),
-		Plan:       mapping.NewUpdatePlan(deg.DegreesByIndex, theta, 20),
+		Layout:     layout,
+		Plan:       layout.UpdatePlan(theta, 20),
 	}
 	stages := stage.Build(cfg)
 

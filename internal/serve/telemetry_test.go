@@ -209,9 +209,12 @@ func TestMetricsNegotiation(t *testing.T) {
 // TestAccessLogJoinsTraces pins the structured-log contract: one JSON
 // line per request whose trace_id equals the response's trace header,
 // with status/cache/label fields, and WARN lines for shed requests.
+// One workspace and no queue make the shed below independent of the
+// host's core count: holding the only workspace and the only admission
+// token refuses the next request at any GOMAXPROCS.
 func TestAccessLogJoinsTraces(t *testing.T) {
 	var buf bytes.Buffer
-	srv := New(Config{AccessLog: obs.NewAccessLogger(&syncBuffer{buf: &buf})})
+	srv := New(Config{Workers: 1, QueueDepth: -1, AccessLog: obs.NewAccessLogger(&syncBuffer{buf: &buf})})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
