@@ -320,20 +320,11 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 							k2++
 						}
 						bt0 := b.Data[k*cols+j0 : k*cols+j1]
-						ob := ot[:len(bt0)]
 						if k2 < k1 {
-							av1 := arow[k2]
-							bt1 := b.Data[k2*cols+j0 : k2*cols+j1]
-							bt1 = bt1[:len(bt0)]
-							for j, bv := range bt0 {
-								v := ob[j] + av0*bv
-								ob[j] = v + av1*bt1[j]
-							}
+							axpy2(av0, arow[k2], bt0, b.Data[k2*cols+j0:k2*cols+j1], ot)
 							k = k2 + 1
 						} else {
-							for j, bv := range bt0 {
-								ob[j] += av0 * bv
-							}
+							axpy1(av0, bt0, ot)
 							k = k1
 						}
 					}
@@ -484,20 +475,11 @@ func matMulTNBlock(dst, a, b *Matrix, lo, hi int) {
 						k2++
 					}
 					bt0 := b.Data[k*cols+j0 : k*cols+j1]
-					ob := ot[:len(bt0)]
 					if k2 < k1 {
-						av1 := acol[k2*ac]
-						bt1 := b.Data[k2*cols+j0 : k2*cols+j1]
-						bt1 = bt1[:len(bt0)]
-						for j, bv := range bt0 {
-							v := ob[j] + av0*bv
-							ob[j] = v + av1*bt1[j]
-						}
+						axpy2(av0, acol[k2*ac], bt0, b.Data[k2*cols+j0:k2*cols+j1], ot)
 						k = k2 + 1
 					} else {
-						for j, bv := range bt0 {
-							ob[j] += av0 * bv
-						}
+						axpy1(av0, bt0, ot)
 						k = k1
 					}
 				}
@@ -541,12 +523,20 @@ func MatMulNTInto(dst, a, b *Matrix) {
 	})
 }
 
-// matMulNTBlock computes dst rows [lo, hi) of a·bᵀ with the same
-// i/k/j tiling as matMulBlock: the j-wide inner loop keeps one
-// independent accumulator per output column (throughput-bound, like
-// the plain kernel) instead of a single serial dot chain, and the
-// zero-skip check on a[i,k] is amortised over the whole j tile.
-// bᵀ's row k is b's column k, read with stride b.Cols.
+// ntChunk is how many of an a row's nonzeros matMulNTBlock compacts
+// per pass; the compacted values and their k indices live in fixed
+// stack arrays, so the kernel never allocates.
+const ntChunk = 256
+
+// matMulNTBlock computes dst rows [lo, hi) of a·bᵀ. Output element
+// (i, j) is the dot product of a's row i with b's row j, both
+// contiguous. For each output row the kernel first compacts a's
+// nonzeros (k ascending, the historic zero-skip) in chunks of ntChunk,
+// then runs four output columns at a time as independent dot chains
+// over the compacted list. Each chain is the same sequence of
+// separately rounded multiply-adds the one-k-per-pass loop performs, so
+// the result is bit-identical to MatMulInto on the transpose; chunks
+// hand the partial sums over through dst, which is exact.
 func matMulNTBlock(dst, a, b *Matrix, lo, hi int) {
 	cols := b.Rows
 	inner := a.Cols
@@ -559,59 +549,71 @@ func matMulNTBlock(dst, a, b *Matrix, lo, hi int) {
 		return
 	}
 	bd := b.Data
+	if inner == 1 {
+		// One inner column makes a·bᵀ an outer product, and b's only
+		// column is contiguous: each output row is one axpy step.
+		for i := lo; i < hi; i++ {
+			orow := dst.Row(i)
+			for j := range orow {
+				orow[j] = 0
+			}
+			if av := a.Data[i]; av != 0 {
+				axpy1(av, bd, orow)
+			}
+		}
+		return
+	}
+	var vals [ntChunk]float64
+	var ks [ntChunk]int
 	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
 		orow := dst.Row(i)
 		for j := range orow {
 			orow[j] = 0
 		}
-	}
-	for i0 := lo; i0 < hi; i0 += gemmBlockI {
-		i1 := i0 + gemmBlockI
-		if i1 > hi {
-			i1 = hi
-		}
-		for k0 := 0; k0 < inner; k0 += gemmBlockK {
-			k1 := k0 + gemmBlockK
+		for k0 := 0; k0 < inner; k0 += ntChunk {
+			k1 := k0 + ntChunk
 			if k1 > inner {
 				k1 = inner
 			}
-			for j0 := 0; j0 < cols; j0 += gemmBlockJ {
-				j1 := j0 + gemmBlockJ
-				if j1 > cols {
-					j1 = cols
+			// Branch-free compaction: every entry is written, and the
+			// cursor advances unless the entry is ±0 (x is zero exactly
+			// for ±0; NaN is kept, as the == 0 test keeps it).
+			n := 0
+			for k := k0; k < k1; k++ {
+				v := arow[k]
+				vals[n] = v
+				ks[n] = k
+				x := math.Float64bits(v) << 1
+				n += int((x | -x) >> 63)
+			}
+			if n == 0 {
+				continue
+			}
+			vs, kk := vals[:n], ks[:n]
+			j := 0
+			for ; j+4 <= cols; j += 4 {
+				b0 := bd[j*inner : (j+1)*inner]
+				b1 := bd[(j+1)*inner : (j+2)*inner]
+				b2 := bd[(j+2)*inner : (j+3)*inner]
+				b3 := bd[(j+3)*inner : (j+4)*inner]
+				c0, c1, c2, c3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
+				for t, v := range vs {
+					k := kk[t]
+					c0 += v * b0[k]
+					c1 += v * b1[k]
+					c2 += v * b2[k]
+					c3 += v * b3[k]
 				}
-				for i := i0; i < i1; i++ {
-					arow := a.Row(i)
-					ot := dst.Data[i*cols+j0 : i*cols+j1]
-					k := k0
-					for k < k1 {
-						av0 := arow[k]
-						if av0 == 0 {
-							k++
-							continue
-						}
-						k2 := k + 1
-						for k2 < k1 && arow[k2] == 0 {
-							k2++
-						}
-						if k2 < k1 {
-							av1 := arow[k2]
-							bc0 := bd[j0*inner+k:]
-							bc1 := bd[j0*inner+k2:]
-							for j := range ot {
-								v := ot[j] + av0*bc0[j*inner]
-								ot[j] = v + av1*bc1[j*inner]
-							}
-							k = k2 + 1
-						} else {
-							bc0 := bd[j0*inner+k:]
-							for j := range ot {
-								ot[j] += av0 * bc0[j*inner]
-							}
-							k = k1
-						}
-					}
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = c0, c1, c2, c3
+			}
+			for ; j < cols; j++ {
+				bj := bd[j*inner : (j+1)*inner]
+				c := orow[j]
+				for t, v := range vs {
+					c += v * bj[kk[t]]
 				}
+				orow[j] = c
 			}
 		}
 	}
