@@ -72,8 +72,8 @@ func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBlockedMatMulMatchesReference pins the cache-blocked kernel to a
-// plain ikj reference loop, byte for byte. Sizes deliberately straddle
+// TestBlockedMatMulMatchesReference pins the cache-blocked kernel to
+// the naive reference loop (naiveMatMul), byte for byte. Sizes deliberately straddle
 // the gemmBlockI/K/J tile boundaries (including non-multiples), and a
 // sprinkling of exact zeros exercises the zero-skip, which must fire
 // identically in both kernels for the accumulation orders to agree.
@@ -91,21 +91,7 @@ func TestBlockedMatMulMatchesReference(t *testing.T) {
 		for i := 0; i < len(a.Data); i += 3 {
 			a.Data[i] = 0 // exercise the zero-skip
 		}
-		ref := New(sz.m, sz.n)
-		for i := 0; i < sz.m; i++ {
-			arow := a.Row(i)
-			orow := ref.Row(i)
-			for k := 0; k < sz.k; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		ref := naiveMatMul(a, b)
 		for _, w := range []int{1, 2, 8} {
 			withWorkers(t, w, func() {
 				got := MatMul(a, b)
