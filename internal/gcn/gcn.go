@@ -173,15 +173,17 @@ func newAdam(lr float64, ws []*tensor.Matrix) *adamState {
 func (s *adamState) step(ws, grads []*tensor.Matrix) {
 	const b1, b2, eps = 0.9, 0.999, 1e-8
 	s.t++
-	c1 := 1 - math.Pow(b1, float64(s.t))
-	c2 := 1 - math.Pow(b2, float64(s.t))
+	// 1-b1 and 1-b2 fold as untyped constants (to 0.1 and 0.001
+	// exactly rounded), as in the historic loop; see tensor.AdamCoef.
+	k := tensor.AdamCoef{
+		B1: b1, OneMinusB1: 1 - b1,
+		B2: b2, OneMinusB2: 1 - b2,
+		C1: 1 - math.Pow(b1, float64(s.t)),
+		C2: 1 - math.Pow(b2, float64(s.t)),
+		LR: s.lr, Eps: eps,
+	}
 	for i, w := range ws {
-		g := grads[i]
-		for j := range w.Data {
-			s.m[i].Data[j] = b1*s.m[i].Data[j] + (1-b1)*g.Data[j]
-			s.v[i].Data[j] = b2*s.v[i].Data[j] + (1-b2)*g.Data[j]*g.Data[j]
-			w.Data[j] -= s.lr * (s.m[i].Data[j] / c1) / (math.Sqrt(s.v[i].Data[j]/c2) + eps)
-		}
+		tensor.AdamStep(w.Data, grads[i].Data, s.m[i].Data, s.v[i].Data, &k)
 	}
 }
 
@@ -204,9 +206,13 @@ type workspace struct {
 	hidden     []*tensor.Matrix // nil for the last layer
 
 	// Backward buffers.
-	dC     []*tensor.Matrix // n × dims[l+1]: Âᵀ·dA
-	dIn    []*tensor.Matrix // n × dims[l]: dC·Wᵀ flowing into layer l-1; nil for l == 0
-	grads  []*tensor.Matrix // dims[l] × dims[l+1]
+	dC    []*tensor.Matrix // n × dims[l+1]: Âᵀ·dA
+	dIn   []*tensor.Matrix // n × dims[l]: dC·Wᵀ flowing into layer l-1; nil for l == 0
+	grads []*tensor.Matrix // dims[l] × dims[l+1]
+	// wT[l] (l ≥ 1) is the dims[l+1] × dims[l] scratch W_lᵀ; all of
+	// them share one backing array sized for the largest, since each
+	// is consumed before the next is built.
+	wT []*tensor.Matrix
 
 	// Loss scratch (n × dims[last]).
 	dOut  *tensor.Matrix
@@ -247,10 +253,16 @@ func newWorkspace(adj, adjT *sparsemat.CSR, n int, dims []int) *workspace {
 		dC:         make([]*tensor.Matrix, layers),
 		dIn:        make([]*tensor.Matrix, layers),
 		grads:      make([]*tensor.Matrix, layers),
+		wT:         make([]*tensor.Matrix, layers),
 		dOut:       tensor.New(n, dims[layers]),
 		probs:      tensor.New(n, dims[layers]),
 		strat:      spmm.For(adj),
 	}
+	wTSize := 0
+	for l := 1; l < layers; l++ {
+		wTSize = max(wTSize, dims[l]*dims[l+1])
+	}
+	wTBuf := make([]float64, wTSize)
 	for l := 0; l < layers; l++ {
 		ws.combined[l] = tensor.New(n, dims[l+1])
 		ws.aggregated[l] = tensor.New(n, dims[l+1])
@@ -260,6 +272,7 @@ func newWorkspace(adj, adjT *sparsemat.CSR, n int, dims []int) *workspace {
 		}
 		if l > 0 {
 			ws.dIn[l] = tensor.New(n, dims[l])
+			ws.wT[l] = &tensor.Matrix{Rows: dims[l+1], Cols: dims[l], Data: wTBuf[:dims[l]*dims[l+1]]}
 		}
 		ws.dC[l] = tensor.New(n, dims[l+1])
 		ws.grads[l] = tensor.New(dims[l], dims[l+1])
@@ -710,13 +723,15 @@ func (ws *workspace) backward(fw *forwardState, weights []*tensor.Matrix, dOut *
 		}
 		// A = Â·C → dC = Âᵀ·dA.
 		spmm.MulInto(ws.strat, ws.adjT, ws.dC[l], dA)
-		// C = H·W → dW = Hᵀ·dC, dH = dC·Wᵀ, both through the
-		// transpose-fused kernels: the per-element accumulation order is
-		// the historic transpose-then-multiply one, without rebuilding
-		// Hᵀ/Wᵀ every epoch.
+		// C = H·W → dW = Hᵀ·dC through the transpose-fused kernel (an
+		// n × dims[l] Hᵀ would be the largest buffer in the workspace),
+		// and dH = dC·Wᵀ through the plain kernel on the small Wᵀ
+		// scratch. Either way the per-element accumulation order is the
+		// historic transpose-then-multiply one.
 		tensor.MatMulTNInto(ws.grads[l], fw.inputs[l], ws.dC[l])
 		if l > 0 {
-			tensor.MatMulNTInto(ws.dIn[l], ws.dC[l], weights[l])
+			tensor.TransposeInto(ws.wT[l], weights[l])
+			tensor.MatMulInto(ws.dIn[l], ws.dC[l], ws.wT[l])
 			dA = ws.dIn[l]
 		}
 	}

@@ -20,6 +20,13 @@ type Net struct {
 	// entries.
 	Weights []*tensor.Matrix
 	Biases  [][]float64
+
+	// wT[i] (i ≥ 1) is the scratch Wᵢᵀ the backward pass multiplies
+	// deltas by. All of them share one backing array sized for the
+	// largest layer, so each is rebuilt just before its one use;
+	// backwardWS allocates them on first use, and they then serve every
+	// later Fit on the same Net.
+	wT []*tensor.Matrix
 }
 
 // New constructs a network with Glorot-initialised weights.
@@ -46,7 +53,7 @@ func (n *Net) NumLayers() int { return len(n.Weights) }
 
 // Forward runs a batch (rows = samples) through the network.
 func (n *Net) Forward(x *tensor.Matrix) *tensor.Matrix {
-	ws := newNetWorkspace(n, x.Rows)
+	ws := newNetWorkspace(n, x.Rows, false)
 	return n.forwardWS(ws, x)
 }
 
@@ -60,7 +67,8 @@ type netWorkspace struct {
 	// post-activation output of layer i-1 (post-ReLU except the last).
 	acts []*tensor.Matrix
 	// delta[i] (i ≥ 1) is the loss gradient at the output of layer i-1;
-	// backprop walks it from delta[L] down to delta[1].
+	// backprop walks it from delta[L] down to delta[1]. delta, gw, gb,
+	// in and tgt are nil in a forward-only workspace.
 	delta []*tensor.Matrix
 	gw    []*tensor.Matrix
 	gb    [][]float64
@@ -68,24 +76,47 @@ type netWorkspace struct {
 	in, tgt *tensor.Matrix
 }
 
-func newNetWorkspace(n *Net, rows int) *netWorkspace {
+// newNetWorkspace sizes a workspace for batches of rows samples. A
+// forward-only workspace (train false) holds just the activations.
+func newNetWorkspace(n *Net, rows int, train bool) *netWorkspace {
 	layers := len(n.Weights)
-	ws := &netWorkspace{
-		rows:  rows,
-		acts:  make([]*tensor.Matrix, layers+1),
-		delta: make([]*tensor.Matrix, layers+1),
-		gw:    make([]*tensor.Matrix, layers),
-		gb:    make([][]float64, layers),
-		in:    tensor.New(rows, n.Sizes[0]),
-		tgt:   tensor.New(rows, n.Sizes[layers]),
-	}
+	ws := &netWorkspace{rows: rows, acts: make([]*tensor.Matrix, layers+1)}
 	for i := 0; i < layers; i++ {
 		ws.acts[i+1] = tensor.New(rows, n.Sizes[i+1])
+	}
+	if !train {
+		return ws
+	}
+	ws.delta = make([]*tensor.Matrix, layers+1)
+	ws.gw = make([]*tensor.Matrix, layers)
+	ws.gb = make([][]float64, layers)
+	ws.in = tensor.New(rows, n.Sizes[0])
+	ws.tgt = tensor.New(rows, n.Sizes[layers])
+	for i := 0; i < layers; i++ {
 		ws.delta[i+1] = tensor.New(rows, n.Sizes[i+1])
 		ws.gw[i] = tensor.New(n.Sizes[i], n.Sizes[i+1])
 		ws.gb[i] = make([]float64, n.Sizes[i+1])
 	}
 	return ws
+}
+
+// transposedWeight returns Wᵢᵀ (i ≥ 1) in the shared scratch,
+// allocating the scratch on first use. The result is valid until the
+// next call.
+func (n *Net) transposedWeight(i int) *tensor.Matrix {
+	if n.wT == nil {
+		size := 0
+		for _, w := range n.Weights[1:] {
+			size = max(size, w.Rows*w.Cols)
+		}
+		buf := make([]float64, size)
+		n.wT = make([]*tensor.Matrix, len(n.Weights))
+		for j, w := range n.Weights[1:] {
+			n.wT[j+1] = &tensor.Matrix{Rows: w.Cols, Cols: w.Rows, Data: buf[:w.Rows*w.Cols]}
+		}
+	}
+	tensor.TransposeInto(n.wT[i], n.Weights[i])
+	return n.wT[i]
 }
 
 // forwardWS runs a batch through the network into workspace buffers
@@ -122,9 +153,9 @@ type grads struct {
 
 // backwardWS computes MSE-loss gradients for the batch last run
 // through forwardWS. The returned gradients alias workspace buffers.
-// Every accumulation runs in the historic order; the fused ReLU-mask
-// step multiplies masked entries by zero (never assigns), so signed
-// zeros and NaN propagation match MulInPlace(ReLUMask) bit for bit.
+// Every accumulation runs in the historic order; the ReLU-mask step
+// multiplies masked entries by zero (never assigns), so signed zeros
+// and NaN propagation match MulInPlace(ReLUMask) bit for bit.
 func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grads) {
 	batch := float64(target.Rows)
 	layers := len(n.Weights)
@@ -145,22 +176,17 @@ func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grad
 	delta.ScaleInPlace(2 / (batch * float64(target.Cols)))
 
 	for i := layers - 1; i >= 0; i-- {
-		// dW = inᵀ·δ and dIn = δ·Wᵀ run through the transpose-fused
-		// kernels: per output element the accumulation order matches the
-		// historic transpose-then-multiply exactly, without paying for a
-		// materialised inᵀ/Wᵀ every mini-batch.
+		// dW = inᵀ·δ runs through the transpose-fused kernel and
+		// dIn = δ·Wᵀ through the plain one on the Wᵀ scratch; either way
+		// the per-element accumulation order is the historic
+		// transpose-then-multiply one.
 		tensor.MatMulTNInto(ws.gw[i], ws.acts[i], delta)
 		delta.ColSumsInto(ws.gb[i])
 		if i > 0 {
 			// Propagate through the previous ReLU.
-			tensor.MatMulNTInto(ws.delta[i], delta, n.Weights[i])
+			tensor.MatMulInto(ws.delta[i], delta, n.transposedWeight(i))
 			delta = ws.delta[i]
-			dd := delta.Data
-			for j, av := range ws.acts[i].Data {
-				if !(av > 0) {
-					dd[j] *= 0
-				}
-			}
+			delta.ReLUGradInPlace(ws.acts[i])
 		}
 	}
 	return loss, grads{w: ws.gw, b: ws.gb}
@@ -198,30 +224,25 @@ func (a *Adam) init(n *Net) {
 func (a *Adam) step(n *Net, g grads) {
 	a.init(n)
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	// 1−β is computed at run time, as the historic loop did; see
+	// tensor.AdamCoef for why that differs from a constant 1−β.
+	k := tensor.AdamCoef{
+		B1: a.Beta1, OneMinusB1: 1 - a.Beta1,
+		B2: a.Beta2, OneMinusB2: 1 - a.Beta2,
+		C1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		C2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR: a.LR, Eps: a.Eps,
+	}
 	for i := range n.Weights {
-		wd, gd := n.Weights[i].Data, g.w[i].Data
-		md, vd := a.mw[i].Data, a.vw[i].Data
-		for j := range wd {
-			md[j] = a.Beta1*md[j] + (1-a.Beta1)*gd[j]
-			vd[j] = a.Beta2*vd[j] + (1-a.Beta2)*gd[j]*gd[j]
-			wd[j] -= a.LR * (md[j] / c1) / (math.Sqrt(vd[j]/c2) + a.Eps)
-		}
-		bb, gb := n.Biases[i], g.b[i]
-		mb, vb := a.mb[i], a.vb[i]
-		for j := range bb {
-			mb[j] = a.Beta1*mb[j] + (1-a.Beta1)*gb[j]
-			vb[j] = a.Beta2*vb[j] + (1-a.Beta2)*gb[j]*gb[j]
-			bb[j] -= a.LR * (mb[j] / c1) / (math.Sqrt(vb[j]/c2) + a.Eps)
-		}
+		tensor.AdamStep(n.Weights[i].Data, g.w[i].Data, a.mw[i].Data, a.vw[i].Data, &k)
+		tensor.AdamStep(n.Biases[i], g.b[i], a.mb[i], a.vb[i], &k)
 	}
 }
 
 // TrainStep runs one forward/backward pass on a batch and applies an
 // Adam update. It returns the batch's pre-update MSE loss.
 func (n *Net) TrainStep(opt *Adam, x, y *tensor.Matrix) float64 {
-	return n.trainStepWS(newNetWorkspace(n, x.Rows), opt, x, y)
+	return n.trainStepWS(newNetWorkspace(n, x.Rows, true), opt, x, y)
 }
 
 func (n *Net) trainStepWS(ws *netWorkspace, opt *Adam, x, y *tensor.Matrix) float64 {
@@ -248,7 +269,7 @@ func (n *Net) Fit(rng *rand.Rand, opt *Adam, x, y *tensor.Matrix, epochs, batchS
 	// At most two batch shapes occur — the full batchSize and one
 	// shorter tail — so two workspaces cover the whole run, allocated
 	// once here (the tail lazily) and reused every epoch.
-	full := newNetWorkspace(n, min(batchSize, x.Rows))
+	full := newNetWorkspace(n, min(batchSize, x.Rows), true)
 	var tail *netWorkspace
 	var last float64
 	for e := 0; e < epochs; e++ {
@@ -263,7 +284,7 @@ func (n *Net) Fit(rng *rand.Rand, opt *Adam, x, y *tensor.Matrix, epochs, batchS
 			ws := full
 			if e-s != full.rows {
 				if tail == nil {
-					tail = newNetWorkspace(n, e-s)
+					tail = newNetWorkspace(n, e-s, true)
 				}
 				ws = tail
 			}

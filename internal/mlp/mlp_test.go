@@ -59,52 +59,56 @@ func TestForwardShapeAndInputCheck(t *testing.T) {
 	n.Forward(tensor.New(5, 3))
 }
 
-// Gradient check: numerical vs analytic gradients on a tiny network.
+// Gradient check: numerical vs analytic gradients on tiny networks, one
+// with a single hidden layer and one with three (whose backward pass
+// reuses the shared Wᵀ scratch layer after layer).
 func TestGradientsMatchNumerical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := New(rng, 3, 4, 2)
-	x := tensor.NewRandom(rng, 6, 3, 1)
-	y := tensor.NewRandom(rng, 6, 2, 1)
+	for _, sizes := range [][]int{{3, 4, 2}, {3, 4, 5, 3, 2}} {
+		rng := rand.New(rand.NewSource(3))
+		n := New(rng, sizes...)
+		x := tensor.NewRandom(rng, 6, 3, 1)
+		y := tensor.NewRandom(rng, 6, 2, 1)
 
-	ws := newNetWorkspace(n, x.Rows)
-	n.forwardWS(ws, x)
-	_, g := n.backwardWS(ws, y)
+		ws := newNetWorkspace(n, x.Rows, true)
+		n.forwardWS(ws, x)
+		_, g := n.backwardWS(ws, y)
 
-	loss := func() float64 {
-		pred := n.Forward(x)
-		var s float64
-		for i, v := range pred.Data {
-			d := v - y.Data[i]
-			s += d * d
-		}
-		return s / float64(y.Rows*y.Cols)
-	}
-
-	const h = 1e-6
-	for li := range n.Weights {
-		for j := 0; j < len(n.Weights[li].Data); j += 3 { // sample every 3rd weight
-			orig := n.Weights[li].Data[j]
-			n.Weights[li].Data[j] = orig + h
-			lp := loss()
-			n.Weights[li].Data[j] = orig - h
-			lm := loss()
-			n.Weights[li].Data[j] = orig
-			num := (lp - lm) / (2 * h)
-			ana := g.w[li].Data[j]
-			if math.Abs(num-ana) > 1e-4*(1+math.Abs(num)) {
-				t.Fatalf("layer %d weight %d: numeric %v vs analytic %v", li, j, num, ana)
+		loss := func() float64 {
+			pred := n.Forward(x)
+			var s float64
+			for i, v := range pred.Data {
+				d := v - y.Data[i]
+				s += d * d
 			}
+			return s / float64(y.Rows*y.Cols)
 		}
-		for j := range n.Biases[li] {
-			orig := n.Biases[li][j]
-			n.Biases[li][j] = orig + h
-			lp := loss()
-			n.Biases[li][j] = orig - h
-			lm := loss()
-			n.Biases[li][j] = orig
-			num := (lp - lm) / (2 * h)
-			if math.Abs(num-g.b[li][j]) > 1e-4*(1+math.Abs(num)) {
-				t.Fatalf("layer %d bias %d: numeric %v vs analytic %v", li, j, num, g.b[li][j])
+
+		const h = 1e-6
+		for li := range n.Weights {
+			for j := 0; j < len(n.Weights[li].Data); j += 3 { // sample every 3rd weight
+				orig := n.Weights[li].Data[j]
+				n.Weights[li].Data[j] = orig + h
+				lp := loss()
+				n.Weights[li].Data[j] = orig - h
+				lm := loss()
+				n.Weights[li].Data[j] = orig
+				num := (lp - lm) / (2 * h)
+				ana := g.w[li].Data[j]
+				if math.Abs(num-ana) > 1e-4*(1+math.Abs(num)) {
+					t.Fatalf("%v layer %d weight %d: numeric %v vs analytic %v", sizes, li, j, num, ana)
+				}
+			}
+			for j := range n.Biases[li] {
+				orig := n.Biases[li][j]
+				n.Biases[li][j] = orig + h
+				lp := loss()
+				n.Biases[li][j] = orig - h
+				lm := loss()
+				n.Biases[li][j] = orig
+				num := (lp - lm) / (2 * h)
+				if math.Abs(num-g.b[li][j]) > 1e-4*(1+math.Abs(num)) {
+					t.Fatalf("%v layer %d bias %d: numeric %v vs analytic %v", sizes, li, j, num, g.b[li][j])
+				}
 			}
 		}
 	}

@@ -51,11 +51,17 @@ func requireBitEqual(t *testing.T, got, want *Matrix, label string) {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
-	for i := range want.Data {
-		if !bitEqual(got.Data[i], want.Data[i]) {
+	requireSliceBitEqual(t, got.Data, want.Data, label)
+}
+
+// requireSliceBitEqual fails unless got[i] and want[i] match per
+// bitEqual for every i < len(want).
+func requireSliceBitEqual(t *testing.T, got, want []float64, label string) {
+	t.Helper()
+	for i := range want {
+		if !bitEqual(got[i], want[i]) {
 			t.Fatalf("%s: element %d = %v (bits %x), want %v (bits %x)",
-				label, i, got.Data[i], math.Float64bits(got.Data[i]),
-				want.Data[i], math.Float64bits(want.Data[i]))
+				label, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
@@ -63,8 +69,9 @@ func requireBitEqual(t *testing.T, got, want *Matrix, label string) {
 // naiveMatMul is the reference every GEMM kernel is pinned to: for
 // each output element of a·b, k ascending, entries with a == 0 skipped,
 // and acc = acc + a·b with the multiply and the add each rounded on
-// their own. It shares no code with the kernels, so a fault in their
-// common axpy primitive cannot cancel out of a comparison.
+// their own (the conversion keeps arm64 from fusing them). It shares
+// no code with the kernels, so a fault in their common axpy primitive
+// cannot cancel out of a comparison.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -75,7 +82,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 				if av == 0 {
 					continue
 				}
-				acc = acc + av*b.Data[k*b.Cols+j]
+				acc = acc + float64(av*b.Data[k*b.Cols+j])
 			}
 			out.Data[i*b.Cols+j] = acc
 		}
@@ -90,11 +97,10 @@ func transposed(m *Matrix) *Matrix {
 	return t
 }
 
-// variantShapes crosses the tile boundaries (32/128) in every
-// dimension, the 4-wide body/tail of the axpy and NT column loops, and
-// the ntChunk boundary of the NT compaction ({7, 513, 300}: k over two
-// chunks, n not a multiple of 4), and includes the degenerate
-// single-row/column cases the fast paths special-case.
+// variantShapes crosses the GEMM tile boundaries (32/128) in every
+// dimension, the 8-wide body/tail of the axpy, and the 16×16 transpose
+// tiles, and includes the degenerate single-row/column cases the fast
+// paths special-case.
 var variantShapes = []struct{ m, k, n int }{
 	{1, 1, 1}, {3, 5, 7}, {16, 9, 256}, {16, 256, 1}, {256, 16, 1},
 	{16, 1, 256}, {130, 257, 33}, {33, 130, 257}, {64, 300, 16},
@@ -122,21 +128,49 @@ func TestMatMulTNBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulNTBitIdentical pins MatMulNTInto the same way.
+// naiveMatMulNT is naiveMatMul for a·bᵀ, reading b's rows in place:
+// element (i, j) is the dot product of a's row i and b's row j.
+func naiveMatMulNT(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var acc float64
+			for k := 0; k < a.Cols; k++ {
+				av := a.Data[i*a.Cols+k]
+				if av == 0 {
+					continue
+				}
+				acc = acc + float64(av*b.Data[j*b.Cols+k])
+			}
+			out.Data[i*b.Rows+j] = acc
+		}
+	}
+	return out
+}
+
+// TestMatMulNTBitIdentical pins a·bᵀ as the training backward passes
+// compute it — TransposeInto into a scratch, then MatMulInto — to a
+// reference that reads b untransposed, at several worker counts, zero
+// densities and both kernel paths.
 func TestMatMulNTBitIdentical(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, workers := range []int{1, 2, 8} {
-		parallel.SetWorkers(workers)
-		for _, sh := range variantShapes {
-			for _, zf := range []float64{0, 0.3, 0.9} {
-				rng := rand.New(rand.NewSource(int64(17*sh.m + 3*sh.k + sh.n)))
-				a := fuzzMatrix(rng, sh.m, sh.k, zf)
-				b := fuzzMatrix(rng, sh.n, sh.k, zf) // bᵀ is k×n
-				want := naiveMatMul(a, transposed(b))
-				got := New(sh.m, sh.n)
-				MatMulNTInto(got, a, b)
-				requireBitEqual(t, got, want,
-					fmt.Sprintf("NT %dx%dx%d zf=%.1f w=%d", sh.m, sh.k, sh.n, zf, workers))
+	for _, avx := range avxModes() {
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			for _, sh := range variantShapes {
+				for _, zf := range []float64{0, 0.3, 0.9} {
+					rng := rand.New(rand.NewSource(int64(17*sh.m + 3*sh.k + sh.n)))
+					a := fuzzMatrix(rng, sh.m, sh.k, zf)
+					b := fuzzMatrix(rng, sh.n, sh.k, zf) // bᵀ is k×n
+					want := naiveMatMulNT(a, b)
+					bt, got := New(sh.k, sh.n), New(sh.m, sh.n)
+					withAVX(avx, func() {
+						TransposeInto(bt, b)
+						MatMulInto(got, a, bt)
+					})
+					requireBitEqual(t, got, want,
+						fmt.Sprintf("NT %dx%dx%d zf=%.1f w=%d avx=%v", sh.m, sh.k, sh.n, zf, workers, avx))
+				}
 			}
 		}
 	}
@@ -166,11 +200,11 @@ func fuzzValue(c byte, e int) float64 {
 	}
 }
 
-// FuzzGEMM checks MatMulInto, MatMulTNInto and MatMulNTInto against
-// the naive reference bit for bit. The first six bytes give m, k and n
-// in [0, 300]; the rest are cycled through fuzzValue to fill a (m×k)
-// and then b (k×n). The TN and NT kernels get exact transposed copies
-// of the same operands, so all three must reproduce one reference.
+// FuzzGEMM checks MatMulInto and MatMulTNInto against the naive
+// reference bit for bit, on both kernel paths. The first six bytes give
+// m, k and n in [0, 300]; the rest are cycled through fuzzValue to fill
+// a (m×k) and then b (k×n). The TN kernel gets an exact transposed copy
+// of a, so both must reproduce one reference.
 func FuzzGEMM(f *testing.F) {
 	shape := func(m, k, n int, payload ...byte) []byte {
 		return append([]byte{byte(m), byte(m >> 8), byte(k), byte(k >> 8), byte(n), byte(n >> 8)}, payload...)
@@ -188,7 +222,7 @@ func FuzzGEMM(f *testing.F) {
 		dim := func(p int) int { return (int(data[p]) | int(data[p+1])<<8) % 301 }
 		m, k, n := dim(0), dim(2), dim(4)
 		// Bound the work per input; k and n keep their full range, so
-		// every SIMD tail and the NT chunk boundary stay reachable.
+		// every SIMD tail and tile boundary stays reachable.
 		if k*n > 0 && m*k*n > 1<<21 {
 			m = 1 + (1<<21)/(k*n)
 		}
@@ -206,13 +240,14 @@ func FuzzGEMM(f *testing.F) {
 			}
 		}
 		want := naiveMatMul(a, b)
+		at := transposed(a)
 		got := New(m, n)
-		MatMulInto(got, a, b)
-		requireBitEqual(t, got, want, fmt.Sprintf("NN %dx%dx%d", m, k, n))
-		MatMulTNInto(got, transposed(a), b)
-		requireBitEqual(t, got, want, fmt.Sprintf("TN %dx%dx%d", m, k, n))
-		MatMulNTInto(got, a, transposed(b))
-		requireBitEqual(t, got, want, fmt.Sprintf("NT %dx%dx%d", m, k, n))
+		for _, avx := range avxModes() {
+			withAVX(avx, func() { MatMulInto(got, a, b) })
+			requireBitEqual(t, got, want, fmt.Sprintf("NN %dx%dx%d avx=%v", m, k, n, avx))
+			withAVX(avx, func() { MatMulTNInto(got, at, b) })
+			requireBitEqual(t, got, want, fmt.Sprintf("TN %dx%dx%d avx=%v", m, k, n, avx))
+		}
 	})
 }
 
@@ -265,13 +300,27 @@ func TestMatMulVariantPanics(t *testing.T) {
 		d.Data = a.Data[:15]
 		MatMulTNInto(d, a, b)
 	})
-	mustPanic("NT inner", func() { MatMulNTInto(New(4, 2), a, New(2, 4)) })
-	mustPanic("NT dst", func() { MatMulNTInto(New(2, 4), a, New(2, 3)) })
 }
 
-// Backward-pass shape benchmarks: fused kernels vs the historic
-// transpose-then-multiply, on the shapes the MLP predictor and GCN
-// training actually issue, plus the plain forward products.
+// benchMatrix builds a rows×cols matrix of normal values with about
+// zeroFrac exact zeros. Benchmarks use it rather than fuzzMatrix, whose
+// subnormals would time the CPU's microcode assists instead of the
+// kernels; zeros keep the zero-skip as busy as post-ReLU activations.
+func benchMatrix(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		if rng.Float64() >= zeroFrac {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// Backward-pass shape benchmarks on the shapes the MLP predictor
+// (batch 16, 256 hidden) and GCN training (900 vertices, every catalog
+// dataset's 256 hidden channels) issue: the fused TN kernel against
+// transpose-then-multiply, a·bᵀ as the backward passes compute it, and
+// the plain forward products.
 func BenchmarkBackwardKernels(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -281,45 +330,41 @@ func BenchmarkBackwardKernels(b *testing.B) {
 		{"mlp-dW1", "tn", 10, 16, 256},   // Xᵀ(10×16)·Δ(16×256)
 		{"mlp-dW2", "tn", 256, 16, 1},    // Hᵀ(256×16)·Δ(16×1)
 		{"mlp-dW4", "tn", 256, 16, 256},  // Hᵀ(256×16)·Δ(16×256)
-		{"gcn-dW", "tn", 16, 1200, 16},   // Hᵀ(16×1200)·dC(1200×16)
+		{"gcn-dW", "tn", 256, 900, 256},  // Hᵀ(256×900)·dC(900×256)
 		{"mlp-dH", "nt", 16, 1, 256},     // Δ(16×1)·Wᵀ(1×256)
 		{"mlp-dH4", "nt", 16, 256, 256},  // Δ(16×256)·Wᵀ(256×256)
-		{"gcn-dIn", "nt", 1200, 16, 16},  // dC(1200×16)·Wᵀ(16×16)
+		{"gcn-dIn", "nt", 900, 256, 256}, // dC(900×256)·Wᵀ(256×256)
 		{"mlp-fwd2", "nn", 16, 256, 1},   // H(16×256)·W2(256×1)
 		{"mlp-fwd4", "nn", 16, 256, 256}, // H(16×256)·W1(256×256)
+		{"gcn-fwd", "nn", 900, 256, 256}, // H(900×256)·W(256×256)
 	}
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(1))
 		dst := New(sh.m, sh.n)
 		switch sh.kind {
 		case "nn":
-			a := fuzzMatrix(rng, sh.m, sh.k, 0.3)
-			bm := fuzzMatrix(rng, sh.k, sh.n, 0)
+			a := benchMatrix(rng, sh.m, sh.k, 0.5)
+			bm := benchMatrix(rng, sh.k, sh.n, 0)
 			b.Run(sh.name+"/plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					MatMulInto(dst, a, bm)
 				}
 			})
 		case "nt":
-			a := fuzzMatrix(rng, sh.m, sh.k, 0.3)
-			bm := fuzzMatrix(rng, sh.n, sh.k, 0)
+			a := benchMatrix(rng, sh.m, sh.k, 0.5)
+			bm := benchMatrix(rng, sh.n, sh.k, 0)
 			bt := New(sh.k, sh.n)
-			b.Run(sh.name+"/transpose", func(b *testing.B) {
+			b.Run(sh.name+"/transpose+plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					TransposeInto(bt, bm)
 					MatMulInto(dst, a, bt)
 				}
 			})
-			b.Run(sh.name+"/fusedNT", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatMulNTInto(dst, a, bm)
-				}
-			})
 		case "tn":
-			a := fuzzMatrix(rng, sh.k, sh.m, 0.3)
-			bm := fuzzMatrix(rng, sh.k, sh.n, 0.3)
+			a := benchMatrix(rng, sh.k, sh.m, 0.5)
+			bm := benchMatrix(rng, sh.k, sh.n, 0.5)
 			at := New(sh.m, sh.k)
-			b.Run(sh.name+"/transpose", func(b *testing.B) {
+			b.Run(sh.name+"/transpose+plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					TransposeInto(at, a)
 					MatMulInto(dst, at, bm)

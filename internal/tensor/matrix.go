@@ -56,7 +56,10 @@ func NewFromRows(rows [][]float64) *Matrix {
 func NewRandom(rng *rand.Rand, rows, cols int, scale float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * scale
+		// The conversion stops arm64 from fusing the generator's
+		// inlined 2⁻⁶³ scaling into the doubling (exact either way,
+		// but the package is kept free of fused multiply-adds).
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * scale
 	}
 	return m
 }
@@ -164,11 +167,16 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
+// transposeTile is the edge of the square tiles TransposeInto copies
+// one at a time: a 16×16 float64 tile of src and of dst (2 KiB each)
+// stays in L1, so neither side is streamed with a cache-missing stride.
+const transposeTile = 16
+
 // TransposeInto computes dst = srcᵀ, reusing dst's storage. dst must
-// be src.Cols × src.Rows and must not alias src. The gather order is
-// the serial one regardless of size: transposes on the training hot
-// path sit inside already-parallel sections, and a copy is exact, so
-// there is no accumulation order to protect.
+// be src.Cols × src.Rows and must not alias src. It runs serially
+// regardless of size: transposes on the training hot path sit inside
+// already-parallel sections, and a copy is exact, so neither the tile
+// order nor the worker count can change a bit of the result.
 func TransposeInto(dst, src *Matrix) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
@@ -176,10 +184,34 @@ func TransposeInto(dst, src *Matrix) {
 	if aliases(dst, src) {
 		panic("tensor: TransposeInto dst must not alias src")
 	}
-	for r := 0; r < src.Rows; r++ {
-		row := src.Row(r)
-		for c, v := range row {
-			dst.Data[c*dst.Cols+r] = v
+	rows, cols := src.Rows, src.Cols
+	if rows == 1 || cols == 1 {
+		// A vector and its transpose share one row-major layout.
+		copy(dst.Data, src.Data)
+		return
+	}
+	for r0 := 0; r0 < rows; r0 += transposeTile {
+		r1 := min(r0+transposeTile, rows)
+		for c0 := 0; c0 < cols; c0 += transposeTile {
+			c1 := min(c0+transposeTile, cols)
+			r := r0
+			// Four source rows per pass, so each dst row gets four
+			// contiguous elements per store group.
+			for ; r+4 <= r1; r += 4 {
+				s0 := src.Data[r*cols+c0 : r*cols+c1]
+				s1 := src.Data[(r+1)*cols+c0 : (r+1)*cols+c1]
+				s2 := src.Data[(r+2)*cols+c0 : (r+2)*cols+c1]
+				s3 := src.Data[(r+3)*cols+c0 : (r+3)*cols+c1]
+				for c := range s0 {
+					d := dst.Data[(c0+c)*rows+r : (c0+c)*rows+r+4]
+					d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
+				}
+			}
+			for ; r < r1; r++ {
+				for c, v := range src.Data[r*cols+c0 : r*cols+c1] {
+					dst.Data[(c0+c)*rows+r] = v
+				}
+			}
 		}
 	}
 }
@@ -354,11 +386,11 @@ func pairedDot(a, b []float64) float64 {
 			k2++
 		}
 		if k2 < len(a) {
-			v := acc + av0*b[k]
-			acc = v + a[k2]*b[k2]
+			v := acc + float64(av0*b[k])
+			acc = v + float64(a[k2]*b[k2])
 			k = k2 + 1
 		} else {
-			acc += av0 * b[k]
+			acc += float64(av0 * b[k])
 			k = len(a)
 		}
 	}
@@ -384,11 +416,11 @@ func pairedDotStride(a []float64, stride, n int, b []float64) float64 {
 			k2++
 		}
 		if k2 < n {
-			v := acc + av0*b[k]
-			acc = v + a[k2*stride]*b[k2]
+			v := acc + float64(av0*b[k])
+			acc = v + float64(a[k2*stride]*b[k2])
 			k = k2 + 1
 		} else {
-			acc += av0 * b[k]
+			acc += float64(av0 * b[k])
 			k = n
 		}
 	}
@@ -438,6 +470,12 @@ func matMulTNBlock(dst, a, b *Matrix, lo, hi int) {
 	cols := b.Cols
 	inner := a.Rows
 	ac := a.Cols
+	if inner == 0 {
+		// An empty inner dimension gives zeros; a.Data is empty then, so
+		// the column slices a.Data[i:] below would be out of range.
+		clear(dst.Data[lo*cols : hi*cols])
+		return
+	}
 	if cols == 1 {
 		for i := lo; i < hi; i++ {
 			dst.Data[i] = pairedDotStride(a.Data[i:], ac, inner, b.Data)
@@ -488,137 +526,6 @@ func matMulTNBlock(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulNTInto computes dst = a·bᵀ without materialising the
-// transpose, reusing dst's storage. dst must be a.Rows × b.Rows and
-// must not alias a or b. It is byte-identical to
-// TransposeInto(bt, b); MatMulInto(dst, a, bt): output element (i, j)
-// is the dot product of a's row i and b's row j — both contiguous —
-// accumulated k-ascending with the plain kernel's zero-skip (on a's
-// entries) and pairing.
-//
-// Training backward passes use it to push gradients through a layer
-// (dX = Δ·Wᵀ) without re-transposing the weights every mini-batch.
-func MatMulNTInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulNT inner dims %d != %d", a.Cols, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulNTInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	if aliases(dst, a) || aliases(dst, b) {
-		panic("tensor: MatMulNTInto dst must not alias a or b")
-	}
-	flopsPerRow := a.Cols * b.Rows
-	if a.Rows*flopsPerRow < matmulParallelMinFLOPs {
-		matMulNTBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	grain := matmulParallelMinFLOPs / (4 * (flopsPerRow + 1))
-	if parallel.Serial(a.Rows, grain+1) {
-		matMulNTBlock(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.For(a.Rows, grain+1, func(lo, hi int) {
-		matMulNTBlock(dst, a, b, lo, hi)
-	})
-}
-
-// ntChunk is how many of an a row's nonzeros matMulNTBlock compacts
-// per pass; the compacted values and their k indices live in fixed
-// stack arrays, so the kernel never allocates.
-const ntChunk = 256
-
-// matMulNTBlock computes dst rows [lo, hi) of a·bᵀ. Output element
-// (i, j) is the dot product of a's row i with b's row j, both
-// contiguous. For each output row the kernel first compacts a's
-// nonzeros (k ascending, the historic zero-skip) in chunks of ntChunk,
-// then runs four output columns at a time as independent dot chains
-// over the compacted list. Each chain is the same sequence of
-// separately rounded multiply-adds the one-k-per-pass loop performs, so
-// the result is bit-identical to MatMulInto on the transpose; chunks
-// hand the partial sums over through dst, which is exact.
-func matMulNTBlock(dst, a, b *Matrix, lo, hi int) {
-	cols := b.Rows
-	inner := a.Cols
-	if cols == 1 {
-		// a·bᵀ with a single b row is a matrix·vector product against
-		// b's only (contiguous) row.
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = pairedDot(a.Row(i), b.Data)
-		}
-		return
-	}
-	bd := b.Data
-	if inner == 1 {
-		// One inner column makes a·bᵀ an outer product, and b's only
-		// column is contiguous: each output row is one axpy step.
-		for i := lo; i < hi; i++ {
-			orow := dst.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			if av := a.Data[i]; av != 0 {
-				axpy1(av, bd, orow)
-			}
-		}
-		return
-	}
-	var vals [ntChunk]float64
-	var ks [ntChunk]int
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k0 := 0; k0 < inner; k0 += ntChunk {
-			k1 := k0 + ntChunk
-			if k1 > inner {
-				k1 = inner
-			}
-			// Branch-free compaction: every entry is written, and the
-			// cursor advances unless the entry is ±0 (x is zero exactly
-			// for ±0; NaN is kept, as the == 0 test keeps it).
-			n := 0
-			for k := k0; k < k1; k++ {
-				v := arow[k]
-				vals[n] = v
-				ks[n] = k
-				x := math.Float64bits(v) << 1
-				n += int((x | -x) >> 63)
-			}
-			if n == 0 {
-				continue
-			}
-			vs, kk := vals[:n], ks[:n]
-			j := 0
-			for ; j+4 <= cols; j += 4 {
-				b0 := bd[j*inner : (j+1)*inner]
-				b1 := bd[(j+1)*inner : (j+2)*inner]
-				b2 := bd[(j+2)*inner : (j+3)*inner]
-				b3 := bd[(j+3)*inner : (j+4)*inner]
-				c0, c1, c2, c3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
-				for t, v := range vs {
-					k := kk[t]
-					c0 += v * b0[k]
-					c1 += v * b1[k]
-					c2 += v * b2[k]
-					c3 += v * b3[k]
-				}
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = c0, c1, c2, c3
-			}
-			for ; j < cols; j++ {
-				bj := bd[j*inner : (j+1)*inner]
-				c := orow[j]
-				for t, v := range vs {
-					c += v * bj[kk[t]]
-				}
-				orow[j] = c
-			}
-		}
-	}
-}
-
 // AddInPlace computes m += other element-wise.
 func (m *Matrix) AddInPlace(other *Matrix) {
 	m.sameShape(other, "AddInPlace")
@@ -654,7 +561,7 @@ func (m *Matrix) ScaleInPlace(s float64) {
 func (m *Matrix) AXPY(s float64, other *Matrix) {
 	m.sameShape(other, "AXPY")
 	for i, v := range other.Data {
-		m.Data[i] += s * v
+		m.Data[i] += float64(s * v)
 	}
 }
 
@@ -686,17 +593,6 @@ func (m *Matrix) ReLU() *Matrix {
 		}
 		return 0
 	})
-}
-
-// ReLUInPlace applies max(x, 0) element-wise in place. The predicate
-// mirrors ReLU exactly (anything not greater than zero, NaN included,
-// becomes 0) so the two paths stay bit-identical.
-func (m *Matrix) ReLUInPlace() {
-	for i, v := range m.Data {
-		if !(v > 0) {
-			m.Data[i] = 0
-		}
-	}
 }
 
 // ReLUMask returns a matrix with 1 where m > 0 and 0 elsewhere —
@@ -751,7 +647,7 @@ func (m *Matrix) ColSumsInto(sums []float64) {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -106,19 +106,23 @@ func TestBlockedMatMulMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTransposeInto pins the Into transpose against T() and its
-// shape/alias guards.
+// TestTransposeInto pins the tiled Into transpose against T() — on
+// shapes below, at and across the 16×16 tile edge, most of them not
+// multiples of it — and its shape/alias guards.
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m := NewRandom(rng, 17, 29, 1)
-	dst := New(29, 17)
-	TransposeInto(dst, m)
-	want := m.T()
-	for i := range want.Data {
-		if dst.Data[i] != want.Data[i] {
-			t.Fatalf("entry %d: %v vs %v", i, dst.Data[i], want.Data[i])
+	for _, sh := range [][2]int{{0, 5}, {1, 1}, {17, 29}, {16, 16}, {15, 33}, {1, 40}, {40, 1}, {130, 257}} {
+		m := NewRandom(rng, sh[0], sh[1], 1)
+		dst := New(sh[1], sh[0])
+		TransposeInto(dst, m)
+		want := m.T()
+		for i := range want.Data {
+			if dst.Data[i] != want.Data[i] {
+				t.Fatalf("%dx%d entry %d: %v vs %v", sh[0], sh[1], i, dst.Data[i], want.Data[i])
+			}
 		}
 	}
+	m := NewRandom(rng, 17, 29, 1)
 	func() {
 		defer func() {
 			if recover() == nil {

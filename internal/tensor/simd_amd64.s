@@ -1,0 +1,290 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// 256-bit AVX bodies of the kernels in simd.go. Only VEX-encoded
+// VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD (and their scalar forms for the
+// tails) do arithmetic, never a fused multiply-add, so every lane
+// rounds each operation on its own exactly as the Go loop does for one
+// element. Go runs with the default MXCSR (round to nearest, no
+// flush-to-zero), so subnormals behave as in scalar code too. Every
+// routine ends with VZEROUPPER so later SSE code pays no transition
+// penalty.
+
+// func cpuHasAVX() bool
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	// CPUID.1:ECX bit 27 is OSXSAVE, bit 28 is AVX.
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    noavx
+	// XCR0 bits 1 and 2: the OS saves XMM and YMM state.
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    noavx
+	MOVB   $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func axpy2AVX(a0, a1 float64, x0, x1, y []float64)
+// y[j] = (y[j] + a0·x0[j]) + a1·x1[j]: eight elements per pass in two
+// YMM registers, then the 0-7 leftovers one at a time.
+TEXT ·axpy2AVX(SB), NOSPLIT, $0-88
+	VBROADCASTSD a0+0(FP), Y0
+	VBROADCASTSD a1+8(FP), Y1
+	MOVQ         x0_base+16(FP), SI
+	MOVQ         x1_base+40(FP), DX
+	MOVQ         y_base+64(FP), DI
+	MOVQ         y_len+72(FP), CX
+	SUBQ         $8, CX
+	JL           tail2
+
+loop2x8:
+	VMOVUPD (DI), Y2
+	VMOVUPD 32(DI), Y3
+	VMULPD  (SI), Y0, Y4
+	VMULPD  32(SI), Y0, Y5
+	VADDPD  Y4, Y2, Y2
+	VADDPD  Y5, Y3, Y3
+	VMULPD  (DX), Y1, Y6
+	VMULPD  32(DX), Y1, Y7
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y3, Y3
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JGE     loop2x8
+
+tail2:
+	ADDQ $8, CX
+	JE   done2
+
+loop2x1:
+	VMOVSD (DI), X2
+	VMULSD (SI), X0, X4
+	VADDSD X4, X2, X2
+	VMULSD (DX), X1, X6
+	VADDSD X6, X2, X2
+	VMOVSD X2, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	ADDQ   $8, DI
+	DECQ   CX
+	JNE    loop2x1
+
+done2:
+	VZEROUPPER
+	RET
+
+// func axpy1AVX(a float64, x, y []float64)
+// y[j] += a·x[j], laid out like axpy2AVX.
+TEXT ·axpy1AVX(SB), NOSPLIT, $0-56
+	VBROADCASTSD a+0(FP), Y0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         y_base+32(FP), DI
+	MOVQ         y_len+40(FP), CX
+	SUBQ         $8, CX
+	JL           tail1
+
+loop1x8:
+	VMOVUPD (DI), Y2
+	VMOVUPD 32(DI), Y3
+	VMULPD  (SI), Y0, Y4
+	VMULPD  32(SI), Y0, Y5
+	VADDPD  Y4, Y2, Y2
+	VADDPD  Y5, Y3, Y3
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JGE     loop1x8
+
+tail1:
+	ADDQ $8, CX
+	JE   done1
+
+loop1x1:
+	VMOVSD (DI), X2
+	VMULSD (SI), X0, X4
+	VADDSD X4, X2, X2
+	VMOVSD X2, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNE    loop1x1
+
+done1:
+	VZEROUPPER
+	RET
+
+// func adamStepAVX(w, g, m, v []float64, k *AdamCoef)
+// Four elements per pass, then the 0-3 leftovers one at a time. The
+// AdamCoef fields sit at 8-byte offsets in declaration order.
+TEXT ·adamStepAVX(SB), NOSPLIT, $0-104
+	MOVQ         k+96(FP), R8
+	VBROADCASTSD 0(R8), Y0  // B1
+	VBROADCASTSD 8(R8), Y1  // OneMinusB1
+	VBROADCASTSD 16(R8), Y2 // B2
+	VBROADCASTSD 24(R8), Y3 // OneMinusB2
+	VBROADCASTSD 32(R8), Y4 // C1
+	VBROADCASTSD 40(R8), Y5 // C2
+	VBROADCASTSD 48(R8), Y6 // LR
+	VBROADCASTSD 56(R8), Y7 // Eps
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R9
+	MOVQ         v_base+72(FP), R10
+	SUBQ         $4, CX
+	JL           adamtail
+
+adam4:
+	VMOVUPD (SI), Y8
+	VMULPD  (R9), Y0, Y9  // B1·m
+	VMULPD  Y8, Y1, Y10   // OneMinusB1·g
+	VADDPD  Y10, Y9, Y9   // m
+	VMOVUPD Y9, (R9)
+	VMULPD  (R10), Y2, Y11 // B2·v
+	VMULPD  Y8, Y3, Y12   // OneMinusB2·g
+	VMULPD  Y8, Y12, Y12  // (OneMinusB2·g)·g
+	VADDPD  Y12, Y11, Y11 // v
+	VMOVUPD Y11, (R10)
+	VDIVPD  Y5, Y11, Y11  // v/C2
+	VSQRTPD Y11, Y11
+	VADDPD  Y7, Y11, Y11  // √(v/C2) + Eps
+	VDIVPD  Y4, Y9, Y9    // m/C1
+	VMULPD  Y9, Y6, Y9    // LR·(m/C1)
+	VDIVPD  Y11, Y9, Y9
+	VMOVUPD (DI), Y10
+	VSUBPD  Y9, Y10, Y10
+	VMOVUPD Y10, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JGE     adam4
+
+adamtail:
+	ADDQ $4, CX
+	JE   adamdone
+
+adam1:
+	VMOVSD  (SI), X8
+	VMULSD  (R9), X0, X9
+	VMULSD  X8, X1, X10
+	VADDSD  X10, X9, X9
+	VMOVSD  X9, (R9)
+	VMULSD  (R10), X2, X11
+	VMULSD  X8, X3, X12
+	VMULSD  X8, X12, X12
+	VADDSD  X12, X11, X11
+	VMOVSD  X11, (R10)
+	VDIVSD  X5, X11, X11
+	VSQRTSD X11, X11, X11
+	VADDSD  X7, X11, X11
+	VDIVSD  X4, X9, X9
+	VMULSD  X9, X6, X9
+	VDIVSD  X11, X9, X9
+	VMOVSD  (DI), X10
+	VSUBSD  X9, X10, X10
+	VMOVSD  X10, (DI)
+	ADDQ    $8, SI
+	ADDQ    $8, R9
+	ADDQ    $8, R10
+	ADDQ    $8, DI
+	DECQ    CX
+	JNE     adam1
+
+adamdone:
+	VZEROUPPER
+	RET
+
+// func reluAVX(x []float64)
+// x = max(x, +0). VMAXPD returns its second source unless the first is
+// strictly greater, so with x first and +0 second, NaN and −0 give +0.
+TEXT ·reluAVX(SB), NOSPLIT, $0-24
+	MOVQ   x_base+0(FP), DI
+	MOVQ   x_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	SUBQ   $4, CX
+	JL     relutail
+
+relu4:
+	VMOVUPD (DI), Y1
+	VMAXPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JGE     relu4
+
+relutail:
+	ADDQ $4, CX
+	JE   reludone
+
+relu1:
+	VMOVSD (DI), X1
+	VMAXSD X0, X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JNE    relu1
+
+reludone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX(d, act []float64)
+// d = act > 0 ? d : d·0. The GT_OQ compare is false for NaN, and the
+// blend keeps the rounded product d·0, so signed zeros and NaN match
+// the scalar multiply.
+TEXT ·reluGradAVX(SB), NOSPLIT, $0-48
+	MOVQ   d_base+0(FP), DI
+	MOVQ   d_len+8(FP), CX
+	MOVQ   act_base+24(FP), SI
+	VXORPD Y0, Y0, Y0
+	SUBQ   $4, CX
+	JL     gradtail
+
+grad4:
+	VMOVUPD   (SI), Y1
+	VCMPPD    $0x1e, Y0, Y1, Y1
+	VMOVUPD   (DI), Y2
+	VMULPD    Y0, Y2, Y3
+	VBLENDVPD Y1, Y2, Y3, Y2
+	VMOVUPD   Y2, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JGE       grad4
+
+gradtail:
+	ADDQ $4, CX
+	JE   graddone
+
+grad1:
+	VMOVSD    (SI), X1
+	VCMPSD    $0x1e, X0, X1, X1
+	VMOVSD    (DI), X2
+	VMULSD    X0, X2, X3
+	VBLENDVPD X1, X2, X3, X2
+	VMOVSD    X2, (DI)
+	ADDQ      $8, SI
+	ADDQ      $8, DI
+	DECQ      CX
+	JNE       grad1
+
+graddone:
+	VZEROUPPER
+	RET

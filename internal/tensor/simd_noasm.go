@@ -1,0 +1,16 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// Without the amd64 assembly, useAVX is always false and the kernels
+// run their portable Go bodies; the AVX entry points are never called.
+
+func cpuHasAVX() bool { return false }
+
+func axpy2AVX(a0, a1 float64, x0, x1, y []float64)  { panic(noAVX) }
+func axpy1AVX(a float64, x, y []float64)            { panic(noAVX) }
+func adamStepAVX(w, g, m, v []float64, k *AdamCoef) { panic(noAVX) }
+func reluAVX(x []float64)                           { panic(noAVX) }
+func reluGradAVX(d, act []float64)                  { panic(noAVX) }
+
+const noAVX = "tensor: AVX kernel called in a build without assembly"
