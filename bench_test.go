@@ -11,16 +11,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"gopim/internal/obs"
 	"gopim/internal/parallel"
 	"gopim/internal/predictor"
 	"gopim/internal/sparsemat"
 	"gopim/internal/tensor"
 )
 
+// benchExperiment times one cold run of experiment id per iteration:
+// resetting the registry empties every simmemo domain, so no iteration
+// is answered from an earlier one's memo. The shared-predictor cache
+// is not reset, as in the CLI, where one process trains it once.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		obs.Default().Reset()
+		b.StartTimer()
 		res, err := RunExperiment(id, ExperimentOptions{Seed: 1, Fast: true})
 		if err != nil {
 			b.Fatal(err)
@@ -143,13 +151,19 @@ func BenchmarkProfileGeneration(b *testing.B) {
 }
 
 // BenchmarkAllExperimentsFast is `gopim all -fast`: the full evaluation
-// sweep fanned out across the pool (each iteration retrains the shared
-// predictor only on its first use, as the CLI does).
+// sweep fanned out across the pool. Each iteration starts cold — the
+// registry reset empties every simmemo domain, so a later iteration or
+// worker count is not served from an earlier one's memo — except for
+// the shared predictor, which is trained only on its first use, as the
+// CLI does.
 func BenchmarkAllExperimentsFast(b *testing.B) {
 	ids := Experiments()
 	withWorkerCounts(b, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			obs.Default().Reset()
+			b.StartTimer()
 			results, err := RunExperiments(ids, ExperimentOptions{Seed: 1, Fast: true})
 			if err != nil {
 				b.Fatal(err)

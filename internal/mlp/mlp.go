@@ -170,7 +170,7 @@ func (n *Net) backwardWS(ws *netWorkspace, target *tensor.Matrix) (float64, grad
 	delta.SubInPlace(target)
 	var loss float64
 	for _, v := range delta.Data {
-		loss += v * v
+		loss += float64(v * v)
 	}
 	loss /= batch * float64(target.Cols)
 	delta.ScaleInPlace(2 / (batch * float64(target.Cols)))

@@ -178,8 +178,8 @@ func (m *CSR) mulDenseRows(dst, d *tensor.Matrix, lo, hi int) {
 			d1 = d1[:len(d0)]
 			ob := orow[:len(d0)]
 			for j, dv := range d0 {
-				t := ob[j] + v0*dv
-				ob[j] = t + v1*d1[j]
+				t := ob[j] + float64(v0*dv)
+				ob[j] = t + float64(v1*d1[j])
 			}
 		}
 		if i < len(cols) {
@@ -187,7 +187,7 @@ func (m *CSR) mulDenseRows(dst, d *tensor.Matrix, lo, hi int) {
 			drow := d.Row(cols[i])
 			ob := orow[:len(drow)]
 			for j, dv := range drow {
-				ob[j] += v * dv
+				ob[j] += float64(v * dv)
 			}
 		}
 	}
@@ -226,7 +226,7 @@ func (m *CSR) TMulDenseInto(dst, d *tensor.Matrix) {
 			v := vals[i]
 			orow := dst.Row(c)
 			for j, dv := range drow {
-				orow[j] += v * dv
+				orow[j] += float64(v * dv)
 			}
 		}
 	}

@@ -256,8 +256,8 @@ func (m *CSR) mulDenseRowCols(dst, d *tensor.Matrix, r, jlo, jhi int) {
 		d1 = d1[:len(d0)]
 		ob := orow[:len(d0)]
 		for j, dv := range d0 {
-			t := ob[j] + v0*dv
-			ob[j] = t + v1*d1[j]
+			t := ob[j] + float64(v0*dv)
+			ob[j] = t + float64(v1*d1[j])
 		}
 	}
 	if i < len(cols) {
@@ -265,7 +265,7 @@ func (m *CSR) mulDenseRowCols(dst, d *tensor.Matrix, r, jlo, jhi int) {
 		drow := d.Row(cols[i])[jlo:jhi]
 		ob := orow[:len(drow)]
 		for j, dv := range drow {
-			ob[j] += v * dv
+			ob[j] += float64(v * dv)
 		}
 	}
 }

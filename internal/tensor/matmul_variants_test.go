@@ -108,21 +108,24 @@ var variantShapes = []struct{ m, k, n int }{
 }
 
 // TestMatMulTNBitIdentical pins MatMulTNInto to the naive reference
-// bit for bit, at several worker counts and zero densities.
+// bit for bit, at several worker counts and zero densities, on both
+// kernel paths.
 func TestMatMulTNBitIdentical(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, workers := range []int{1, 2, 8} {
-		parallel.SetWorkers(workers)
-		for _, sh := range variantShapes {
-			for _, zf := range []float64{0, 0.3, 0.9} {
-				rng := rand.New(rand.NewSource(int64(41*sh.m + sh.k + sh.n)))
-				a := fuzzMatrix(rng, sh.k, sh.m, zf) // aᵀ is m×k
-				b := fuzzMatrix(rng, sh.k, sh.n, zf)
-				want := naiveMatMul(transposed(a), b)
-				got := New(sh.m, sh.n)
-				MatMulTNInto(got, a, b)
-				requireBitEqual(t, got, want,
-					fmt.Sprintf("TN %dx%dx%d zf=%.1f w=%d", sh.m, sh.k, sh.n, zf, workers))
+	for _, avx := range avxModes() {
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			for _, sh := range variantShapes {
+				for _, zf := range []float64{0, 0.3, 0.9} {
+					rng := rand.New(rand.NewSource(int64(41*sh.m + sh.k + sh.n)))
+					a := fuzzMatrix(rng, sh.k, sh.m, zf) // aᵀ is m×k
+					b := fuzzMatrix(rng, sh.k, sh.n, zf)
+					want := naiveMatMul(transposed(a), b)
+					got := New(sh.m, sh.n)
+					withAVX(avx, func() { MatMulTNInto(got, a, b) })
+					requireBitEqual(t, got, want,
+						fmt.Sprintf("TN %dx%dx%d zf=%.1f w=%d avx=%v", sh.m, sh.k, sh.n, zf, workers, avx))
+				}
 			}
 		}
 	}
@@ -215,6 +218,15 @@ func FuzzGEMM(f *testing.F) {
 	f.Add(shape(33, 130, 1, 9, 8, 0, 3))
 	f.Add(shape(5, 1, 130, 8, 3, 0x4c))
 	f.Add(shape(2, 0, 9))
+	// Row tiles (32) and k-blocks (128) crossed, against every output
+	// width class the panel kernel has: a single column, the scalar,
+	// 4-, 8- and 16-wide tails, exact and ragged 32-wide panels, and the
+	// catalog's 47- and 112-wide output layers. The payload holds ±0 and
+	// a subnormal but no NaN or ±Inf, which over 129 k-steps would turn
+	// every output into NaN and hide a misplaced product.
+	for i, n := range []int{1, 7, 15, 31, 32, 33, 47, 112} {
+		f.Add(shape(33+32*(i%2), 129, n, 8, 0, 0x19, 3, 0x2a, 0x17, 9, 0, 0x3b, 0x4c, 1, 0x5d, 0x6e, 2, 0x7f, 0x28))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -320,7 +332,8 @@ func benchMatrix(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix {
 // (batch 16, 256 hidden) and GCN training (900 vertices, every catalog
 // dataset's 256 hidden channels) issue: the fused TN kernel against
 // transpose-then-multiply, a·bᵀ as the backward passes compute it, and
-// the plain forward products.
+// the plain forward products. On a shared host, compare kernels at
+// -cpu 1: the parallel split then adds no scheduling noise.
 func BenchmarkBackwardKernels(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -337,6 +350,11 @@ func BenchmarkBackwardKernels(b *testing.B) {
 		{"mlp-fwd2", "nn", 16, 256, 1},   // H(16×256)·W2(256×1)
 		{"mlp-fwd4", "nn", 16, 256, 256}, // H(16×256)·W1(256×256)
 		{"gcn-fwd", "nn", 900, 256, 256}, // H(900×256)·W(256×256)
+		// The catalog's narrower layers, which run the panel kernel's
+		// 16-, 8- and 4-wide and scalar column tails.
+		{"gcn-out", "nn", 900, 256, 47},   // H(900×256)·W(256×47)
+		{"gcn-dWout", "tn", 256, 900, 47}, // Hᵀ(256×900)·dC(900×47)
+		{"gcn-dW0", "tn", 100, 900, 256},  // Xᵀ(100×900)·dC(900×256)
 	}
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(1))

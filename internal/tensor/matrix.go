@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"gopim/internal/parallel"
 )
@@ -240,30 +241,27 @@ func aliases(x, y *Matrix) bool {
 // swamp the arithmetic.
 const matmulParallelMinFLOPs = 1 << 16
 
-// GEMM cache-blocking tile sizes (elements). The kernel processes
-// gemmBlockI output rows at a time against kc×jc blocks of b: a
-// 128×128 float64 block of b (128 KiB, L2-resident) is reused across
-// the whole row tile instead of b being re-streamed from memory once
-// per output row. Tiling only reorders the i/j traversal; for every
-// output element the k-summation order is unchanged, which keeps
-// blocked results byte-identical to the unblocked kernel.
+// GEMM tile sizes (elements). The kernel takes gemmBlockI output rows
+// at a time and walks the inner dimension in gemmBlockK-long blocks;
+// for each (row tile, k-block) it lists every row's nonzero a entries
+// once, then sweeps b in gemmPanelCols-wide panels, panel outer and
+// rows inner, so all rows of the tile reuse one 128×32 panel of b
+// (32 KiB, L1-resident). Tiling only reorders the traversal: for every
+// output element the k-summation order is unchanged.
 const (
-	gemmBlockI = 32
-	gemmBlockK = 128
-	gemmBlockJ = 128
+	gemmBlockI    = 32
+	gemmBlockK    = 128
+	gemmPanelCols = 32
 )
 
 // MatMulInto computes dst = a*b, reusing dst's storage.
 // dst must be a.Rows × b.Cols and must not alias a or b (checked —
 // aliased storage would silently corrupt the accumulation).
 //
-// Large products run row-blocked in parallel: each worker owns a
-// contiguous block of dst rows and accumulates it in the same ikj
-// order as the serial kernel, so the result is byte-identical at any
-// worker count. Within a row the kernel is cache-blocked over k and j
-// (see gemmBlockK/gemmBlockJ); per output element the accumulation
-// order is still k-ascending with the same zero-skip, so blocking
-// never changes a single output bit.
+// Every output element is accumulated k-ascending from +0, entries
+// with a == 0 (either sign) skipped and NaN kept, each product and
+// each add rounded on its own, so the result is byte-identical to the
+// naive triple loop at any tile size and any worker count.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", a.Cols, b.Rows))
@@ -274,91 +272,136 @@ func MatMulInto(dst, a, b *Matrix) {
 	if aliases(dst, a) || aliases(dst, b) {
 		panic("tensor: MatMulInto dst must not alias a or b")
 	}
-	flopsPerRow := a.Cols * b.Cols
-	if a.Rows*flopsPerRow < matmulParallelMinFLOPs {
-		matMulBlock(dst, a, b, 0, a.Rows)
+	gemm(dst, a, b, false)
+}
+
+// MatMulTNInto computes dst = aᵀ·b without materialising the
+// transpose, reusing dst's storage. dst must be a.Cols × b.Cols and
+// must not alias a or b. It is byte-identical to
+// TransposeInto(at, a); MatMulInto(dst, at, b): only the gather of
+// aᵀ's rows (columns of a) is fused into the product.
+//
+// Training backward passes use it for weight gradients (dW = Xᵀ·Δ),
+// where materialising Xᵀ once per mini-batch cost more than the
+// product itself on thin matrices.
+func MatMulTNInto(dst, a, b *Matrix) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTN inner dims %d != %d", a.Rows, b.Rows))
+	}
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulTNInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
+	}
+	if aliases(dst, a) || aliases(dst, b) {
+		panic("tensor: MatMulTNInto dst must not alias a or b")
+	}
+	gemm(dst, a, b, true)
+}
+
+// gemm computes dst = op(a)·b, where op(a) is a, or aᵀ when trans is
+// set. Large products run in parallel over blocks of whole row tiles:
+// each worker owns its dst rows and accumulates them exactly as the
+// serial kernel does, so the result is identical at any worker count.
+func gemm(dst, a, b *Matrix, trans bool) {
+	if len(b.Data) > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: GEMM operand %dx%d exceeds the kernel's int32 offsets", b.Rows, b.Cols))
+	}
+	rows, flopsPerRow := dst.Rows, b.Rows*b.Cols
+	if rows*flopsPerRow < matmulParallelMinFLOPs {
+		gemmRows(dst, a, b, trans, 0, rows)
 		return
 	}
-	grain := matmulParallelMinFLOPs / (4 * (flopsPerRow + 1))
+	// At least one row tile per block: a smaller block would never form
+	// the tile whose rows share each b panel.
+	grain := max(gemmBlockI, matmulParallelMinFLOPs/(4*(flopsPerRow+1))+1)
 	// One-worker runs take the serial path without building the
 	// escaping closure For needs — the training hot loop stays
 	// allocation-free on single-core hosts.
-	if parallel.Serial(a.Rows, grain+1) {
-		matMulBlock(dst, a, b, 0, a.Rows)
+	if parallel.Serial(rows, grain) {
+		gemmRows(dst, a, b, trans, 0, rows)
 		return
 	}
-	parallel.For(a.Rows, grain+1, func(lo, hi int) {
-		matMulBlock(dst, a, b, lo, hi)
+	parallel.For(rows, grain, func(lo, hi int) {
+		gemmRows(dst, a, b, trans, lo, hi)
 	})
 }
 
-// matMulBlock computes dst rows [lo, hi) = a[lo:hi]·b with i/k/j
-// tiling. Accumulation per output element stays k-ascending with the
-// historic zero-skip, so the result is byte-identical to the old
-// unblocked ikj loop at any tile size.
-func matMulBlock(dst, a, b *Matrix, lo, hi int) {
-	cols := b.Cols
-	inner := a.Cols
-	if cols == 1 {
-		// Matrix·vector: b's single column is contiguous, so each output
-		// element is a straight dot product. The tile machinery would
-		// re-slice b once per k-step for a single element; the dot loop
-		// below runs the identical zero-skip/paired accumulation sequence
-		// in registers and stores each result once.
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = pairedDot(a.Row(i), b.Data)
+// gemmLists holds one row tile's nonzero a entries for one k-block:
+// row r's list is vals[r·gemmBlockK:][:n[r]] with the matching b-row
+// offsets k·b.Cols in offs, k-ascending. int32 offsets keep it at
+// 48 KiB.
+type gemmLists struct {
+	vals [gemmBlockI * gemmBlockK]float64
+	offs [gemmBlockI * gemmBlockK]int32
+	n    [gemmBlockI]int
+}
+
+// gemmListPool recycles list scratch across GEMM calls. A fresh one per
+// call would be zeroed first, which costs more than the whole product
+// on the MLP's small shapes (16×1·1×256 takes about 0.9 µs with a
+// recycled one and 2.4 µs with a cleared one); every list entry is
+// written before it is read, so a recycled one needs no clearing.
+var gemmListPool = sync.Pool{New: func() any { return new(gemmLists) }}
+
+// nonzero returns 1 unless v is ±0 (NaN counts as nonzero), without a
+// branch: the list builders store every entry and advance by this.
+func nonzero(v float64) int {
+	x := math.Float64bits(v) << 1
+	return int((x | -x) >> 63)
+}
+
+// gatherRows lists rows [i0, i1) of a over k ∈ [k0, k1).
+func (l *gemmLists) gatherRows(a *Matrix, i0, i1, k0, k1, cols int) {
+	for r := range i1 - i0 {
+		vals, offs := l.vals[r*gemmBlockK:][:k1-k0], l.offs[r*gemmBlockK:][:k1-k0]
+		n := 0
+		for k, v := range a.Data[(i0+r)*a.Cols+k0 : (i0+r)*a.Cols+k1] {
+			vals[n], offs[n] = v, int32((k0+k)*cols)
+			n += nonzero(v)
 		}
+		l.n[r] = n
+	}
+}
+
+// gatherColumns lists columns [i0, i1) of a (rows of aᵀ) over
+// k ∈ [k0, k1), reading each a row's run across the tile contiguously.
+func (l *gemmLists) gatherColumns(a *Matrix, i0, i1, k0, k1, cols int) {
+	clear(l.n[:i1-i0])
+	for k := k0; k < k1; k++ {
+		off := int32(k * cols)
+		for r, v := range a.Data[k*a.Cols+i0 : k*a.Cols+i1] {
+			p := r*gemmBlockK + l.n[r]
+			l.vals[p], l.offs[p] = v, off
+			l.n[r] += nonzero(v)
+		}
+	}
+}
+
+// gemmRows computes dst rows [lo, hi) of op(a)·b.
+func gemmRows(dst, a, b *Matrix, trans bool, lo, hi int) {
+	cols, inner := b.Cols, b.Rows
+	if cols == 1 {
+		gemmColumn(dst, a, b, trans, lo, hi)
 		return
 	}
-	for i := lo; i < hi; i++ {
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
+	clear(dst.Data[lo*cols : hi*cols])
+	l := gemmListPool.Get().(*gemmLists)
+	defer gemmListPool.Put(l)
 	for i0 := lo; i0 < hi; i0 += gemmBlockI {
-		i1 := i0 + gemmBlockI
-		if i1 > hi {
-			i1 = hi
-		}
+		i1 := min(i0+gemmBlockI, hi)
 		for k0 := 0; k0 < inner; k0 += gemmBlockK {
-			k1 := k0 + gemmBlockK
-			if k1 > inner {
-				k1 = inner
+			k1 := min(k0+gemmBlockK, inner)
+			if trans {
+				l.gatherColumns(a, i0, i1, k0, k1, cols)
+			} else {
+				l.gatherRows(a, i0, i1, k0, k1, cols)
 			}
-			for j0 := 0; j0 < cols; j0 += gemmBlockJ {
-				j1 := j0 + gemmBlockJ
-				if j1 > cols {
-					j1 = cols
-				}
-				for i := i0; i < i1; i++ {
-					arow := a.Row(i)
-					ot := dst.Data[i*cols+j0 : i*cols+j1]
-					// Pair consecutive nonzero k-steps: each output
-					// element still receives its updates one k at a
-					// time in ascending order (two separate rounded
-					// add/mul steps per pass), so the bits match the
-					// one-k-per-pass loop while ot is loaded and
-					// stored half as often.
-					k := k0
-					for k < k1 {
-						av0 := arow[k]
-						if av0 == 0 {
-							k++
-							continue
-						}
-						k2 := k + 1
-						for k2 < k1 && arow[k2] == 0 {
-							k2++
-						}
-						bt0 := b.Data[k*cols+j0 : k*cols+j1]
-						if k2 < k1 {
-							axpy2(av0, arow[k2], bt0, b.Data[k2*cols+j0:k2*cols+j1], ot)
-							k = k2 + 1
-						} else {
-							axpy1(av0, bt0, ot)
-							k = k1
-						}
+			for j0 := 0; j0 < cols; j0 += gemmPanelCols {
+				j1 := min(j0+gemmPanelCols, cols)
+				for r, n := range l.n[:i1-i0] {
+					if n > 0 {
+						row := (i0 + r) * cols
+						gemmPanel(l.vals[r*gemmBlockK:][:n], l.offs[r*gemmBlockK:][:n],
+							b.Data[j0:], dst.Data[row+j0:row+j1])
 					}
 				}
 			}
@@ -366,11 +409,30 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// pairedDot returns Σₖ a[k]·b[k] accumulated exactly as the blocked
-// GEMM kernel accumulates one output element: k-ascending, zero entries
-// of a skipped without an FP op, and consecutive nonzero k-steps paired
-// into two separately rounded add/mul steps. Any kernel built on it is
-// byte-identical to matMulBlock for the same operand values.
+// gemmColumn is gemmRows for a single b column, where a 32-wide panel
+// would be mostly tail. The plain product takes a dot product per row;
+// the transposed one walks k outermost, adding column k of aᵀ (a's
+// contiguous row k) times b[k] into the dst segment where it is
+// nonzero, which is the same per-element sequence.
+func gemmColumn(dst, a, b *Matrix, trans bool, lo, hi int) {
+	if !trans {
+		for i := lo; i < hi; i++ {
+			dst.Data[i] = pairedDot(a.Row(i), b.Data)
+		}
+		return
+	}
+	y := dst.Data[lo:hi]
+	clear(y)
+	for k, s := range b.Data {
+		maskedAxpy(s, a.Data[k*a.Cols+lo:k*a.Cols+hi], y)
+	}
+}
+
+// pairedDot returns Σₖ a[k]·b[k] accumulated exactly as the GEMM
+// kernel accumulates one output element: k-ascending, zero entries of
+// a skipped without an FP op, each product and add rounded on its own.
+// Consecutive nonzero k-steps are paired only to shorten the loop; two
+// separately rounded adds give the same bits in one pass or two.
 func pairedDot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var acc float64
@@ -395,135 +457,6 @@ func pairedDot(a, b []float64) float64 {
 		}
 	}
 	return acc
-}
-
-// pairedDotStride is pairedDot with a strided left operand: it reads
-// a[k*stride] for k in [0, n) — column i of a row-major matrix when
-// called with a = Data[i:] — against a contiguous b. The accumulation
-// sequence is identical to pairedDot on the gathered column.
-func pairedDotStride(a []float64, stride, n int, b []float64) float64 {
-	b = b[:n]
-	var acc float64
-	k := 0
-	for k < n {
-		av0 := a[k*stride]
-		if av0 == 0 {
-			k++
-			continue
-		}
-		k2 := k + 1
-		for k2 < n && a[k2*stride] == 0 {
-			k2++
-		}
-		if k2 < n {
-			v := acc + float64(av0*b[k])
-			acc = v + float64(a[k2*stride]*b[k2])
-			k = k2 + 1
-		} else {
-			acc += float64(av0 * b[k])
-			k = n
-		}
-	}
-	return acc
-}
-
-// MatMulTNInto computes dst = aᵀ·b without materialising the
-// transpose, reusing dst's storage. dst must be a.Cols × b.Cols and
-// must not alias a or b. It is byte-identical to
-// TransposeInto(at, a); MatMulInto(dst, at, b): per output element the
-// accumulation runs k-ascending over a's rows with the same zero-skip
-// and pairing as the plain kernel, only the gather of aᵀ's row (a
-// strided column read of a) is fused into the product.
-//
-// Training backward passes use it for weight gradients (dW = Xᵀ·Δ),
-// where materialising Xᵀ once per mini-batch cost more than the
-// product itself on thin matrices.
-func MatMulTNInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTN inner dims %d != %d", a.Rows, b.Rows))
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTNInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	if aliases(dst, a) || aliases(dst, b) {
-		panic("tensor: MatMulTNInto dst must not alias a or b")
-	}
-	flopsPerRow := a.Rows * b.Cols
-	if dst.Rows*flopsPerRow < matmulParallelMinFLOPs {
-		matMulTNBlock(dst, a, b, 0, dst.Rows)
-		return
-	}
-	grain := matmulParallelMinFLOPs / (4 * (flopsPerRow + 1))
-	if parallel.Serial(dst.Rows, grain+1) {
-		matMulTNBlock(dst, a, b, 0, dst.Rows)
-		return
-	}
-	parallel.For(dst.Rows, grain+1, func(lo, hi int) {
-		matMulTNBlock(dst, a, b, lo, hi)
-	})
-}
-
-// matMulTNBlock computes dst rows [lo, hi) of aᵀ·b. Row i of dst reads
-// column i of a (stride a.Cols); the k/j tiling mirrors matMulBlock and
-// per output element the k order, zero-skip and pairing are unchanged.
-func matMulTNBlock(dst, a, b *Matrix, lo, hi int) {
-	cols := b.Cols
-	inner := a.Rows
-	ac := a.Cols
-	if inner == 0 {
-		// An empty inner dimension gives zeros; a.Data is empty then, so
-		// the column slices a.Data[i:] below would be out of range.
-		clear(dst.Data[lo*cols : hi*cols])
-		return
-	}
-	if cols == 1 {
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = pairedDotStride(a.Data[i:], ac, inner, b.Data)
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
-	for k0 := 0; k0 < inner; k0 += gemmBlockK {
-		k1 := k0 + gemmBlockK
-		if k1 > inner {
-			k1 = inner
-		}
-		for j0 := 0; j0 < cols; j0 += gemmBlockJ {
-			j1 := j0 + gemmBlockJ
-			if j1 > cols {
-				j1 = cols
-			}
-			for i := lo; i < hi; i++ {
-				acol := a.Data[i:]
-				ot := dst.Data[i*cols+j0 : i*cols+j1]
-				k := k0
-				for k < k1 {
-					av0 := acol[k*ac]
-					if av0 == 0 {
-						k++
-						continue
-					}
-					k2 := k + 1
-					for k2 < k1 && acol[k2*ac] == 0 {
-						k2++
-					}
-					bt0 := b.Data[k*cols+j0 : k*cols+j1]
-					if k2 < k1 {
-						axpy2(av0, acol[k2*ac], bt0, b.Data[k2*cols+j0:k2*cols+j1], ot)
-						k = k2 + 1
-					} else {
-						axpy1(av0, bt0, ot)
-						k = k1
-					}
-				}
-			}
-		}
-	}
 }
 
 // AddInPlace computes m += other element-wise.

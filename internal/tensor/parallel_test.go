@@ -73,17 +73,18 @@ func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestBlockedMatMulMatchesReference pins the cache-blocked kernel to
-// the naive reference loop (naiveMatMul), byte for byte. Sizes deliberately straddle
-// the gemmBlockI/K/J tile boundaries (including non-multiples), and a
-// sprinkling of exact zeros exercises the zero-skip, which must fire
-// identically in both kernels for the accumulation orders to agree.
+// the naive reference loop (naiveMatMul), byte for byte. Sizes
+// deliberately straddle the gemmBlockI/K tile and gemmPanelCols panel
+// boundaries (including non-multiples), and a sprinkling of exact
+// zeros exercises the zero-skip, which must fire identically in both
+// kernels for the accumulation orders to agree.
 func TestBlockedMatMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sz := range []struct{ m, k, n int }{
 		{1, 1, 1},
-		{7, 5, 9},                            // everything inside one tile
-		{gemmBlockI, gemmBlockK, gemmBlockJ}, // exact tile multiples
-		{gemmBlockI + 3, gemmBlockK + 5, gemmBlockJ + 7}, // ragged tails
+		{7, 5, 9}, // everything inside one tile
+		{gemmBlockI, gemmBlockK, 4 * gemmPanelCols},           // exact tile multiples
+		{gemmBlockI + 3, gemmBlockK + 5, 4*gemmPanelCols + 7}, // ragged tails
 		{70, 260, 150}, // several tiles each way
 	} {
 		a := NewRandom(rng, sz.m, sz.k, 1)

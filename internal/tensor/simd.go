@@ -18,40 +18,45 @@ import (
 // CPU's feature bits; tests flip it to run both paths.
 var useAVX = cpuHasAVX()
 
-// axpy2 computes y[j] = (y[j] + a0·x0[j]) + a1·x1[j] for j < len(y):
-// two k-steps of one GEMM row update, each multiply and each add rounded
-// on its own. x0 and x1 must be at least len(y) long.
-func axpy2(a0, a1 float64, x0, x1, y []float64) {
+// gemmPanel adds one list of nonzero a entries into one dst row
+// segment c: for each entry e in order, c[j] += vals[e]·b[offs[e]+j]
+// for j < len(c), each multiply and each add rounded on its own. Every
+// b[offs[e]:][:len(c)] must lie inside b, and len(offs) ≥ len(vals).
+func gemmPanel(vals []float64, offs []int32, b, c []float64) {
 	if useAVX {
-		axpy2AVX(a0, a1, x0, x1, y)
+		gemmPanelAVX(vals, offs, b, c)
 		return
 	}
-	axpy2Go(a0, a1, x0, x1, y)
+	gemmPanelGo(vals, offs, b, c)
 }
 
-func axpy2Go(a0, a1 float64, x0, x1, y []float64) {
-	x0 = x0[:len(y)]
-	x1 = x1[:len(y)]
-	for j, bv := range x0 {
-		v := y[j] + float64(a0*bv)
-		y[j] = v + float64(a1*x1[j])
+func gemmPanelGo(vals []float64, offs []int32, b, c []float64) {
+	offs = offs[:len(vals)]
+	for e, v := range vals {
+		for j, bv := range b[offs[e]:][:len(c)] {
+			c[j] += float64(v * bv)
+		}
 	}
 }
 
-// axpy1 computes y[j] += a·x[j] for j < len(y): the unpaired k-step.
-// x must be at least len(y) long.
-func axpy1(a float64, x, y []float64) {
+// maskedAxpy computes y[j] += x[j]·s for j < len(y) where x[j] is not
+// ±0 (a NaN counts as nonzero) and leaves y[j] alone where it is: one
+// k-step of a GEMM column with the kernel's zero-skip. x must be at
+// least len(y) long.
+func maskedAxpy(s float64, x, y []float64) {
 	if useAVX {
-		axpy1AVX(a, x, y)
+		maskedAxpyAVX(s, x, y)
 		return
 	}
-	axpy1Go(a, x, y)
+	maskedAxpyGo(s, x, y)
 }
 
-func axpy1Go(a float64, x, y []float64) {
+func maskedAxpyGo(s float64, x, y []float64) {
 	x = x[:len(y)]
-	for j, bv := range x {
-		y[j] += float64(a * bv)
+	for j, xv := range x {
+		if xv != 0 {
+			y[j] += float64(xv * s)
+		}
 	}
 }
 

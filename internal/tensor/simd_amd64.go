@@ -9,10 +9,10 @@ func cpuHasAVX() bool
 // The AVX bodies of the kernels in simd.go; callers check useAVX first.
 
 //go:noescape
-func axpy2AVX(a0, a1 float64, x0, x1, y []float64)
+func gemmPanelAVX(vals []float64, offs []int32, b, c []float64)
 
 //go:noescape
-func axpy1AVX(a float64, x, y []float64)
+func maskedAxpyAVX(s float64, x, y []float64)
 
 //go:noescape
 func adamStepAVX(w, g, m, v []float64, k *AdamCoef)

@@ -33,98 +33,216 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpy2AVX(a0, a1 float64, x0, x1, y []float64)
-// y[j] = (y[j] + a0·x0[j]) + a1·x1[j]: eight elements per pass in two
-// YMM registers, then the 0-7 leftovers one at a time.
-TEXT ·axpy2AVX(SB), NOSPLIT, $0-88
-	VBROADCASTSD a0+0(FP), Y0
-	VBROADCASTSD a1+8(FP), Y1
-	MOVQ         x0_base+16(FP), SI
-	MOVQ         x1_base+40(FP), DX
-	MOVQ         y_base+64(FP), DI
-	MOVQ         y_len+72(FP), CX
-	SUBQ         $8, CX
-	JL           tail2
+// func gemmPanelAVX(vals []float64, offs []int32, b, c []float64)
+// For each list entry e in order, c[j] += vals[e]·b[offs[e]+j]. The
+// segment c stays in YMM accumulators across the whole list and is
+// loaded and stored once: 32 columns in eight registers per pass, then
+// a 16-, 8- and 4-wide pass for the 0-31 leftover columns, then the
+// 0-3 last ones one at a time, each pass running the full list.
+TEXT ·gemmPanelAVX(SB), NOSPLIT, $0-96
+	MOVQ         vals_base+0(FP), SI
+	MOVQ         vals_len+8(FP), CX
+	MOVQ         offs_base+24(FP), DX
+	MOVQ         b_base+48(FP), BX
+	MOVQ         c_base+72(FP), DI
+	MOVQ         c_len+80(FP), R8
+	TESTQ        CX, CX
+	JE           paneldone
 
-loop2x8:
-	VMOVUPD (DI), Y2
-	VMOVUPD 32(DI), Y3
-	VMULPD  (SI), Y0, Y4
-	VMULPD  32(SI), Y0, Y5
-	VADDPD  Y4, Y2, Y2
-	VADDPD  Y5, Y3, Y3
-	VMULPD  (DX), Y1, Y6
-	VMULPD  32(DX), Y1, Y7
-	VADDPD  Y6, Y2, Y2
-	VADDPD  Y7, Y3, Y3
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DX
-	ADDQ    $64, DI
-	SUBQ    $8, CX
-	JGE     loop2x8
+panel32:
+	CMPQ         R8, $32
+	JL           panel16
+	VMOVUPD      0(DI), Y0
+	VMOVUPD      32(DI), Y1
+	VMOVUPD      64(DI), Y2
+	VMOVUPD      96(DI), Y3
+	VMOVUPD      128(DI), Y4
+	VMOVUPD      160(DI), Y5
+	VMOVUPD      192(DI), Y6
+	VMOVUPD      224(DI), Y7
+	XORQ         AX, AX
 
-tail2:
-	ADDQ $8, CX
-	JE   done2
+entry32:
+	MOVLQSX      (DX)(AX*4), R9
+	LEAQ         (BX)(R9*8), R10
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD       0(R10), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(R10), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(R10), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(R10), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	VMULPD       128(R10), Y8, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       160(R10), Y8, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       192(R10), Y8, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       224(R10), Y8, Y9
+	VADDPD       Y9, Y7, Y7
+	INCQ         AX
+	CMPQ         AX, CX
+	JL           entry32
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	VMOVUPD      Y4, 128(DI)
+	VMOVUPD      Y5, 160(DI)
+	VMOVUPD      Y6, 192(DI)
+	VMOVUPD      Y7, 224(DI)
+	ADDQ         $256, DI
+	ADDQ         $256, BX
+	SUBQ         $32, R8
+	JMP          panel32
 
-loop2x1:
-	VMOVSD (DI), X2
-	VMULSD (SI), X0, X4
-	VADDSD X4, X2, X2
-	VMULSD (DX), X1, X6
-	VADDSD X6, X2, X2
-	VMOVSD X2, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DX
-	ADDQ   $8, DI
-	DECQ   CX
-	JNE    loop2x1
+panel16:
+	CMPQ         R8, $16
+	JL           panel8
+	VMOVUPD      0(DI), Y0
+	VMOVUPD      32(DI), Y1
+	VMOVUPD      64(DI), Y2
+	VMOVUPD      96(DI), Y3
+	XORQ         AX, AX
 
-done2:
+entry16:
+	MOVLQSX      (DX)(AX*4), R9
+	LEAQ         (BX)(R9*8), R10
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD       0(R10), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(R10), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(R10), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(R10), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	INCQ         AX
+	CMPQ         AX, CX
+	JL           entry16
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, BX
+	SUBQ         $16, R8
+
+panel8:
+	CMPQ         R8, $8
+	JL           panel4
+	VMOVUPD      0(DI), Y0
+	VMOVUPD      32(DI), Y1
+	XORQ         AX, AX
+
+entry8:
+	MOVLQSX      (DX)(AX*4), R9
+	LEAQ         (BX)(R9*8), R10
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD       0(R10), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(R10), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	INCQ         AX
+	CMPQ         AX, CX
+	JL           entry8
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	ADDQ         $64, DI
+	ADDQ         $64, BX
+	SUBQ         $8, R8
+
+panel4:
+	CMPQ         R8, $4
+	JL           panel1
+	VMOVUPD      0(DI), Y0
+	XORQ         AX, AX
+
+entry4:
+	MOVLQSX      (DX)(AX*4), R9
+	LEAQ         (BX)(R9*8), R10
+	VBROADCASTSD (SI)(AX*8), Y8
+	VMULPD       0(R10), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	INCQ         AX
+	CMPQ         AX, CX
+	JL           entry4
+	VMOVUPD      Y0, 0(DI)
+	ADDQ         $32, DI
+	ADDQ         $32, BX
+	SUBQ         $4, R8
+
+panel1:
+	TESTQ        R8, R8
+	JE           paneldone
+	VMOVSD       (DI), X0
+	XORQ         AX, AX
+
+entry1:
+	MOVLQSX      (DX)(AX*4), R9
+	VMOVSD       (SI)(AX*8), X8
+	VMULSD       (BX)(R9*8), X8, X9
+	VADDSD       X9, X0, X0
+	INCQ         AX
+	CMPQ         AX, CX
+	JL           entry1
+	VMOVSD       X0, (DI)
+	ADDQ         $8, DI
+	ADDQ         $8, BX
+	DECQ         R8
+	JMP          panel1
+
+paneldone:
 	VZEROUPPER
 	RET
 
-// func axpy1AVX(a float64, x, y []float64)
-// y[j] += a·x[j], laid out like axpy2AVX.
-TEXT ·axpy1AVX(SB), NOSPLIT, $0-56
-	VBROADCASTSD a+0(FP), Y0
+// func maskedAxpyAVX(s float64, x, y []float64)
+// y[j] = x[j] ≠ 0 ? y[j] + x[j]·s : y[j]. The NEQ_UQ compare is true
+// for NaN and false for either zero, and the blend keeps y's own bits
+// where it is false, as the skipped scalar step does. Four elements per
+// pass, then the 0-3 leftovers one at a time.
+TEXT ·maskedAxpyAVX(SB), NOSPLIT, $0-56
+	VBROADCASTSD s+0(FP), Y0
 	MOVQ         x_base+8(FP), SI
 	MOVQ         y_base+32(FP), DI
 	MOVQ         y_len+40(FP), CX
-	SUBQ         $8, CX
-	JL           tail1
+	VXORPD       Y1, Y1, Y1
+	SUBQ         $4, CX
+	JL           masktail
 
-loop1x8:
-	VMOVUPD (DI), Y2
-	VMOVUPD 32(DI), Y3
-	VMULPD  (SI), Y0, Y4
-	VMULPD  32(SI), Y0, Y5
-	VADDPD  Y4, Y2, Y2
-	VADDPD  Y5, Y3, Y3
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	SUBQ    $8, CX
-	JGE     loop1x8
+mask4:
+	VMOVUPD   (SI), Y2
+	VCMPPD    $0x04, Y1, Y2, Y3 // x ≠ 0
+	VMULPD    Y0, Y2, Y2        // x·s
+	VMOVUPD   (DI), Y4
+	VADDPD    Y2, Y4, Y2        // y + x·s
+	VBLENDVPD Y3, Y2, Y4, Y4    // x ≠ 0 ? y + x·s : y
+	VMOVUPD   Y4, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JGE       mask4
 
-tail1:
-	ADDQ $8, CX
-	JE   done1
+masktail:
+	ADDQ $4, CX
+	JE   maskdone
 
-loop1x1:
-	VMOVSD (DI), X2
-	VMULSD (SI), X0, X4
-	VADDSD X4, X2, X2
-	VMOVSD X2, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JNE    loop1x1
+mask1:
+	VMOVSD    (SI), X2
+	VCMPSD    $0x04, X1, X2, X3
+	VMULSD    X0, X2, X2
+	VMOVSD    (DI), X4
+	VADDSD    X2, X4, X2
+	VBLENDVPD X3, X2, X4, X4
+	VMOVSD    X4, (DI)
+	ADDQ      $8, SI
+	ADDQ      $8, DI
+	DECQ      CX
+	JNE       mask1
 
-done1:
+maskdone:
 	VZEROUPPER
 	RET
 

@@ -7,10 +7,10 @@ package tensor
 
 func cpuHasAVX() bool { return false }
 
-func axpy2AVX(a0, a1 float64, x0, x1, y []float64)  { panic(noAVX) }
-func axpy1AVX(a float64, x, y []float64)            { panic(noAVX) }
-func adamStepAVX(w, g, m, v []float64, k *AdamCoef) { panic(noAVX) }
-func reluAVX(x []float64)                           { panic(noAVX) }
-func reluGradAVX(d, act []float64)                  { panic(noAVX) }
+func gemmPanelAVX(vals []float64, offs []int32, b, c []float64) { panic(noAVX) }
+func maskedAxpyAVX(s float64, x, y []float64)                   { panic(noAVX) }
+func adamStepAVX(w, g, m, v []float64, k *AdamCoef)             { panic(noAVX) }
+func reluAVX(x []float64)                                       { panic(noAVX) }
+func reluGradAVX(d, act []float64)                              { panic(noAVX) }
 
 const noAVX = "tensor: AVX kernel called in a build without assembly"

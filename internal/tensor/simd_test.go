@@ -44,13 +44,22 @@ func mlpAdamCoef(t int, lr, beta1, beta2, eps float64) AdamCoef {
 	}
 }
 
-// refAdam, refReLU and refReLUGrad are the scalar references the
-// element-wise kernels are pinned to, one rounded operation at a time.
+// refAdam, refMaskedAxpy, refReLU and refReLUGrad are the scalar
+// references the element-wise kernels are pinned to, one rounded
+// operation at a time.
 func refAdam(w, g, m, v []float64, k *AdamCoef) {
 	for j := range w {
 		m[j] = float64(k.B1*m[j]) + float64(k.OneMinusB1*g[j])
 		v[j] = float64(k.B2*v[j]) + float64(float64(k.OneMinusB2*g[j])*g[j])
 		w[j] = w[j] - float64(k.LR*(m[j]/k.C1))/(math.Sqrt(v[j]/k.C2)+k.Eps)
+	}
+}
+
+func refMaskedAxpy(s float64, x, y []float64) {
+	for j := range y {
+		if x[j] != 0 {
+			y[j] = y[j] + float64(x[j]*s)
+		}
 	}
 }
 
@@ -71,11 +80,13 @@ func refReLUGrad(d, act []float64) {
 }
 
 // FuzzElementwise checks AdamStep (under both callers' coefficient
-// conventions), ReLUInPlace and ReLUGradInPlace against the scalar
-// references bit for bit, on both kernel paths. The first byte gives
-// the length in [0, 70], which crosses every SIMD body/tail split; the
-// second the Adam step number; the rest are cycled through fuzzValue
-// (±0, NaN, ±Inf, subnormal and normal values) to fill the operands.
+// conventions), maskedAxpy, ReLUInPlace and ReLUGradInPlace against the
+// scalar references bit for bit, on both kernel paths. The first byte
+// gives the length in [0, 70], which crosses every SIMD body/tail
+// split; the second the Adam step number and one masked-axpy scale;
+// the rest are cycled through fuzzValue (±0, NaN, ±Inf, subnormal and
+// normal values) to fill the operands. The masked axpy also runs with
+// a scale of every awkward class.
 func FuzzElementwise(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{7, 3, 8, 9, 0, 10, 3, 11, 4, 5, 6, 7})
@@ -113,6 +124,16 @@ func FuzzElementwise(f *testing.F) {
 				requireSliceBitEqual(t, gm, wm, label+" m")
 				requireSliceBitEqual(t, gv, wv, label+" v")
 				requireSliceBitEqual(t, gw, ww, label+" w")
+			}
+
+			scales := []float64{fuzzValue(data[1], n), 0, math.Copysign(0, -1), math.NaN(),
+				math.Inf(1), math.Inf(-1), 5e-324, -1.5}
+			for _, sc := range scales {
+				want := clone(v)
+				refMaskedAxpy(sc, w, want)
+				got := clone(v)
+				withAVX(avx, func() { maskedAxpy(sc, w, got) })
+				requireSliceBitEqual(t, got, want, fmt.Sprintf("masked axpy n=%d s=%v avx=%v", n, sc, avx))
 			}
 
 			want := clone(w)
