@@ -9,49 +9,37 @@ import (
 
 	"gopim/internal/obs"
 	"gopim/internal/simmemo"
-	"gopim/internal/spmm"
 )
 
-// The -spmm and -sim-memo knobs follow the GOPIM_WORKERS convention:
-// invalid values warn and fall back (auto / on) instead of dying, and
-// the sanitised result is what reaches the process-wide state.
+// The -sim-memo knob follows the GOPIM_WORKERS convention: an invalid
+// value warns and falls back (on) instead of dying, and the sanitised
+// result is what reaches the process-wide state.
 func TestKernelFlagFallbacks(t *testing.T) {
 	var warnings bytes.Buffer
 	restore := obs.SetWarnOutput(&warnings)
 	defer restore()
-	defer spmm.SetForced(spmm.Auto)
 	defer simmemo.SetEnabled(true)
-	t.Setenv(spmm.EnvVar, "")
 	t.Setenv(simmemo.EnvVar, "")
 
-	spmm.Configure("bukceted") // typo'd strategy: stays auto
-	if spmm.Forced() != spmm.Auto {
-		t.Fatalf("typo'd -spmm must keep auto, got %v", spmm.Forced())
-	}
 	simmemo.Configure("offf") // typo'd switch: stays on
 	if !simmemo.Enabled() {
 		t.Fatal("typo'd -sim-memo must keep the memo on")
 	}
 	if warnings.Len() == 0 {
-		t.Fatal("invalid kernel knobs must hit the warn path")
+		t.Fatal("an invalid -sim-memo must hit the warn path")
 	}
 
-	spmm.Configure("edge")
 	simmemo.Configure("off")
-	if spmm.Forced() != spmm.Edge || simmemo.Enabled() {
-		t.Fatalf("valid knobs must apply: spmm=%v memo=%v", spmm.Forced(), simmemo.Enabled())
+	if simmemo.Enabled() {
+		t.Fatal("a valid -sim-memo must apply")
 	}
 }
 
-// setKernelInfo records the autotuner provenance in the run manifest —
-// forced strategy and memo state only when off the defaults, per-graph
-// choices whenever any were resolved — so default-run manifests keep
-// their shape.
+// setKernelInfo records the memo state in the run manifest only when
+// it is off the default, so default-run manifests keep their shape.
 func TestManifestKernelFields(t *testing.T) {
 	resetObs(t)
-	defer spmm.SetForced(spmm.Auto)
 	defer simmemo.SetEnabled(true)
-	defer spmm.ResetChoices()
 	dir := t.TempDir()
 	runSession := func() *obs.Manifest {
 		s, err := startObsSession(obsFlags{
@@ -75,28 +63,17 @@ func TestManifestKernelFields(t *testing.T) {
 		return m
 	}
 
-	// Defaults: none of the kernel keys appear.
-	spmm.SetForced(spmm.Auto)
+	// Default: the key is absent.
 	simmemo.SetEnabled(true)
-	spmm.ResetChoices()
 	m := runSession()
-	if m.SpMMStrategy != "" || m.SpMMChoices != nil || m.SimMemo != "" {
-		t.Fatalf("default manifest must omit kernel fields, got strategy=%q choices=%v memo=%q",
-			m.SpMMStrategy, m.SpMMChoices, m.SimMemo)
+	if m.SimMemo != "" {
+		t.Fatalf("default manifest must omit sim_memo, got %q", m.SimMemo)
 	}
 
-	// Forced strategy + memo off + a resolved choice all surface.
-	spmm.SetForced(spmm.Bucketed)
+	// Memo off surfaces.
 	simmemo.SetEnabled(false)
-	spmm.Record("ddi/v300", spmm.Bucketed)
 	m = runSession()
-	if m.SpMMStrategy != "bucketed" {
-		t.Fatalf("manifest strategy = %q, want bucketed", m.SpMMStrategy)
-	}
 	if m.SimMemo != "off" {
 		t.Fatalf("manifest sim_memo = %q, want off", m.SimMemo)
-	}
-	if m.SpMMChoices["ddi/v300"] != "bucketed" {
-		t.Fatalf("manifest choices = %v", m.SpMMChoices)
 	}
 }

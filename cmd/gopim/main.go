@@ -35,10 +35,6 @@
 //	-workers N   worker-pool size for parallel kernels and the
 //	             experiment fan-out (default: GOPIM_WORKERS env, else
 //	             GOMAXPROCS); output is identical at any worker count
-//	-spmm s      SpMM strategy: auto (per-graph selector), row, blocked,
-//	             bucketed or edge (default: GOPIM_SPMM env, else auto);
-//	             every strategy is bitwise-equal, so this is purely a
-//	             performance knob
 //	-sim-memo v  on/off for the sweep-memoization layer (default:
 //	             GOPIM_SIM_MEMO env, else on); off recomputes every
 //	             sweep cell, matching pre-memo behaviour exactly
@@ -89,7 +85,6 @@ import (
 	"gopim/internal/gcn"
 	"gopim/internal/mapping"
 	"gopim/internal/simmemo"
-	"gopim/internal/spmm"
 	"gopim/internal/trace"
 	"gopim/internal/tuner"
 )
@@ -99,7 +94,6 @@ func main() {
 	fast := flag.Bool("fast", false, "shrink workloads for a quick smoke run")
 	format := flag.String("format", "text", "output format: text, csv, markdown")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOPIM_WORKERS env, else GOMAXPROCS)")
-	spmmFlag := flag.String("spmm", "", "SpMM strategy: auto|row|blocked|bucketed|edge (default: GOPIM_SPMM env, else auto)")
 	simMemo := flag.String("sim-memo", "", "sweep-memoization layer: on|off (default: GOPIM_SIM_MEMO env, else on)")
 	faultRate := flag.Float64("fault-rate", 0, "stuck-at cell fault probability in [0,1] (0 = faults off)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault streams")
@@ -122,11 +116,9 @@ func main() {
 		fatal(err.Error())
 	}
 	gopim.SetWorkers(*workers)
-	// The kernel knobs share the GOPIM_WORKERS convention (see below):
-	// invalid values warn and fall back rather than abort, and neither
-	// knob can change output bytes — -spmm picks among bitwise-equal
-	// kernels, -sim-memo only skips recomputation.
-	spmm.Configure(*spmmFlag)
+	// -sim-memo shares the GOPIM_WORKERS convention (see below): an
+	// invalid value warns and falls back rather than aborting, and the
+	// knob cannot change output bytes — it only skips recomputation.
 	simmemo.Configure(*simMemo)
 
 	// Fault flags follow the GOPIM_WORKERS convention rather than the

@@ -13,7 +13,6 @@ import (
 	"gopim/internal/explain"
 	"gopim/internal/obs"
 	"gopim/internal/simmemo"
-	"gopim/internal/spmm"
 )
 
 // obsFlags carries the CLI's observability switches.
@@ -96,19 +95,13 @@ func (s *obsSession) setExplainInfo(ex *explain.Result) {
 	s.manifest.ExplainEq6GapFrac = ex.Eq6GapFrac
 }
 
-// setKernelInfo drains the SpMM autotuner's provenance into the run
-// manifest at exit: the forced -spmm strategy (when not auto), the
-// per-graph choices the run resolved, and the -sim-memo knob when the
-// memo layer was off. All omitempty, so default-run manifests keep
-// their pre-autotuner shape.
+// setKernelInfo records the -sim-memo knob in the run manifest at exit
+// when the memo layer was off. The key is omitempty, so default-run
+// manifests keep their shape.
 func (s *obsSession) setKernelInfo() {
 	if s.manifest == nil {
 		return
 	}
-	if f := spmm.Forced(); f != spmm.Auto {
-		s.manifest.SpMMStrategy = f.String()
-	}
-	s.manifest.SpMMChoices = spmm.Choices()
 	if !simmemo.Enabled() {
 		s.manifest.SimMemo = "off"
 	}

@@ -81,10 +81,6 @@ func Attribution(metrics []MetricValue) (*experiments.Result, error) {
 	var rowsRewritten, rowsTotal float64
 	var faultyCells, writeRetries, retired, degraded float64
 	hasExplain := false
-	// spmmByDataset maps a dataset name to the SpMM strategies its
-	// training aggregations resolved to (usually one; fast/full variants
-	// of a graph may differ).
-	spmmByDataset := map[string]map[string]bool{}
 	get := func(labels map[string]string) *attribRow {
 		key := labels["dataset"] + "\x00" + labels["model"]
 		r := rows[key]
@@ -115,20 +111,6 @@ func Attribution(metrics []MetricValue) (*experiments.Result, error) {
 			case m.Name == "accel.alloc_degraded" && m.Field == "count":
 				degraded, _ = strconv.ParseFloat(m.Value, 64)
 			}
-			continue
-		}
-		// The autotuner's per-graph choice series ("spmm.selected
-		// {graph=ddi/v1200,strategy=bucketed}") keys on graph, not
-		// {dataset, model}; fold it into a per-dataset strategy column.
-		if base == "spmm.selected" && m.Field == "count" {
-			ds := labels["graph"]
-			if i := strings.IndexByte(ds, '/'); i >= 0 {
-				ds = ds[:i]
-			}
-			if spmmByDataset[ds] == nil {
-				spmmByDataset[ds] = map[string]bool{}
-			}
-			spmmByDataset[ds][labels["strategy"]] = true
 			continue
 		}
 		// Distributions render min and max; for a repeated deterministic
@@ -214,13 +196,9 @@ func Attribution(metrics []MetricValue) (*experiments.Result, error) {
 		res.Header = append(res.Header, "idle "+s)
 	}
 	// Bottleneck columns appear only when the snapshot carries the
-	// explain series, so pre-explain BENCH files render unchanged; same
-	// contract for the autotuner's strategy column.
+	// explain series, so pre-explain BENCH files render unchanged.
 	if hasExplain {
 		res.Header = append(res.Header, "bottleneck", "crit %", "top bubble")
-	}
-	if len(spmmByDataset) > 0 {
-		res.Header = append(res.Header, "spmm")
 	}
 	for _, r := range ordered {
 		upd := ""
@@ -244,9 +222,6 @@ func Attribution(metrics []MetricValue) (*experiments.Result, error) {
 		if hasExplain {
 			row = append(row, bottleneckCells(r)...)
 		}
-		if len(spmmByDataset) > 0 {
-			row = append(row, spmmCell(spmmByDataset[r.dataset]))
-		}
 		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes,
@@ -254,10 +229,6 @@ func Attribution(metrics []MetricValue) (*experiments.Result, error) {
 	if hasExplain {
 		res.Notes = append(res.Notes,
 			"bottleneck/crit % come from the critical-path analyzer (gopim explain); 'top bubble' is the largest idle class summed over stages")
-	}
-	if len(spmmByDataset) > 0 {
-		res.Notes = append(res.Notes,
-			"'spmm' is the aggregation kernel the autotuner resolved for the dataset's graph(s) — see gopim -spmm and DESIGN.md §17")
 	}
 	if rowsTotal > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
@@ -272,20 +243,6 @@ func Attribution(metrics []MetricValue) (*experiments.Result, error) {
 			faultyCells, writeRetries, retired, degraded))
 	}
 	return res, nil
-}
-
-// spmmCell renders a dataset's resolved SpMM strategies, sorted and
-// '+'-joined when fast/full graph variants picked differently.
-func spmmCell(strats map[string]bool) string {
-	if len(strats) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(strats))
-	for s := range strats {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "+")
 }
 
 // bottleneckCells renders a row's explain-derived columns: the stage

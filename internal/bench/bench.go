@@ -48,7 +48,7 @@ type Config struct {
 	Label string
 	// Suite selects the workload family: "" (or "default") is the
 	// standard sim-matrix + experiments pair; KernelsSuite runs the SpMM
-	// strategy micro-benchmarks instead.
+	// micro-benchmarks instead.
 	Suite string
 	// Seed drives all synthetic graph generation.
 	Seed int64

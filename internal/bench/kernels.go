@@ -1,82 +1,43 @@
 package bench
 
 import (
-	"fmt"
-
 	"gopim/internal/graphgen"
-	"gopim/internal/sparsemat"
-	"gopim/internal/spmm"
 	"gopim/internal/tensor"
 )
 
-// KernelsSuite is the Config.Suite value selecting the SpMM strategy
-// micro-suite: every strategy of the autotuner's zoo against every
-// configured dataset's normalised adjacency, one group per strategy, so
-// `gopim bench -suite kernels` answers "which kernel wins on which
-// graph at which worker count" with the same warmup/repeat/Sim-snapshot
-// machinery as the regression suite. The selector thresholds in
-// internal/spmm are calibrated against this suite's wall columns.
+// KernelsSuite is the Config.Suite value selecting the SpMM
+// micro-suite: one group per configured dataset, each multiplying that
+// dataset's normalised adjacency by a dense operand, so `gopim bench
+// -suite kernels` times aggregation on every graph shape at every
+// worker count with the same warmup/repeat machinery as the regression
+// suite.
 const KernelsSuite = "kernels"
 
 // kernelDenseCols is the dense operand width of the micro-suite — the
 // hidden width the accuracy experiments aggregate at.
 const kernelDenseCols = 64
 
-// kernelStrategies is the suite's group list: the forced strategies
-// plus auto (whatever Select picks per graph).
-var kernelStrategies = []spmm.Strategy{
-	spmm.Row, spmm.Blocked, spmm.Bucketed, spmm.Edge, spmm.Auto,
-}
-
-// kernelCase is one dataset's prepared SpMM operands, shared across
-// the suite's strategy groups (the product is recomputed, never the
-// setup).
-type kernelCase struct {
-	graph string // choice key, same shape as gcn's ("ddi/v1200")
-	adj   *sparsemat.CSR
-	in    *tensor.Matrix
-	out   *tensor.Matrix
-}
-
 // kernelGroups builds the micro-suite: synthesize each dataset once,
-// then one benchGroup per strategy multiplying every graph. Each body
-// routes its resolved choice through spmm.Record, so the suite's Sim
-// snapshots carry the per-strategy choice counters and the per-graph
-// labelled series `bench -attrib` reads.
+// then one benchGroup per graph (the product is recomputed, never the
+// setup).
 func kernelGroups(datasets []graphgen.Dataset, seed int64, fast bool) []benchGroup {
 	maxV := 4000
 	if fast {
 		maxV = 1200
 	}
-	cases := make([]kernelCase, len(datasets))
-	for i, d := range datasets {
+	groups := make([]benchGroup, 0, len(datasets))
+	for _, d := range datasets {
 		inst := d.Synthesize(seed+int64(len(d.Name)), maxV)
 		adj := inst.Graph.NormAdj()
 		in := tensor.New(adj.Cols, kernelDenseCols)
 		for j := range in.Data {
 			in.Data[j] = float64(j%97) / 97
 		}
-		cases[i] = kernelCase{
-			graph: fmt.Sprintf("%s/v%d", d.Name, adj.Rows),
-			adj:   adj,
-			in:    in,
-			out:   tensor.New(adj.Rows, kernelDenseCols),
-		}
-	}
-	groups := make([]benchGroup, 0, len(kernelStrategies))
-	for _, s := range kernelStrategies {
-		s := s
+		out := tensor.New(adj.Rows, kernelDenseCols)
 		groups = append(groups, benchGroup{
-			name: "kernels-" + s.String(),
+			name: "kernels-" + d.Name,
 			body: func() error {
-				for _, c := range cases {
-					st := s
-					if st == spmm.Auto {
-						st = spmm.For(c.adj)
-					}
-					spmm.MulInto(st, c.adj, c.out, c.in)
-					spmm.Record(c.graph, st)
-				}
+				adj.MulDenseInto(out, in)
 				return nil
 			},
 		})

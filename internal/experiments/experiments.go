@@ -187,20 +187,45 @@ type RunHooks struct {
 	OnDone func(id string, wall time.Duration, err error)
 }
 
-// runPriority orders the all-run schedule so that harnesses whose
-// training grids are supersets execute before harnesses that revisit a
-// subset of the same cells: tab5 trains every dataset's vanilla +
-// adaptive-θ ISU pair, which fig16's θ sweeps then extend with only
-// their off-adaptive cells, and cora's single θ=0.8 row is covered
-// entirely by fig16's Cora sweep. Scheduling is invisible in the
-// output — results are collected by caller index and every harness
-// derives its RNGs from Options alone — but with the sim memo warm the
-// narrow sweeps collapse to their unshared cells instead of paying for
-// the shared ones first. Unlisted ids keep their caller order (0).
+// runPriority orders the all-run schedule; lower values start first.
+// Two rules set it:
+//
+//   - Critical path first: fig9 holds the longest strictly serial chain
+//     of the sweep — its depth-4 predictor fit is thousands of
+//     sequential Adam steps that no other core can share — so it starts
+//     before everything else and the other harnesses pack around it. A
+//     late start leaves that fit running alone at the end of the sweep
+//     while the other cores idle.
+//   - Memo supersets before subsets: tab5 trains every dataset's
+//     vanilla + adaptive-θ ISU pair, which fig16's θ sweeps then extend
+//     with only their off-adaptive cells, and cora's single θ=0.8 row
+//     is covered entirely by fig16's Cora sweep. With the sim memo warm
+//     the narrow sweeps collapse to their unshared cells instead of
+//     paying for the shared ones first. (A harness that reaches a cell
+//     another one is still computing waits for it and counts a hit, so
+//     the Sim counters do not depend on the order either way.)
+//
+// Scheduling is invisible in the output — results are collected by
+// caller index and every harness derives its RNGs from Options alone.
+// Unlisted ids keep their caller order (0).
 var runPriority = map[string]int{
+	"fig9":  -4, // longest serial chain: the depth-4 predictor fit
 	"tab5":  -3, // broadest gcn grid: every eval dataset × (vanilla, adaptive-θ ISU)
 	"cora":  -2, // pays the Cora vanilla + θ=0.8 cells (tab5's grid has no Cora)
 	"fig16": -1, // θ grids then add only their off-adaptive cells
+}
+
+// startOrder returns the caller indices of ids in the order their
+// harnesses start: by runPriority, ties in caller order.
+func startOrder(ids []string) []int {
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return runPriority[ids[order[a]]] < runPriority[ids[order[b]]]
+	})
+	return order
 }
 
 // RunAllWithHooks is RunAll with per-experiment lifecycle callbacks —
@@ -212,15 +237,8 @@ func RunAllWithHooks(ids []string, opt Options, hooks RunHooks) ([]*Result, erro
 				id, strings.Join(IDs(), ", "))
 		}
 	}
-	// schedule[k] is the caller index of the k-th harness to start;
-	// see runPriority for why the start order differs from ids order.
-	schedule := make([]int, len(ids))
-	for i := range schedule {
-		schedule[i] = i
-	}
-	sort.SliceStable(schedule, func(a, b int) bool {
-		return runPriority[ids[schedule[a]]] < runPriority[ids[schedule[b]]]
-	})
+	// schedule[k] is the caller index of the k-th harness to start.
+	schedule := startOrder(ids)
 	type outcome struct {
 		res *Result
 		err error

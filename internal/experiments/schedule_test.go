@@ -62,3 +62,28 @@ func TestRunPriorityIDsExist(t *testing.T) {
 		}
 	}
 }
+
+// TestStartOrderCriticalPathFirst pins the full sweep's start order:
+// fig9, the longest serial chain, starts first, and the memo-sharing
+// chain tab5 → cora → fig16 keeps its order right behind it; every
+// other id follows in caller order.
+func TestStartOrderCriticalPathFirst(t *testing.T) {
+	ids := IDs()
+	order := startOrder(ids)
+	got := make([]string, len(order))
+	for k, i := range order {
+		got[k] = ids[i]
+	}
+	want := []string{"fig9", "tab5", "cora", "fig16"}
+	for k, id := range want {
+		if got[k] != id {
+			t.Fatalf("start order = %v, want it to begin %v", got, want)
+		}
+	}
+	rest := got[len(want):]
+	for k := 1; k < len(rest); k++ {
+		if rest[k-1] >= rest[k] {
+			t.Fatalf("unprioritised ids must keep caller (sorted) order, got %v", rest)
+		}
+	}
+}

@@ -35,7 +35,6 @@ import (
 	"gopim/internal/quant"
 	"gopim/internal/simmemo"
 	"gopim/internal/sparsemat"
-	"gopim/internal/spmm"
 	"gopim/internal/tensor"
 )
 
@@ -96,12 +95,6 @@ type Config struct {
 	// physical slices), so QuantBits below 2 is raised to 16 while a
 	// fault model is active; a disabled model changes nothing.
 	Fault *fault.Model
-	// SpMM picks the aggregation kernel strategy. Auto (the zero
-	// value) defers to the global -spmm override and, absent one, to
-	// the per-graph selector (spmm.Select over Â's stats). Every
-	// strategy is bitwise-equal to the others, so this is purely a
-	// performance knob.
-	SpMM spmm.Strategy
 }
 
 // simCounts accumulates every Sim-clock increment of one training run
@@ -113,8 +106,6 @@ type simCounts struct {
 	trainRuns, epochs        int64
 	rowsRewritten, rowsTotal int64
 	stuckElems               int64
-	graph                    string // spmm choice key ("ddi/v4267"); "" = don't record
-	strat                    spmm.Strategy
 }
 
 // apply flushes the counts into the Sim registry. Called exactly once
@@ -127,9 +118,6 @@ func (c *simCounts) apply() {
 	mRowsTotal.Add(c.rowsTotal)
 	if c.stuckElems != 0 {
 		mStuckElems.Add(c.stuckElems)
-	}
-	if c.graph != "" {
-		spmm.Record(c.graph, c.strat)
 	}
 }
 
@@ -227,10 +215,6 @@ type workspace struct {
 	stuckBPC   int // bits per physical cell
 	stuckCells int // cells per stored value
 
-	// strat is the SpMM strategy both aggregation products run with,
-	// resolved once per workspace (Â and Âᵀ share one choice — they
-	// describe the same graph).
-	strat spmm.Strategy
 	// counts accumulates the run's Sim increments for memo replay.
 	counts simCounts
 
@@ -256,7 +240,6 @@ func newWorkspace(adj, adjT *sparsemat.CSR, n int, dims []int) *workspace {
 		wT:         make([]*tensor.Matrix, layers),
 		dOut:       tensor.New(n, dims[layers]),
 		probs:      tensor.New(n, dims[layers]),
-		strat:      spmm.For(adj),
 	}
 	wTSize := 0
 	for l := 1; l < layers; l++ {
@@ -339,14 +322,12 @@ func TrainMemo(instKey string, inst *graphgen.Instance, cfg Config) Result {
 }
 
 // fingerprint renders every Result-influencing Config field (the memo
-// key's config half). The resolved SpMM strategy never changes result
-// bytes, but the global -spmm override is included so choice counters
-// replay consistently if it changes between calls.
+// key's config half).
 func (cfg Config) fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "e%d|lr%x|do%x|s%d|q%d|k%d.%d",
+	fmt.Fprintf(&b, "e%d|lr%x|do%x|s%d|q%d",
 		cfg.Epochs, math.Float64bits(cfg.LR), math.Float64bits(cfg.Dropout),
-		cfg.Seed, cfg.QuantBits, cfg.SpMM, spmm.Forced())
+		cfg.Seed, cfg.QuantBits)
 	if p := cfg.Plan; p != nil {
 		h := fnv.New64a()
 		for _, imp := range p.Important {
@@ -367,13 +348,6 @@ func (cfg Config) fingerprint() string {
 		fmt.Fprintf(&b, "|f%+v", fm.Config())
 	}
 	return b.String()
-}
-
-// graphKey names the aggregated adjacency for strategy-choice
-// recording: dataset plus realised vertex count (fast runs cap
-// vertices, changing the graph's shape).
-func graphKey(inst *graphgen.Instance) string {
-	return fmt.Sprintf("%s/v%d", inst.Dataset.Name, inst.Features.Rows)
 }
 
 // trainCounted is the training loop proper. It touches the Sim-metric
@@ -420,11 +394,6 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 	}
 	opt := newAdam(lr, weights)
 	ws := newWorkspace(adj, adjT, inst.Features.Rows, dims)
-	if cfg.SpMM != spmm.Auto {
-		ws.strat = cfg.SpMM
-	}
-	ws.counts.graph = graphKey(inst)
-	ws.counts.strat = ws.strat
 
 	// Fault injection: stuck-at masks for everything the run writes to
 	// the array. Weight masks are applied here after each epoch's
@@ -629,7 +598,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 		fw.combined[l] = c
 
 		a := ws.aggregated[l]
-		spmm.MulInto(ws.strat, ws.adj, a, c)
+		ws.adj.MulDenseInto(a, c)
 		fw.aggregated[l] = a
 		if l+1 < layers {
 			mask := ws.maskBuf[l]
@@ -706,14 +675,13 @@ func backward(adj *sparsemat.CSR, fw *forwardState, weights []*tensor.Matrix, dO
 // hardware computes gradients with the data it has).
 //
 // The aggregation gradient dC = Âᵀ·dA runs as Âᵀ (a CSR built once
-// per run) times dA through the row-parallel MulDense path. For every
-// output element, the serial TMulDense scatter and the Âᵀ-row product
-// both accumulate contributions in ascending source-row order, so the
-// two are byte-identical — this swap is what parallelises the backward
-// aggregation without touching determinism. The in-place mask multiply
-// replaces the historic Clone+MulInPlace: the buffer it mutates
-// (ws.dIn of the layer above, or the caller's dOut which never has a
-// mask) is not read again afterwards.
+// per run) times dA through the row-parallel MulDenseInto. Each Âᵀ
+// row lists its entries in ascending source-row order, so every output
+// element accumulates exactly as a serial scatter over Â's rows would,
+// at any worker count. The in-place mask multiply replaces the
+// historic Clone+MulInPlace: the buffer it mutates (ws.dIn of the
+// layer above, or the caller's dOut which never has a mask) is not
+// read again afterwards.
 func (ws *workspace) backward(fw *forwardState, weights []*tensor.Matrix, dOut *tensor.Matrix) []*tensor.Matrix {
 	layers := len(weights)
 	dA := dOut
@@ -722,7 +690,7 @@ func (ws *workspace) backward(fw *forwardState, weights []*tensor.Matrix, dOut *
 			dA.MulInPlace(fw.masks[l])
 		}
 		// A = Â·C → dC = Âᵀ·dA.
-		spmm.MulInto(ws.strat, ws.adjT, ws.dC[l], dA)
+		ws.adjT.MulDenseInto(ws.dC[l], dA)
 		// C = H·W → dW = Hᵀ·dC through the transpose-fused kernel (an
 		// n × dims[l] Hᵀ would be the largest buffer in the workspace),
 		// and dH = dC·Wᵀ through the plain kernel on the small Wᵀ

@@ -228,3 +228,71 @@ func TestHealthyPhysGroupsFullyDeadGroup(t *testing.T) {
 		t.Fatalf("first group should land just past the dead region: got %d, want %d", got, want)
 	}
 }
+
+// FuzzApplyDelta runs TestApplyDeltaMatchesFullRemap's harness over
+// fuzzed inputs: seed drives the degrees and the mutations, n (1–400)
+// and the group size (1–16) the shape, steps (0–63) the chain length
+// and burst the largest mutation per step (large bursts reach the
+// full-remap fallback). deadMask retires group g when bit g%64 is set
+// (0 = a healthy chip, dead == nil), and waveMask retires more groups
+// halfway through the chain. After every step the layout must equal a
+// from-scratch InterleavedLayout/InterleavedLayoutHealthy of the
+// mutated degrees and its order must be a permutation.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add(int64(7), uint16(64), uint8(8), uint64(0), uint64(0), uint8(50), uint8(3))
+	f.Add(int64(7), uint16(61), uint8(8), uint64(0x5555), uint64(0), uint8(50), uint8(3))
+	f.Add(int64(3), uint16(5), uint8(4), uint64(0), uint64(1), uint8(10), uint8(0))
+	f.Add(int64(11), uint16(300), uint8(3), uint64(0x9), uint64(0xf0), uint8(40), uint8(200))
+	f.Add(int64(5), uint16(1), uint8(1), uint64(1), uint64(0), uint8(5), uint8(1))
+	// Small bursts after a retirement wave: incremental steps must pick
+	// up the new routing.
+	f.Add(int64(13), uint16(64), uint8(8), uint64(0), uint64(0x30), uint8(40), uint8(2))
+	f.Add(int64(17), uint16(61), uint8(8), uint64(0x5), uint64(0x30), uint8(40), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, gs8 uint8, deadMask, waveMask uint64, steps8, burst uint8) {
+		n := max(1, int(n16)%401)
+		gs := max(1, int(gs8)%17)
+		steps := int(steps8) % 64
+		rng := rand.New(rand.NewSource(seed))
+		degs := make([]float64, n)
+		for i := range degs {
+			degs[i] = float64(rng.Intn(40))
+		}
+		var dead []bool
+		retire := func(mask uint64) {
+			if mask == 0 {
+				return
+			}
+			if dead == nil {
+				dead = make([]bool, numGroups(n, gs))
+			}
+			for g := range dead {
+				if mask>>(g%64)&1 == 1 {
+					dead[g] = true
+				}
+			}
+		}
+		scratch := func() *Layout {
+			if dead == nil {
+				return InterleavedLayout(degs, gs)
+			}
+			return InterleavedLayoutHealthy(degs, gs, dead)
+		}
+		retire(deadMask)
+		cur := scratch()
+		for step := 0; step < steps; step++ {
+			if step == steps/2 {
+				retire(waveMask)
+			}
+			changed := mutate(rng, degs, 1+rng.Intn(1+int(burst)))
+			var stats DeltaStats
+			cur, stats = cur.ApplyDelta(degs, changed, dead)
+			if want := scratch(); !layoutsEqual(cur, want) {
+				t.Fatalf("step %d (changed %v, full=%v): delta layout diverged\n got order %v\nwant order %v",
+					step, changed, stats.Full, cur.Order, want.Order)
+			}
+			if !isPermutation(cur.Order) {
+				t.Fatalf("step %d: order not a permutation: %v", step, cur.Order)
+			}
+		}
+	})
+}

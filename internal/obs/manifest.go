@@ -47,22 +47,18 @@ type Manifest struct {
 	ExplainBottleneck string  `json:"explain_bottleneck,omitempty"`
 	ExplainCritShare  float64 `json:"explain_crit_share,omitempty"`
 	ExplainEq6GapFrac float64 `json:"explain_eq6_gap_frac,omitempty"`
-	// SpMM autotuner provenance: the forced strategy (-spmm, only when
-	// not auto) and the per-graph choices the run's training aggregations
-	// resolved to. SimMemo records the -sim-memo knob only when the memo
-	// layer was disabled. All omit when empty — the same byte-stability
-	// contract as the fault keys above.
-	SpMMStrategy string            `json:"spmm_strategy,omitempty"`
-	SpMMChoices  map[string]string `json:"spmm_choices,omitempty"`
-	SimMemo      string            `json:"sim_memo,omitempty"`
+	// SimMemo records the -sim-memo knob only when the memo layer was
+	// disabled — the same omitempty byte-stability contract as the
+	// fault keys above.
+	SimMemo string `json:"sim_memo,omitempty"`
 	// Streaming-churn knobs (-churn-rate/-churn-seed/-refresh-policy),
 	// recorded only when churn is enabled — same omitempty byte-stability
 	// contract as the fault keys.
-	ChurnRate     float64 `json:"churn_rate,omitempty"`
-	ChurnSeed     int64   `json:"churn_seed,omitempty"`
-	RefreshPolicy string  `json:"refresh_policy,omitempty"`
-	StartedAt         time.Time `json:"started_at"`
-	WallMS            float64   `json:"wall_ms"`
+	ChurnRate     float64   `json:"churn_rate,omitempty"`
+	ChurnSeed     int64     `json:"churn_seed,omitempty"`
+	RefreshPolicy string    `json:"refresh_policy,omitempty"`
+	StartedAt     time.Time `json:"started_at"`
+	WallMS        float64   `json:"wall_ms"`
 	// HeapAllocBytes and GCCount snapshot runtime.MemStats when Finish
 	// runs: live heap bytes and cumulative GC cycles for the process.
 	// Wall-side provenance, like WallMS — never part of Sim diffs.

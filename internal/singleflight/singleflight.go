@@ -23,12 +23,15 @@ import (
 )
 
 // entry is one key's slot: in-flight (done open, complete false) or
-// completed (val set, elem on the LRU list).
+// completed (val set, elem on the LRU list). waiters counts the callers
+// that have blocked on its in-flight computation, so tests can release
+// a computation only once every caller is queued behind it.
 type entry[V any] struct {
 	done     chan struct{}
 	val      V
 	complete bool
 	elem     *list.Element
+	waiters  int
 }
 
 // Cache is a keyed single-flight result cache. The zero value is not
@@ -134,6 +137,7 @@ func (c *Cache[K, V]) DoOutcome(k K, fn func() V) (v V, outcome Outcome) {
 				return v, Cached
 			}
 			done := e.done
+			e.waiters++
 			c.mu.Unlock()
 			waited = true
 			<-done

@@ -1,11 +1,35 @@
 package singleflight
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// awaitWaiters returns once n callers are blocked on k's in-flight
+// computation, and fails the test if that takes more than 10 s.
+func awaitWaiters[K comparable, V any](t *testing.T, c *Cache[K, V], k K, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		e, ok := c.entries[k]
+		got := 0
+		if ok && !e.complete {
+			got = e.waiters
+		}
+		c.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers blocked on the in-flight computation", got, n)
+		}
+		runtime.Gosched()
+	}
+}
 
 func TestDoCachesPerKey(t *testing.T) {
 	c := New[string, int](0)
@@ -90,8 +114,8 @@ func TestSameKeyCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Let the callers pile up behind the in-flight computation.
-	time.Sleep(10 * time.Millisecond)
+	// Release the computation once every other caller waits on it.
+	awaitWaiters(t, c, "k", callers-1)
 	close(release)
 	wg.Wait()
 	if runs.Load() != 1 {
@@ -203,9 +227,8 @@ func TestDoOutcomeDispositions(t *testing.T) {
 			outcomes <- out
 		}()
 	}
-	// Let the waiters pile up behind the in-flight computation, then
-	// release the runner.
-	time.Sleep(10 * time.Millisecond)
+	// Release the runner once every waiter is blocked behind it.
+	awaitWaiters(t, c, "k", waiters)
 	close(release)
 	wg.Wait()
 	close(outcomes)
@@ -213,11 +236,10 @@ func TestDoOutcomeDispositions(t *testing.T) {
 	if out := <-firstDone; out != Computed {
 		t.Fatalf("runner outcome = %v, want Computed", out)
 	}
-	// Waiters either blocked on the in-flight run (Coalesced) or arrived
-	// after completion (Cached); none may have computed.
+	// Every waiter blocked on the in-flight run before it completed.
 	for out := range outcomes {
-		if out == Computed {
-			t.Fatal("a coalesced waiter reported Computed")
+		if out != Coalesced {
+			t.Fatalf("waiter outcome = %v, want Coalesced", out)
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"gopim/internal/parallel"
 	"gopim/internal/tensor"
@@ -105,26 +106,20 @@ func (m *CSR) Sparsity() float64 {
 	return 1 - float64(m.NNZ())/total
 }
 
-// spmmParallelMinFLOPs is the multiply-add count below which MulDense
-// stays serial; tiny aggregations are cheaper than a fork/join.
+// spmmParallelMinFLOPs is the multiply-add count below which
+// MulDenseInto stays serial; tiny aggregations are cheaper than a
+// fork/join.
 const spmmParallelMinFLOPs = 1 << 15
 
-// MulDense returns m · d as a dense matrix. m.Cols must equal d.Rows.
-//
-// Large products (GCN aggregation Â·H) run row-parallel: each worker
-// owns a contiguous block of output rows and accumulates each row in
-// stored-column order exactly as the serial loop does, so the result
-// is byte-identical at any worker count.
-func (m *CSR) MulDense(d *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(m.Rows, d.Cols)
-	m.MulDenseInto(out, d)
-	return out
-}
-
 // MulDenseInto computes dst = m · d, reusing dst's storage. dst must
-// be m.Rows × d.Cols and must not alias d. Parallelisation and
-// per-row accumulation order are identical to MulDense, so the two
-// are byte-identical at any worker count.
+// be m.Rows × d.Cols and must not alias d.
+//
+// Each output row runs on the GEMM panel kernel (tensor.SparseRowInto)
+// over every stored entry of the row: it starts at +0 and adds each
+// term in ascending column order, each product and each add rounded on
+// its own, with stored zeros kept. Large products (GCN aggregation Â·H
+// and, through Âᵀ, its backward pass) run row-parallel, each row owned
+// by one worker, so the result is byte-identical at any worker count.
 func (m *CSR) MulDenseInto(dst, d *tensor.Matrix) {
 	if m.Cols != d.Rows {
 		panic(fmt.Sprintf("sparsemat: MulDense inner dims %d != %d", m.Cols, d.Rows))
@@ -156,89 +151,40 @@ func (m *CSR) MulDenseInto(dst, d *tensor.Matrix) {
 	})
 }
 
+// rowOffsets is one block's scratch list of dense-row offsets.
+type rowOffsets struct{ offs []int32 }
+
+// rowOffsetsPool recycles offset scratch across calls and blocks, so
+// the training loop's aggregation stays allocation-free once warm.
+var rowOffsetsPool = sync.Pool{New: func() any { return new(rowOffsets) }}
+
 // mulDenseRows computes dst rows [lo, hi) of m·d, each row owned
 // exclusively by its caller block.
 func (m *CSR) mulDenseRows(dst, d *tensor.Matrix, lo, hi int) {
+	s := rowOffsetsPool.Get().(*rowOffsets)
+	defer rowOffsetsPool.Put(s)
 	for r := lo; r < hi; r++ {
-		cols, vals := m.Row(r)
-		orow := dst.Row(r)
-		for j := range orow {
-			orow[j] = 0
+		start, end := m.RowPtr[r], m.RowPtr[r+1]
+		if cap(s.offs) < end-start {
+			s.offs = make([]int32, end-start)
 		}
-		// Pair consecutive nonzeros: each output element still
-		// accumulates one (value, neighbour-row) term at a time in
-		// ascending column order — two separately rounded steps per
-		// pass — so the bits match the one-term-per-pass loop while
-		// orow is loaded and stored half as often.
-		i := 0
-		for ; i+1 < len(cols); i += 2 {
-			v0, v1 := vals[i], vals[i+1]
-			d0 := d.Row(cols[i])
-			d1 := d.Row(cols[i+1])
-			d1 = d1[:len(d0)]
-			ob := orow[:len(d0)]
-			for j, dv := range d0 {
-				t := ob[j] + float64(v0*dv)
-				ob[j] = t + float64(v1*d1[j])
-			}
+		// d.Data's length fits in int32 or SparseRowInto panics before
+		// reading an offset, so a wrapped conversion is never used.
+		offs := s.offs[:end-start]
+		for i, c := range m.ColIdx[start:end] {
+			offs[i] = int32(c * d.Cols)
 		}
-		if i < len(cols) {
-			v := vals[i]
-			drow := d.Row(cols[i])
-			ob := orow[:len(drow)]
-			for j, dv := range drow {
-				ob[j] += float64(v * dv)
-			}
-		}
-	}
-}
-
-// TMulDense returns mᵀ · d without materialising the transpose.
-// m.Rows must equal d.Rows.
-func (m *CSR) TMulDense(d *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(m.Cols, d.Cols)
-	m.TMulDenseInto(out, d)
-	return out
-}
-
-// TMulDenseInto computes dst = mᵀ · d without materialising the
-// transpose, reusing dst's storage. dst must be m.Cols × d.Cols and
-// must not alias d. The scatter loop is serial: output rows are
-// written in source-row order, so for each output row contributions
-// accumulate in ascending source-row order — exactly the order
-// Transpose().MulDenseInto produces, which is why the GCN backward
-// pass can swap between the two without changing a bit.
-func (m *CSR) TMulDenseInto(dst, d *tensor.Matrix) {
-	if m.Rows != d.Rows {
-		panic(fmt.Sprintf("sparsemat: TMulDense dims %d != %d", m.Rows, d.Rows))
-	}
-	if dst.Rows != m.Cols || dst.Cols != d.Cols {
-		panic(fmt.Sprintf("sparsemat: TMulDenseInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, d.Cols))
-	}
-	if len(dst.Data) > 0 && len(d.Data) > 0 && &dst.Data[0] == &d.Data[0] {
-		panic("sparsemat: TMulDenseInto dst must not alias d")
-	}
-	dst.Zero()
-	for r := 0; r < m.Rows; r++ {
-		cols, vals := m.Row(r)
-		drow := d.Row(r)
-		for i, c := range cols {
-			v := vals[i]
-			orow := dst.Row(c)
-			for j, dv := range drow {
-				orow[j] += float64(v * dv)
-			}
-		}
+		tensor.SparseRowInto(dst.Row(r), m.Val[start:end], offs, d.Data)
 	}
 }
 
 // Transpose returns mᵀ as a new CSR built by counting sort: O(nnz),
 // and output rows inherit ascending column order from the source row
 // sweep, so the sorted-column invariant holds. The GCN training loop
-// builds Âᵀ once per run and routes the backward aggregation through
-// the row-parallel MulDense path; because each transposed row lists
-// its entries in ascending source-row order, that product accumulates
-// every output element in exactly TMulDense's order.
+// builds Âᵀ once per run and routes the backward aggregation Âᵀ·G
+// through MulDenseInto; each transposed row lists its entries in
+// ascending source-row order, so every output element accumulates in
+// the same order as a serial scatter over the rows of Â.
 func (m *CSR) Transpose() *CSR {
 	nnz := m.NNZ()
 	out := &CSR{
@@ -345,25 +291,6 @@ func (m *CSR) SymNormalized() *CSR {
 		}
 	})
 	return out
-}
-
-// RowMask returns a copy of m with rows r where keep[r] == false
-// zeroed out, emulating dropped contributions of masked vertices.
-func (m *CSR) RowMask(keep []bool) *CSR {
-	if len(keep) != m.Rows {
-		panic(fmt.Sprintf("sparsemat: RowMask length %d != rows %d", len(keep), m.Rows))
-	}
-	entries := make([]Entry, 0, m.NNZ())
-	for r := 0; r < m.Rows; r++ {
-		if !keep[r] {
-			continue
-		}
-		cols, vals := m.Row(r)
-		for i, c := range cols {
-			entries = append(entries, Entry{Row: r, Col: c, Val: vals[i]})
-		}
-	}
-	return NewFromEntries(m.Rows, m.Cols, entries)
 }
 
 // String renders a compact description.

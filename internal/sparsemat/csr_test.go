@@ -117,7 +117,7 @@ func TestMulDenseMatchesDense(t *testing.T) {
 		rows, cols, k := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(6)
 		s := randomCSR(rng, rows, cols, rng.Intn(rows*cols+1))
 		d := tensor.NewRandom(rng, cols, k, 1)
-		got := s.MulDense(d)
+		got := mulDense(s, d)
 		want := tensor.MatMul(s.Dense(), d)
 		return got.Equal(want, 1e-9)
 	}
@@ -126,15 +126,16 @@ func TestMulDenseMatchesDense(t *testing.T) {
 	}
 }
 
-// Property: CSRᵀ·dense agrees with the explicit transpose product.
+// Property: CSRᵀ·dense, computed as the GCN backward pass does
+// (Transpose, then MulDenseInto), agrees with the dense product.
 func TestTMulDenseMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols, k := 1+rng.Intn(8), 1+rng.Intn(8), 1+rng.Intn(6)
 		s := randomCSR(rng, rows, cols, rng.Intn(rows*cols+1))
 		d := tensor.NewRandom(rng, rows, k, 1)
-		got := s.TMulDense(d)
-		want := tensor.MatMul(s.Dense().T(), d)
+		got := mulDense(s.Transpose(), d)
+		want := tensor.MatMul(denseT(s), d)
 		return got.Equal(want, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -149,7 +150,7 @@ func TestMulDenseDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.MulDense(tensor.New(2, 2))
+	m.MulDenseInto(tensor.New(2, 2), tensor.New(2, 2))
 }
 
 func TestSymNormalizedRowSumsOfRegularGraph(t *testing.T) {
@@ -203,20 +204,6 @@ func TestSymNormalizedNonSquarePanics(t *testing.T) {
 	NewFromEntries(2, 3, nil).SymNormalized()
 }
 
-func TestRowMask(t *testing.T) {
-	m := NewFromEntries(3, 2, entriesOf(Entry{0, 0, 1}, Entry{1, 1, 2}, Entry{2, 0, 3}))
-	masked := m.RowMask([]bool{true, false, true})
-	if masked.At(1, 1) != 0 {
-		t.Fatal("masked row should be zeroed")
-	}
-	if masked.At(0, 0) != 1 || masked.At(2, 0) != 3 {
-		t.Fatal("kept rows must be preserved")
-	}
-	if m.At(1, 1) != 2 {
-		t.Fatal("RowMask must not mutate the original")
-	}
-}
-
 func TestScale(t *testing.T) {
 	m := NewFromEntries(1, 2, entriesOf(Entry{0, 0, 2}, Entry{0, 1, -4}))
 	s := m.Scale(0.5)
@@ -238,17 +225,6 @@ func TestEmptyMatrix(t *testing.T) {
 	}
 }
 
-func BenchmarkMulDense(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	s := randomCSR(rng, 1000, 1000, 10000)
-	d := tensor.NewRandom(rng, 1000, 64, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MulDense(d)
-	}
-}
-
 func BenchmarkMulDenseInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := randomCSR(rng, 1000, 1000, 10000)
@@ -258,18 +234,6 @@ func BenchmarkMulDenseInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.MulDenseInto(dst, d)
-	}
-}
-
-func BenchmarkTMulDenseInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	s := randomCSR(rng, 1000, 1000, 10000)
-	d := tensor.NewRandom(rng, 1000, 64, 1)
-	dst := tensor.New(1000, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.TMulDenseInto(dst, d)
 	}
 }
 
@@ -302,20 +266,20 @@ func TestSymNormalizedSpectralRadius(t *testing.T) {
 	norm := sym.SymNormalized()
 	v := tensor.NewRandom(rng, 60, 1, 1)
 	for it := 0; it < 50; it++ {
-		v = norm.MulDense(v)
+		v = mulDense(norm, v)
 	}
 	if v.MaxAbs() > 2 { // ρ ≤ 1 → bounded (allowing slack for ρ = 1)
 		t.Fatalf("power iteration diverged: %v", v.MaxAbs())
 	}
 }
 
-// TMulDense on a symmetric matrix equals MulDense.
+// Aᵀ·d through Transpose equals A·d for a symmetric A.
 func TestTMulDenseSymmetric(t *testing.T) {
 	es := []Entry{{0, 1, 2}, {1, 0, 2}, {1, 2, 3}, {2, 1, 3}}
 	m := NewFromEntries(3, 3, es)
 	rng := rand.New(rand.NewSource(5))
 	d := tensor.NewRandom(rng, 3, 4, 1)
-	if !m.TMulDense(d).Equal(m.MulDense(d), 1e-12) {
+	if !mulDense(m.Transpose(), d).Equal(mulDense(m, d), 1e-12) {
 		t.Fatal("Aᵀ·d must equal A·d for symmetric A")
 	}
 }

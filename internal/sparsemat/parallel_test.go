@@ -22,10 +22,10 @@ func TestMulDenseDeterministicAcrossWorkers(t *testing.T) {
 	m := randomCSR(rng, 400, 400, 5000)
 	d := tensor.NewRandom(rng, 400, 32, 1)
 	var base *tensor.Matrix
-	withWorkers(t, 1, func() { base = m.MulDense(d) })
+	withWorkers(t, 1, func() { base = mulDense(m, d) })
 	for _, w := range []int{2, 8} {
 		withWorkers(t, w, func() {
-			got := m.MulDense(d)
+			got := mulDense(m, d)
 			for i := range base.Data {
 				if got.Data[i] != base.Data[i] {
 					t.Fatalf("workers=%d: entry %d = %v, serial %v", w, i, got.Data[i], base.Data[i])
@@ -74,20 +74,19 @@ func TestTransposeRoundTripAndInvariant(t *testing.T) {
 }
 
 // TestTMulDenseIntoMatchesTransposeMulDense pins the equivalence the
-// GCN backward pass relies on: the serial TMulDense scatter and
-// Transpose()·MulDense accumulate every output element in ascending
-// source-row order, so they must agree byte for byte at any worker
-// count.
+// GCN backward pass relies on: a serial scatter of mᵀ·d over m's rows
+// and Transpose()·MulDenseInto accumulate every output element in
+// ascending source-row order, so they must agree byte for byte at any
+// worker count.
 func TestTMulDenseIntoMatchesTransposeMulDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := randomCSR(rng, 300, 250, 4000)
 	d := tensor.NewRandom(rng, 300, 24, 1)
-	base := tensor.New(m.Cols, d.Cols)
-	m.TMulDenseInto(base, d)
+	base := refTMulDense(m, d)
 	mt := m.Transpose()
 	for _, w := range []int{1, 2, 8} {
 		withWorkers(t, w, func() {
-			got := mt.MulDense(d)
+			got := mulDense(mt, d)
 			for i := range base.Data {
 				if got.Data[i] != base.Data[i] {
 					t.Fatalf("workers=%d: entry %d = %v, TMulDense %v", w, i, got.Data[i], base.Data[i])

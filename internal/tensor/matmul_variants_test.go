@@ -112,7 +112,7 @@ var variantShapes = []struct{ m, k, n int }{
 // kernel paths.
 func TestMatMulTNBitIdentical(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, avx := range avxModes() {
+	for _, avx := range KernelPaths() {
 		for _, workers := range []int{1, 2, 8} {
 			parallel.SetWorkers(workers)
 			for _, sh := range variantShapes {
@@ -122,7 +122,7 @@ func TestMatMulTNBitIdentical(t *testing.T) {
 					b := fuzzMatrix(rng, sh.k, sh.n, zf)
 					want := naiveMatMul(transposed(a), b)
 					got := New(sh.m, sh.n)
-					withAVX(avx, func() { MatMulTNInto(got, a, b) })
+					WithAVX(avx, func() { MatMulTNInto(got, a, b) })
 					requireBitEqual(t, got, want,
 						fmt.Sprintf("TN %dx%dx%d zf=%.1f w=%d avx=%v", sh.m, sh.k, sh.n, zf, workers, avx))
 				}
@@ -157,7 +157,7 @@ func naiveMatMulNT(a, b *Matrix) *Matrix {
 // densities and both kernel paths.
 func TestMatMulNTBitIdentical(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, avx := range avxModes() {
+	for _, avx := range KernelPaths() {
 		for _, workers := range []int{1, 2, 8} {
 			parallel.SetWorkers(workers)
 			for _, sh := range variantShapes {
@@ -167,7 +167,7 @@ func TestMatMulNTBitIdentical(t *testing.T) {
 					b := fuzzMatrix(rng, sh.n, sh.k, zf) // bᵀ is k×n
 					want := naiveMatMulNT(a, b)
 					bt, got := New(sh.k, sh.n), New(sh.m, sh.n)
-					withAVX(avx, func() {
+					WithAVX(avx, func() {
 						TransposeInto(bt, b)
 						MatMulInto(got, a, bt)
 					})
@@ -254,10 +254,10 @@ func FuzzGEMM(f *testing.F) {
 		want := naiveMatMul(a, b)
 		at := transposed(a)
 		got := New(m, n)
-		for _, avx := range avxModes() {
-			withAVX(avx, func() { MatMulInto(got, a, b) })
+		for _, avx := range KernelPaths() {
+			WithAVX(avx, func() { MatMulInto(got, a, b) })
 			requireBitEqual(t, got, want, fmt.Sprintf("NN %dx%dx%d avx=%v", m, k, n, avx))
-			withAVX(avx, func() { MatMulTNInto(got, at, b) })
+			WithAVX(avx, func() { MatMulTNInto(got, at, b) })
 			requireBitEqual(t, got, want, fmt.Sprintf("TN %dx%dx%d avx=%v", m, k, n, avx))
 		}
 	})
@@ -312,6 +312,34 @@ func TestMatMulVariantPanics(t *testing.T) {
 		d.Data = a.Data[:15]
 		MatMulTNInto(d, a, b)
 	})
+}
+
+// TestSparseRowIntoOffsetGuard pins the bounds check in front of the
+// unchecked assembly: an offset whose row would run past b, or a
+// negative one, panics on every path, while the last in-range offset
+// is accepted and a stored zero still adds its product.
+func TestSparseRowIntoOffsetGuard(t *testing.T) {
+	b := []float64{1, 2, 3, 4, 5, 6, math.Inf(1), 8}
+	for _, avx := range KernelPaths() {
+		mustPanic := func(offs []int32) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("offsets %v avx=%v: expected panic", offs, avx)
+				}
+			}()
+			WithAVX(avx, func() { SparseRowInto(make([]float64, 3), []float64{1}, offs, b) })
+		}
+		mustPanic([]int32{6})
+		mustPanic([]int32{-1})
+		c := []float64{9, 9, 9}
+		WithAVX(avx, func() { SparseRowInto(c, []float64{2, 0}, []int32{5, 4}, b) })
+		// 2·{6, +Inf, 8} + 0·{5, 6, +Inf}: the stored zero turns the
+		// last element into NaN.
+		if c[0] != 12 || !math.IsInf(c[1], 1) || !math.IsNaN(c[2]) {
+			t.Fatalf("avx=%v: row = %v, want [12 +Inf NaN]", avx, c)
+		}
+	}
 }
 
 // benchMatrix builds a rows×cols matrix of normal values with about

@@ -1,6 +1,6 @@
 // Package tensor provides the dense float64 matrix type and the small
 // set of linear-algebra operations GoPIM needs: matrix products,
-// element-wise maps, row/column reductions, and random initialisation.
+// element-wise operations, row/column reductions, and random initialisation.
 //
 // The package is deliberately minimal — it backs the GCN training
 // engine and the MLP time predictor, both of which only require dense
@@ -134,38 +134,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// transposeParallelMin is the element count below which T stays on the
-// serial gather loop; tiny transposes are dominated by goroutine
-// handoff, not copying.
-const transposeParallelMin = 1 << 14
-
-// T returns the transpose of m as a new matrix. Large matrices gather
-// in parallel, one block of output rows per worker; each output row is
-// written by exactly one worker, so the result is identical at any
-// worker count.
-func (m *Matrix) T() *Matrix {
-	out := New(m.Cols, m.Rows)
-	if m.Rows*m.Cols < transposeParallelMin {
-		for r := 0; r < m.Rows; r++ {
-			row := m.Row(r)
-			for c, v := range row {
-				out.Data[c*out.Cols+r] = v
-			}
-		}
-		return out
-	}
-	grain := transposeParallelMin / (m.Rows + 1)
-	parallel.For(m.Cols, grain+1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			orow := out.Row(c)
-			for r := 0; r < m.Rows; r++ {
-				orow[r] = m.Data[r*m.Cols+c]
-			}
-		}
-	})
-	return out
 }
 
 // transposeTile is the edge of the square tiles TransposeInto copies
@@ -409,6 +377,31 @@ func gemmRows(dst, a, b *Matrix, trans bool, lo, hi int) {
 	}
 }
 
+// SparseRowInto computes one row of a sparse-dense product on the GEMM
+// panel kernel: c = Σₑ vals[e]·b[offs[e]:][:len(c)], each element
+// accumulated from +0 over the entries in list order, each product and
+// each add rounded on its own. Unlike the GEMM, no entry is skipped: a
+// stored zero still adds its (signed-zero or NaN) product. b holds the
+// dense operand's rows back to back and offs[e] is the start of entry
+// e's row in it, so every offs[e]+len(c) must be at most len(b), and
+// len(offs) ≥ len(vals).
+func SparseRowInto(c, vals []float64, offs []int32, b []float64) {
+	if len(b) > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: SparseRowInto operand of %d elements exceeds the kernel's int32 offsets", len(b)))
+	}
+	offs = offs[:len(vals)]
+	// The assembly kernel does not bounds-check, so check here.
+	for _, off := range offs {
+		if off < 0 || int(off) > len(b)-len(c) {
+			panic(fmt.Sprintf("tensor: SparseRowInto offset %d out of range for %d-wide rows in %d elements", off, len(c), len(b)))
+		}
+	}
+	clear(c)
+	// The kernel walks c in 32-column register panels itself, each
+	// panel running the whole list.
+	gemmPanel(vals, offs, b, c)
+}
+
 // gemmColumn is gemmRows for a single b column, where a 32-wide panel
 // would be mostly tail. The plain product takes a dot product per row;
 // the transposed one walks k outermost, adding column k of aᵀ (a's
@@ -459,14 +452,6 @@ func pairedDot(a, b []float64) float64 {
 	return acc
 }
 
-// AddInPlace computes m += other element-wise.
-func (m *Matrix) AddInPlace(other *Matrix) {
-	m.sameShape(other, "AddInPlace")
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-}
-
 // SubInPlace computes m -= other element-wise.
 func (m *Matrix) SubInPlace(other *Matrix) {
 	m.sameShape(other, "SubInPlace")
@@ -490,53 +475,10 @@ func (m *Matrix) ScaleInPlace(s float64) {
 	}
 }
 
-// AXPY computes m += s*other element-wise.
-func (m *Matrix) AXPY(s float64, other *Matrix) {
-	m.sameShape(other, "AXPY")
-	for i, v := range other.Data {
-		m.Data[i] += float64(s * v)
-	}
-}
-
 func (m *Matrix) sameShape(other *Matrix, op string) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, other.Rows, other.Cols))
 	}
-}
-
-// Apply replaces every entry x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// Map returns a new matrix whose entries are f applied to m's entries.
-func (m *Matrix) Map(f func(float64) float64) *Matrix {
-	out := m.Clone()
-	out.Apply(f)
-	return out
-}
-
-// ReLU returns max(x, 0) applied element-wise as a new matrix.
-func (m *Matrix) ReLU() *Matrix {
-	return m.Map(func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
-// ReLUMask returns a matrix with 1 where m > 0 and 0 elsewhere —
-// the derivative of ReLU used during backpropagation.
-func (m *Matrix) ReLUMask() *Matrix {
-	return m.Map(func(x float64) float64 {
-		if x > 0 {
-			return 1
-		}
-		return 0
-	})
 }
 
 // AddRowVector adds v to every row of m in place. len(v) must be Cols.
@@ -550,13 +492,6 @@ func (m *Matrix) AddRowVector(v []float64) {
 			row[c] += v[c]
 		}
 	}
-}
-
-// ColSums returns the per-column sums of m.
-func (m *Matrix) ColSums() []float64 {
-	sums := make([]float64, m.Cols)
-	m.ColSumsInto(sums)
-	return sums
 }
 
 // ColSumsInto accumulates the per-column sums of m into sums,
@@ -574,15 +509,6 @@ func (m *Matrix) ColSumsInto(sums []float64) {
 			sums[c] += v
 		}
 	}
-}
-
-// FrobeniusNorm returns sqrt(Σ x²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v * v)
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute entry, or 0 for an empty matrix.
@@ -625,14 +551,6 @@ func (m *Matrix) ArgMaxRow(r int) int {
 		}
 	}
 	return best
-}
-
-// SoftmaxRows returns a new matrix with a numerically stable softmax
-// applied to every row.
-func (m *Matrix) SoftmaxRows() *Matrix {
-	out := New(m.Rows, m.Cols)
-	m.SoftmaxRowsInto(out)
-	return out
 }
 
 // SoftmaxRowsInto writes the row-wise softmax of m into out, reusing

@@ -107,7 +107,8 @@ func TestBlockedMatMulMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTransposeInto pins the tiled Into transpose against T() — on
+// TestTransposeInto pins the tiled Into transpose against the plain
+// gather refTranspose — on
 // shapes below, at and across the 16×16 tile edge, most of them not
 // multiples of it — and its shape/alias guards.
 func TestTransposeInto(t *testing.T) {
@@ -116,7 +117,7 @@ func TestTransposeInto(t *testing.T) {
 		m := NewRandom(rng, sh[0], sh[1], 1)
 		dst := New(sh[1], sh[0])
 		TransposeInto(dst, m)
-		want := m.T()
+		want := refTranspose(m)
 		for i := range want.Data {
 			if dst.Data[i] != want.Data[i] {
 				t.Fatalf("%dx%d entry %d: %v vs %v", sh[0], sh[1], i, dst.Data[i], want.Data[i])
@@ -141,16 +142,17 @@ func TestTransposeInto(t *testing.T) {
 	TransposeInto(sq, sq)
 }
 
-// TestTransposeDeterministicAcrossWorkers does the same for the
-// parallel gather transpose.
+// TestTransposeDeterministicAcrossWorkers does the same for
+// TransposeInto, which the GCN backward pass calls inside parallel
+// sections.
 func TestTransposeDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m := NewRandom(rng, 150, 130, 1) // above transposeParallelMin
+	m := NewRandom(rng, 150, 130, 1)
 	var base *Matrix
-	withWorkers(t, 1, func() { base = m.T() })
+	withWorkers(t, 1, func() { base = transposed(m) })
 	for _, w := range []int{2, 8} {
 		withWorkers(t, w, func() {
-			got := m.T()
+			got := transposed(m)
 			for i := range base.Data {
 				if got.Data[i] != base.Data[i] {
 					t.Fatalf("workers=%d: transpose entry %d differs", w, i)

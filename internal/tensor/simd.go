@@ -18,6 +18,26 @@ import (
 // CPU's feature bits; tests flip it to run both paths.
 var useAVX = cpuHasAVX()
 
+// KernelPaths lists the kernel bodies this build can run on this host:
+// false, the portable Go loops, always, and true, the AVX assembly,
+// where the CPU has it. Tests of packages built on these kernels loop
+// over it with WithAVX to pin their results on every path.
+func KernelPaths() []bool {
+	if cpuHasAVX() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// WithAVX runs f with the AVX bodies selected (on, where the host has
+// them) or the portable ones, then restores the previous selection. It
+// must not overlap any other use of the package's kernels.
+func WithAVX(on bool, f func()) {
+	defer func(old bool) { useAVX = old }(useAVX)
+	useAVX = on && cpuHasAVX()
+	f()
+}
+
 // gemmPanel adds one list of nonzero a entries into one dst row
 // segment c: for each entry e in order, c[j] += vals[e]·b[offs[e]+j]
 // for j < len(c), each multiply and each add rounded on its own. Every
@@ -102,9 +122,8 @@ func adamStepGo(w, g, m, v []float64, k *AdamCoef) {
 	}
 }
 
-// ReLUInPlace applies max(x, 0) element-wise in place. The predicate
-// mirrors ReLU exactly (anything not greater than zero, NaN and −0
-// included, becomes +0) so the two paths stay bit-identical.
+// ReLUInPlace applies max(x, 0) element-wise in place: anything not
+// greater than zero, NaN and −0 included, becomes +0, on both paths.
 func (m *Matrix) ReLUInPlace() {
 	if useAVX {
 		reluAVX(m.Data)
@@ -125,7 +144,7 @@ func reluGo(x []float64) {
 // into the gradient at its input: entries where act (the ReLU's output
 // or input, which share a mask) is not greater than zero are multiplied
 // by zero. They are never assigned, so signed zeros and NaN propagate
-// exactly as in m.MulInPlace(act.ReLUMask()).
+// exactly as multiplying m by a 0/1 mask of act > 0 would.
 func (m *Matrix) ReLUGradInPlace(act *Matrix) {
 	m.sameShape(act, "ReLUGradInPlace")
 	if useAVX {

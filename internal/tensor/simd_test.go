@@ -7,22 +7,6 @@ import (
 	"testing"
 )
 
-// avxModes lists the kernel paths this host can run: the portable Go
-// loops always, and the AVX assembly where the CPU has it.
-func avxModes() []bool {
-	if cpuHasAVX() {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
-// withAVX runs f with useAVX set to on and restores it afterwards.
-func withAVX(on bool, f func()) {
-	defer func(old bool) { useAVX = old }(useAVX)
-	useAVX = on
-	f()
-}
-
 // gcnAdamCoef and mlpAdamCoef build step t's coefficients the way the
 // two callers do: gcn from untyped constants, whose 1-β folds exactly
 // (0.1, 0.001), and mlp from float64 fields, whose 1-β is rounded at
@@ -113,13 +97,13 @@ func FuzzElementwise(f *testing.F) {
 		w, g, m, v, act := fill(), fill(), fill(), fill(), fill()
 		clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
 		coefs := []AdamCoef{gcnAdamCoef(step, 0.01), mlpAdamCoef(step, 1e-3, 0.9, 0.999, 1e-8)}
-		for _, avx := range avxModes() {
+		for _, avx := range KernelPaths() {
 			for ci := range coefs {
 				k := &coefs[ci]
 				ww, wm, wv := clone(w), clone(m), clone(v)
 				refAdam(ww, g, wm, wv, k)
 				gw, gm, gv := clone(w), clone(m), clone(v)
-				withAVX(avx, func() { AdamStep(gw, g, gm, gv, k) })
+				WithAVX(avx, func() { AdamStep(gw, g, gm, gv, k) })
 				label := fmt.Sprintf("adam n=%d coef=%d avx=%v", n, ci, avx)
 				requireSliceBitEqual(t, gm, wm, label+" m")
 				requireSliceBitEqual(t, gv, wv, label+" v")
@@ -132,20 +116,20 @@ func FuzzElementwise(f *testing.F) {
 				want := clone(v)
 				refMaskedAxpy(sc, w, want)
 				got := clone(v)
-				withAVX(avx, func() { maskedAxpy(sc, w, got) })
+				WithAVX(avx, func() { maskedAxpy(sc, w, got) })
 				requireSliceBitEqual(t, got, want, fmt.Sprintf("masked axpy n=%d s=%v avx=%v", n, sc, avx))
 			}
 
 			want := clone(w)
 			refReLU(want)
 			got := &Matrix{Rows: 1, Cols: n, Data: clone(w)}
-			withAVX(avx, got.ReLUInPlace)
+			WithAVX(avx, got.ReLUInPlace)
 			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu n=%d avx=%v", n, avx))
 
 			want = clone(g)
 			refReLUGrad(want, act)
 			got = &Matrix{Rows: 1, Cols: n, Data: clone(g)}
-			withAVX(avx, func() { got.ReLUGradInPlace(&Matrix{Rows: 1, Cols: n, Data: act}) })
+			WithAVX(avx, func() { got.ReLUGradInPlace(&Matrix{Rows: 1, Cols: n, Data: act}) })
 			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu grad n=%d avx=%v", n, avx))
 		}
 	})
@@ -185,7 +169,7 @@ func TestAdamStepCoefficientConventions(t *testing.T) {
 	}
 	type state struct{ w, m, v []float64 }
 	const n, steps, lr = 67, 6, 0.01
-	for _, avx := range avxModes() {
+	for _, avx := range KernelPaths() {
 		rng := rand.New(rand.NewSource(5))
 		w0 := benchMatrix(rng, 1, n, 0.1).Data
 		fresh := func() state {
@@ -196,7 +180,7 @@ func TestAdamStepCoefficientConventions(t *testing.T) {
 			g := benchMatrix(rng, 1, n, 0.1).Data
 			kg := gcnAdamCoef(step, lr)
 			km := mlpAdamCoef(step, lr, beta1, beta2, 1e-8)
-			withAVX(avx, func() {
+			WithAVX(avx, func() {
 				AdamStep(gcnGot.w, g, gcnGot.m, gcnGot.v, &kg)
 				AdamStep(mlpGot.w, g, mlpGot.m, mlpGot.v, &km)
 				AdamStep(swapped.w, g, swapped.m, swapped.v, &kg)
@@ -244,8 +228,8 @@ func BenchmarkElementwise(b *testing.B) {
 	d := benchMatrix(rng, 16, 256, 0)
 	x := New(16, 256)
 	k := mlpAdamCoef(3, 1e-3, 0.9, 0.999, 1e-8)
-	for _, avx := range avxModes() {
-		withAVX(avx, func() {
+	for _, avx := range KernelPaths() {
+		WithAVX(avx, func() {
 			b.Run(fmt.Sprintf("adam-256x256/avx=%v", avx), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					AdamStep(w.Data, g.Data, m.Data, v.Data, &k)
