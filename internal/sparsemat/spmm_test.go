@@ -158,12 +158,12 @@ func TestStrategiesBitwiseEqualMulDense(t *testing.T) {
 			m := fx.build(rng)
 			d := tensor.NewRandom(rng, m.Cols, 200, 1)
 			want := refSpMM(m, d)
-			for _, avx := range tensor.KernelPaths() {
+			for _, path := range tensor.KernelPaths() {
 				for _, w := range []int{1, 2, 8} {
 					withWorkers(t, w, func() {
 						var got *tensor.Matrix
-						tensor.WithAVX(avx, func() { got = mulDense(m, d) })
-						requireBitEqual(t, got, want, fmt.Sprintf("avx=%v workers=%d", avx, w))
+						tensor.WithKernel(path, func() { got = mulDense(m, d) })
+						requireBitEqual(t, got, want, fmt.Sprintf("path=%v workers=%d", path, w))
 					})
 				}
 			}
@@ -182,12 +182,12 @@ func TestStrategiesBitwiseEqualTMulDense(t *testing.T) {
 			d := tensor.NewRandom(rng, m.Rows, 200, 1)
 			want := refTMulDense(m, d)
 			mt := m.Transpose()
-			for _, avx := range tensor.KernelPaths() {
+			for _, path := range tensor.KernelPaths() {
 				for _, w := range []int{1, 2, 8} {
 					withWorkers(t, w, func() {
 						var got *tensor.Matrix
-						tensor.WithAVX(avx, func() { got = mulDense(mt, d) })
-						requireBitEqual(t, got, want, fmt.Sprintf("avx=%v workers=%d", avx, w))
+						tensor.WithKernel(path, func() { got = mulDense(mt, d) })
+						requireBitEqual(t, got, want, fmt.Sprintf("path=%v workers=%d", path, w))
 					})
 				}
 			}
@@ -203,24 +203,24 @@ func TestStrategiesDirtyDst(t *testing.T) {
 	m := emptyRowCSR(rng)
 	d := tensor.NewRandom(rng, m.Cols, 150, 1)
 	want := refSpMM(m, d)
-	for _, avx := range tensor.KernelPaths() {
+	for _, path := range tensor.KernelPaths() {
 		for _, w := range []int{1, 2} {
 			got := tensor.New(m.Rows, d.Cols)
 			for i := range got.Data {
 				got.Data[i] = 1e18
 			}
 			withWorkers(t, w, func() {
-				tensor.WithAVX(avx, func() { m.MulDenseInto(got, d) })
+				tensor.WithKernel(path, func() { m.MulDenseInto(got, d) })
 			})
-			requireBitEqual(t, got, want, fmt.Sprintf("avx=%v workers=%d", avx, w))
+			requireBitEqual(t, got, want, fmt.Sprintf("path=%v workers=%d", path, w))
 		}
 	}
 }
 
 // spmmWidths are the dense widths FuzzSpMM picks from: a single
-// column, the kernel's scalar and 4/8/16-wide tails, an exact and a
-// ragged 32-wide panel, a 47-wide output layer and the 256-wide hidden
-// layer.
+// column, the AVX kernel's scalar and 4/8/16-wide tails (the AVX-512
+// kernel's masked tail), an exact and a ragged 32-wide panel, a
+// 47-wide output layer and the 256-wide hidden layer.
 var spmmWidths = [...]int{1, 7, 15, 31, 32, 33, 47, 256}
 
 // spmmSpecials are the awkward values a payload byte below
@@ -288,17 +288,17 @@ func FuzzSpMM(f *testing.F) {
 			d.Data[i] = value()
 		}
 		want := refSpMM(m, d)
-		for _, avx := range tensor.KernelPaths() {
+		for _, path := range tensor.KernelPaths() {
 			for _, w := range []int{1, 2} {
 				got := tensor.New(rows, width)
 				for i := range got.Data {
 					got.Data[i] = math.NaN()
 				}
 				withWorkers(t, w, func() {
-					tensor.WithAVX(avx, func() { m.MulDenseInto(got, d) })
+					tensor.WithKernel(path, func() { m.MulDenseInto(got, d) })
 				})
-				requireBitEqual(t, got, want, fmt.Sprintf("%dx%d·%dx%d avx=%v workers=%d",
-					rows, cols, cols, width, avx, w))
+				requireBitEqual(t, got, want, fmt.Sprintf("%dx%d·%dx%d path=%v workers=%d",
+					rows, cols, cols, width, path, w))
 			}
 		}
 	})

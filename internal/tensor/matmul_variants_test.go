@@ -108,11 +108,11 @@ var variantShapes = []struct{ m, k, n int }{
 }
 
 // TestMatMulTNBitIdentical pins MatMulTNInto to the naive reference
-// bit for bit, at several worker counts and zero densities, on both
-// kernel paths.
+// bit for bit, at several worker counts and zero densities, on every
+// kernel path.
 func TestMatMulTNBitIdentical(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, avx := range KernelPaths() {
+	for _, path := range KernelPaths() {
 		for _, workers := range []int{1, 2, 8} {
 			parallel.SetWorkers(workers)
 			for _, sh := range variantShapes {
@@ -122,9 +122,9 @@ func TestMatMulTNBitIdentical(t *testing.T) {
 					b := fuzzMatrix(rng, sh.k, sh.n, zf)
 					want := naiveMatMul(transposed(a), b)
 					got := New(sh.m, sh.n)
-					WithAVX(avx, func() { MatMulTNInto(got, a, b) })
+					WithKernel(path, func() { MatMulTNInto(got, a, b) })
 					requireBitEqual(t, got, want,
-						fmt.Sprintf("TN %dx%dx%d zf=%.1f w=%d avx=%v", sh.m, sh.k, sh.n, zf, workers, avx))
+						fmt.Sprintf("TN %dx%dx%d zf=%.1f w=%d path=%v", sh.m, sh.k, sh.n, zf, workers, path))
 				}
 			}
 		}
@@ -154,10 +154,10 @@ func naiveMatMulNT(a, b *Matrix) *Matrix {
 // TestMatMulNTBitIdentical pins a·bᵀ as the training backward passes
 // compute it — TransposeInto into a scratch, then MatMulInto — to a
 // reference that reads b untransposed, at several worker counts, zero
-// densities and both kernel paths.
+// densities and every kernel path.
 func TestMatMulNTBitIdentical(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, avx := range KernelPaths() {
+	for _, path := range KernelPaths() {
 		for _, workers := range []int{1, 2, 8} {
 			parallel.SetWorkers(workers)
 			for _, sh := range variantShapes {
@@ -167,12 +167,12 @@ func TestMatMulNTBitIdentical(t *testing.T) {
 					b := fuzzMatrix(rng, sh.n, sh.k, zf) // bᵀ is k×n
 					want := naiveMatMulNT(a, b)
 					bt, got := New(sh.k, sh.n), New(sh.m, sh.n)
-					WithAVX(avx, func() {
+					WithKernel(path, func() {
 						TransposeInto(bt, b)
 						MatMulInto(got, a, bt)
 					})
 					requireBitEqual(t, got, want,
-						fmt.Sprintf("NT %dx%dx%d zf=%.1f w=%d avx=%v", sh.m, sh.k, sh.n, zf, workers, avx))
+						fmt.Sprintf("NT %dx%dx%d zf=%.1f w=%d path=%v", sh.m, sh.k, sh.n, zf, workers, path))
 				}
 			}
 		}
@@ -204,7 +204,7 @@ func fuzzValue(c byte, e int) float64 {
 }
 
 // FuzzGEMM checks MatMulInto and MatMulTNInto against the naive
-// reference bit for bit, on both kernel paths. The first six bytes give
+// reference bit for bit, on every kernel path. The first six bytes give
 // m, k and n in [0, 300]; the rest are cycled through fuzzValue to fill
 // a (m×k) and then b (k×n). The TN kernel gets an exact transposed copy
 // of a, so both must reproduce one reference.
@@ -226,6 +226,22 @@ func FuzzGEMM(f *testing.F) {
 	// every output into NaN and hide a misplaced product.
 	for i, n := range []int{1, 7, 15, 31, 32, 33, 47, 112} {
 		f.Add(shape(33+32*(i%2), 129, n, 8, 0, 0x19, 3, 0x2a, 0x17, 9, 0, 0x3b, 0x4c, 1, 0x5d, 0x6e, 2, 0x7f, 0x28))
+	}
+	// Zero-free rows, which run in fours on the AVX-512 quad body: a
+	// payload of normal values only, then one whose single −0 recurs
+	// every 519 entries, so about one row in four loses one entry, in a
+	// different k-block from row to row, and breaks its group. Row
+	// counts are not multiples of 4; widths cover the masked tail. (A
+	// NaN in a dense row is TestGEMMDenseQuads' case: cycled into b as
+	// well, it would turn every output into NaN.)
+	dense := []byte{8, 0x19, 0x2a, 0x3b, 0x4c, 0x5d, 0x6e, 0x7f, 0x28, 0x39}
+	oneZero := make([]byte, 519)
+	for i := range oneZero {
+		oneZero[i] = dense[i%len(dense)]
+	}
+	oneZero[300] = 3
+	for i, n := range []int{32, 33, 47, 63, 64, 17} {
+		f.Add(shape(37+2*i, 300, n, [][]byte{dense, oneZero}[i%2]...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -254,13 +270,124 @@ func FuzzGEMM(f *testing.F) {
 		want := naiveMatMul(a, b)
 		at := transposed(a)
 		got := New(m, n)
-		for _, avx := range KernelPaths() {
-			WithAVX(avx, func() { MatMulInto(got, a, b) })
-			requireBitEqual(t, got, want, fmt.Sprintf("NN %dx%dx%d avx=%v", m, k, n, avx))
-			WithAVX(avx, func() { MatMulTNInto(got, at, b) })
-			requireBitEqual(t, got, want, fmt.Sprintf("TN %dx%dx%d avx=%v", m, k, n, avx))
+		for _, path := range KernelPaths() {
+			WithKernel(path, func() { MatMulInto(got, a, b) })
+			requireBitEqual(t, got, want, fmt.Sprintf("NN %dx%dx%d path=%v", m, k, n, path))
+			WithKernel(path, func() { MatMulTNInto(got, at, b) })
+			requireBitEqual(t, got, want, fmt.Sprintf("TN %dx%dx%d path=%v", m, k, n, path))
 		}
 	})
+}
+
+// TestKernelPaths checks the kernel-path detection: the list starts
+// with the portable path and each path implies the ones before it (an
+// AVX-512 host has AVX), the kernels default to the widest path the
+// host has, and WithKernel never selects a path the host lacks. Run
+// with -v, it logs the paths this host pins.
+func TestKernelPaths(t *testing.T) {
+	paths := KernelPaths()
+	t.Logf("kernel paths on this host: %v", paths)
+	for i, p := range paths {
+		if p != KernelPath(i) {
+			t.Fatalf("KernelPaths() = %v, want a prefix of [portable avx avx512]", paths)
+		}
+	}
+	if cpuHasAVX512() && !cpuHasAVX() {
+		t.Fatal("the CPU probe reports AVX-512 without AVX")
+	}
+	widest := paths[len(paths)-1]
+	if kernelPath != widest {
+		t.Fatalf("default kernel path %v, want the widest, %v", kernelPath, widest)
+	}
+	WithKernel(AVX512, func() {
+		if kernelPath != widest {
+			t.Fatalf("WithKernel(avx512) selected %v on a host whose widest path is %v", kernelPath, widest)
+		}
+	})
+}
+
+// quadMatrix returns a rows×k matrix with no ±0 entries (normal values,
+// a few subnormals, one NaN in row 5 and one +Inf in row 9), then
+// applies pattern, which may zero some entries: the rows it leaves
+// zero-free in a k-block run in fours on the AVX-512 quad body.
+func quadMatrix(rng *rand.Rand, rows, k int, pattern func(a *Matrix)) *Matrix {
+	a := New(rows, k)
+	for i := range a.Data {
+		if rng.Float64() < 0.01 {
+			a.Data[i] = 5e-324 * float64(1+rng.Intn(9))
+		} else {
+			a.Data[i] = rng.NormFloat64()
+		}
+	}
+	a.Set(5, k/2, math.NaN())
+	a.Set(9, k/3, math.Inf(1))
+	pattern(a)
+	return a
+}
+
+// TestGEMMDenseQuads pins the grouping of zero-free rows into quads
+// against the naive reference, for the plain and the TN product, on
+// every kernel path at 1 and 2 workers. The row counts are not
+// multiples of 4 and cross a row tile, the inner dimension spans three
+// k-blocks, and the widths cover every masked tail (1-31), tails after
+// a full panel (33, 47, 63) and whole panels (32, 64). The patterns
+// give all-dense quads, groups broken by a single ±0 in one row, and
+// rows whose density changes from one k-block to the next.
+func TestGEMMDenseQuads(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	const k = 300 // k-blocks of 128, 128 and 44
+	patterns := []struct {
+		name string
+		rows int
+		set  func(a *Matrix)
+	}{
+		{"dense", 37, func(*Matrix) {}},
+		{"single-zero", 39, func(a *Matrix) {
+			a.Set(2, 70, math.Copysign(0, -1))
+			a.Set(13, 200, 0)
+			a.Set(33, 299, 0)
+		}},
+		{"density-changes", 42, func(a *Matrix) {
+			for r := 0; r < 8; r++ {
+				a.Set(r, 130+7*r, 0) // rows 0-7 lose one entry in k-block 1
+			}
+			for r := 8; r < 16; r++ {
+				for kk := r; kk < 128; kk += 3 {
+					a.Set(r, kk, 0) // rows 8-15 are sparse in k-block 0
+				}
+			}
+			a.Set(35, 260, math.Copysign(0, -1))
+		}},
+	}
+	widths := []int{33, 47, 63, 32, 64}
+	for n := 1; n < 32; n++ {
+		widths = append(widths, n)
+	}
+	for _, pt := range patterns {
+		rng := rand.New(rand.NewSource(int64(pt.rows)))
+		a := quadMatrix(rng, pt.rows, k, pt.set)
+		at := transposed(a)
+		for _, n := range widths {
+			// Zeros of either sign but no NaN or ±Inf in b, which would
+			// turn whole columns into NaN and hide a misplaced product.
+			b := benchMatrix(rng, k, n, 0.2)
+			for i := 0; i < len(b.Data); i += 7 {
+				b.Data[i] = -b.Data[i]
+			}
+			want := naiveMatMul(a, b)
+			got := New(pt.rows, n)
+			for _, path := range KernelPaths() {
+				for _, workers := range []int{1, 2} {
+					parallel.SetWorkers(workers)
+					label := fmt.Sprintf("%s %dx%dx%d path=%v w=%d", pt.name, pt.rows, k, n, path, workers)
+					WithKernel(path, func() { MatMulInto(got, a, b) })
+					requireBitEqual(t, got, want, "NN "+label)
+					WithKernel(path, func() { MatMulTNInto(got, at, b) })
+					requireBitEqual(t, got, want, "TN "+label)
+				}
+			}
+		}
+	}
 }
 
 // TestMatMulColumnVectorPath exercises the cols==1 dot fast path
@@ -320,24 +447,24 @@ func TestMatMulVariantPanics(t *testing.T) {
 // is accepted and a stored zero still adds its product.
 func TestSparseRowIntoOffsetGuard(t *testing.T) {
 	b := []float64{1, 2, 3, 4, 5, 6, math.Inf(1), 8}
-	for _, avx := range KernelPaths() {
+	for _, path := range KernelPaths() {
 		mustPanic := func(offs []int32) {
 			t.Helper()
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("offsets %v avx=%v: expected panic", offs, avx)
+					t.Fatalf("offsets %v path=%v: expected panic", offs, path)
 				}
 			}()
-			WithAVX(avx, func() { SparseRowInto(make([]float64, 3), []float64{1}, offs, b) })
+			WithKernel(path, func() { SparseRowInto(make([]float64, 3), []float64{1}, offs, b) })
 		}
 		mustPanic([]int32{6})
 		mustPanic([]int32{-1})
 		c := []float64{9, 9, 9}
-		WithAVX(avx, func() { SparseRowInto(c, []float64{2, 0}, []int32{5, 4}, b) })
+		WithKernel(path, func() { SparseRowInto(c, []float64{2, 0}, []int32{5, 4}, b) })
 		// 2·{6, +Inf, 8} + 0·{5, 6, +Inf}: the stored zero turns the
 		// last element into NaN.
 		if c[0] != 12 || !math.IsInf(c[1], 1) || !math.IsNaN(c[2]) {
-			t.Fatalf("avx=%v: row = %v, want [12 +Inf NaN]", avx, c)
+			t.Fatalf("path=%v: row = %v, want [12 +Inf NaN]", path, c)
 		}
 	}
 }
@@ -360,36 +487,45 @@ func benchMatrix(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix {
 // (batch 16, 256 hidden) and GCN training (900 vertices, every catalog
 // dataset's 256 hidden channels) issue: the fused TN kernel against
 // transpose-then-multiply, a·bᵀ as the backward passes compute it, and
-// the plain forward products. On a shared host, compare kernels at
-// -cpu 1: the parallel split then adds no scheduling noise.
+// the plain forward products. zf is the zero fraction of a (and of
+// the TN shapes' b): 0.5 as in post-ReLU activations, or 0 for the
+// dense layers, whose zero-free a rows run on the AVX-512 quad body.
+// On a shared host, compare kernels at -cpu 1: the parallel split then
+// adds no scheduling noise.
 func BenchmarkBackwardKernels(b *testing.B) {
 	shapes := []struct {
 		name    string
 		kind    string // "nn": a·b, "tn": aᵀ·b, "nt": a·bᵀ
 		m, k, n int
+		zf      float64
 	}{
-		{"mlp-dW1", "tn", 10, 16, 256},   // Xᵀ(10×16)·Δ(16×256)
-		{"mlp-dW2", "tn", 256, 16, 1},    // Hᵀ(256×16)·Δ(16×1)
-		{"mlp-dW4", "tn", 256, 16, 256},  // Hᵀ(256×16)·Δ(16×256)
-		{"gcn-dW", "tn", 256, 900, 256},  // Hᵀ(256×900)·dC(900×256)
-		{"mlp-dH", "nt", 16, 1, 256},     // Δ(16×1)·Wᵀ(1×256)
-		{"mlp-dH4", "nt", 16, 256, 256},  // Δ(16×256)·Wᵀ(256×256)
-		{"gcn-dIn", "nt", 900, 256, 256}, // dC(900×256)·Wᵀ(256×256)
-		{"mlp-fwd2", "nn", 16, 256, 1},   // H(16×256)·W2(256×1)
-		{"mlp-fwd4", "nn", 16, 256, 256}, // H(16×256)·W1(256×256)
-		{"gcn-fwd", "nn", 900, 256, 256}, // H(900×256)·W(256×256)
+		{"mlp-dW1", "tn", 10, 16, 256, 0.5},   // Xᵀ(10×16)·Δ(16×256)
+		{"mlp-dW2", "tn", 256, 16, 1, 0.5},    // Hᵀ(256×16)·Δ(16×1)
+		{"mlp-dW4", "tn", 256, 16, 256, 0.5},  // Hᵀ(256×16)·Δ(16×256)
+		{"gcn-dW", "tn", 256, 900, 256, 0.5},  // Hᵀ(256×900)·dC(900×256)
+		{"mlp-dH", "nt", 16, 1, 256, 0.5},     // Δ(16×1)·Wᵀ(1×256)
+		{"mlp-dH4", "nt", 16, 256, 256, 0.5},  // Δ(16×256)·Wᵀ(256×256)
+		{"gcn-dIn", "nt", 900, 256, 256, 0.5}, // dC(900×256)·Wᵀ(256×256)
+		{"mlp-fwd2", "nn", 16, 256, 1, 0.5},   // H(16×256)·W2(256×1)
+		{"mlp-fwd4", "nn", 16, 256, 256, 0.5}, // H(16×256)·W1(256×256)
+		{"gcn-fwd", "nn", 900, 256, 256, 0.5}, // H(900×256)·W(256×256)
 		// The catalog's narrower layers, which run the panel kernel's
-		// 16-, 8- and 4-wide and scalar column tails.
-		{"gcn-out", "nn", 900, 256, 47},   // H(900×256)·W(256×47)
-		{"gcn-dWout", "tn", 256, 900, 47}, // Hᵀ(256×900)·dC(900×47)
-		{"gcn-dW0", "tn", 100, 900, 256},  // Xᵀ(100×900)·dC(900×256)
+		// column tails.
+		{"gcn-out", "nn", 900, 256, 47, 0.5},   // H(900×256)·W(256×47)
+		{"gcn-dWout", "tn", 256, 900, 47, 0.5}, // Hᵀ(256×900)·dC(900×47)
+		{"gcn-dW0", "tn", 100, 900, 256, 0.5},  // Xᵀ(100×900)·dC(900×256)
+		// Dense layers the sweep runs: Cora's features and a zero-free
+		// output gradient.
+		{"cora-fwd0", "nn", 300, 1433, 256, 0},    // X(300×1433)·W0(1433×256)
+		{"cora-dW0", "tn", 1433, 300, 256, 0},     // Xᵀ(1433×300)·dC0(300×256)
+		{"gcn-dIn-dense", "nt", 900, 256, 256, 0}, // dC(900×256)·Wᵀ(256×256)
 	}
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(1))
 		dst := New(sh.m, sh.n)
 		switch sh.kind {
 		case "nn":
-			a := benchMatrix(rng, sh.m, sh.k, 0.5)
+			a := benchMatrix(rng, sh.m, sh.k, sh.zf)
 			bm := benchMatrix(rng, sh.k, sh.n, 0)
 			b.Run(sh.name+"/plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -397,7 +533,7 @@ func BenchmarkBackwardKernels(b *testing.B) {
 				}
 			})
 		case "nt":
-			a := benchMatrix(rng, sh.m, sh.k, 0.5)
+			a := benchMatrix(rng, sh.m, sh.k, sh.zf)
 			bm := benchMatrix(rng, sh.n, sh.k, 0)
 			bt := New(sh.k, sh.n)
 			b.Run(sh.name+"/transpose+plain", func(b *testing.B) {
@@ -407,8 +543,8 @@ func BenchmarkBackwardKernels(b *testing.B) {
 				}
 			})
 		case "tn":
-			a := benchMatrix(rng, sh.k, sh.m, 0.5)
-			bm := benchMatrix(rng, sh.k, sh.n, 0.5)
+			a := benchMatrix(rng, sh.k, sh.m, sh.zf)
+			bm := benchMatrix(rng, sh.k, sh.n, sh.zf)
 			at := New(sh.m, sh.k)
 			b.Run(sh.name+"/transpose+plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

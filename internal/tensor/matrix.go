@@ -344,7 +344,18 @@ func (l *gemmLists) gatherColumns(a *Matrix, i0, i1, k0, k1, cols int) {
 	}
 }
 
-// gemmRows computes dst rows [lo, hi) of op(a)·b.
+// denseQuad reports whether tile rows r..r+3 (of rows) all have no ±0
+// entry in a k-block of length kn. Their lists then hold every k of
+// the block in order, so they share one offset list, and the quad
+// kernel adds exactly the products the four single-row calls would.
+func (l *gemmLists) denseQuad(r, rows, kn int) bool {
+	return r+4 <= rows && l.n[r] == kn && l.n[r+1] == kn && l.n[r+2] == kn && l.n[r+3] == kn
+}
+
+// gemmRows computes dst rows [lo, hi) of op(a)·b. Within a row tile,
+// each run of four rows with no ±0 in the k-block runs on the quad
+// kernel, which shares each load of b across the four; every other
+// row runs on its own.
 func gemmRows(dst, a, b *Matrix, trans bool, lo, hi int) {
 	cols, inner := b.Cols, b.Rows
 	if cols == 1 {
@@ -365,12 +376,19 @@ func gemmRows(dst, a, b *Matrix, trans bool, lo, hi int) {
 			}
 			for j0 := 0; j0 < cols; j0 += gemmPanelCols {
 				j1 := min(j0+gemmPanelCols, cols)
-				for r, n := range l.n[:i1-i0] {
-					if n > 0 {
-						row := (i0 + r) * cols
+				for r := 0; r < i1-i0; {
+					row := (i0 + r) * cols
+					if j1-j0 == gemmPanelCols && l.denseQuad(r, i1-i0, k1-k0) {
+						gemmQuad(l.vals[r*gemmBlockK:], gemmBlockK, l.offs[r*gemmBlockK:][:k1-k0],
+							b.Data[j0:], dst.Data[row+j0:], cols)
+						r += 4
+						continue
+					}
+					if n := l.n[r]; n > 0 {
 						gemmPanel(l.vals[r*gemmBlockK:][:n], l.offs[r*gemmBlockK:][:n],
 							b.Data[j0:], dst.Data[row+j0:row+j1])
 					}
+					r++
 				}
 			}
 		}

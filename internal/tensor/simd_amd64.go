@@ -6,10 +6,22 @@ package tensor
 // YMM registers across context switches.
 func cpuHasAVX() bool
 
-// The AVX bodies of the kernels in simd.go; callers check useAVX first.
+// cpuHasAVX512 reports whether the CPU supports AVX and AVX-512F and
+// the OS saves the YMM, opmask and full ZMM registers across context
+// switches.
+func cpuHasAVX512() bool
+
+// The assembly bodies of the kernels in simd.go; callers check
+// kernelPath first.
 
 //go:noescape
 func gemmPanelAVX(vals []float64, offs []int32, b, c []float64)
+
+//go:noescape
+func gemmPanelAVX512(vals []float64, offs []int32, b, c []float64)
+
+//go:noescape
+func gemmQuadAVX512(vals []float64, ldv int, offs []int32, b, c []float64, ldc int)
 
 //go:noescape
 func maskedAxpyAVX(s float64, x, y []float64)

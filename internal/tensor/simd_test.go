@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -64,8 +65,9 @@ func refReLUGrad(d, act []float64) {
 }
 
 // FuzzElementwise checks AdamStep (under both callers' coefficient
-// conventions), maskedAxpy, ReLUInPlace and ReLUGradInPlace against the
-// scalar references bit for bit, on both kernel paths. The first byte
+// conventions, and with C1 = 1, where the bias-correction divide is
+// skipped), maskedAxpy, ReLUInPlace and ReLUGradInPlace against the
+// scalar references bit for bit, on every kernel path. The first byte
 // gives the length in [0, 70], which crosses every SIMD body/tail
 // split; the second the Adam step number and one masked-axpy scale;
 // the rest are cycled through fuzzValue (±0, NaN, ±Inf, subnormal and
@@ -96,15 +98,17 @@ func FuzzElementwise(f *testing.F) {
 		}
 		w, g, m, v, act := fill(), fill(), fill(), fill(), fill()
 		clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
-		coefs := []AdamCoef{gcnAdamCoef(step, 0.01), mlpAdamCoef(step, 1e-3, 0.9, 0.999, 1e-8)}
-		for _, avx := range KernelPaths() {
+		unbiased := mlpAdamCoef(step, 1e-3, 0.9, 0.999, 1e-8)
+		unbiased.C1 = 1
+		coefs := []AdamCoef{gcnAdamCoef(step, 0.01), mlpAdamCoef(step, 1e-3, 0.9, 0.999, 1e-8), unbiased}
+		for _, path := range KernelPaths() {
 			for ci := range coefs {
 				k := &coefs[ci]
 				ww, wm, wv := clone(w), clone(m), clone(v)
 				refAdam(ww, g, wm, wv, k)
 				gw, gm, gv := clone(w), clone(m), clone(v)
-				WithAVX(avx, func() { AdamStep(gw, g, gm, gv, k) })
-				label := fmt.Sprintf("adam n=%d coef=%d avx=%v", n, ci, avx)
+				WithKernel(path, func() { AdamStep(gw, g, gm, gv, k) })
+				label := fmt.Sprintf("adam n=%d coef=%d path=%v", n, ci, path)
 				requireSliceBitEqual(t, gm, wm, label+" m")
 				requireSliceBitEqual(t, gv, wv, label+" v")
 				requireSliceBitEqual(t, gw, ww, label+" w")
@@ -116,21 +120,21 @@ func FuzzElementwise(f *testing.F) {
 				want := clone(v)
 				refMaskedAxpy(sc, w, want)
 				got := clone(v)
-				WithAVX(avx, func() { maskedAxpy(sc, w, got) })
-				requireSliceBitEqual(t, got, want, fmt.Sprintf("masked axpy n=%d s=%v avx=%v", n, sc, avx))
+				WithKernel(path, func() { maskedAxpy(sc, w, got) })
+				requireSliceBitEqual(t, got, want, fmt.Sprintf("masked axpy n=%d s=%v path=%v", n, sc, path))
 			}
 
 			want := clone(w)
 			refReLU(want)
 			got := &Matrix{Rows: 1, Cols: n, Data: clone(w)}
-			WithAVX(avx, got.ReLUInPlace)
-			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu n=%d avx=%v", n, avx))
+			WithKernel(path, got.ReLUInPlace)
+			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu n=%d path=%v", n, path))
 
 			want = clone(g)
 			refReLUGrad(want, act)
 			got = &Matrix{Rows: 1, Cols: n, Data: clone(g)}
-			WithAVX(avx, func() { got.ReLUGradInPlace(&Matrix{Rows: 1, Cols: n, Data: act}) })
-			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu grad n=%d avx=%v", n, avx))
+			WithKernel(path, func() { got.ReLUGradInPlace(&Matrix{Rows: 1, Cols: n, Data: act}) })
+			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu grad n=%d path=%v", n, path))
 		}
 	})
 }
@@ -169,7 +173,7 @@ func TestAdamStepCoefficientConventions(t *testing.T) {
 	}
 	type state struct{ w, m, v []float64 }
 	const n, steps, lr = 67, 6, 0.01
-	for _, avx := range KernelPaths() {
+	for _, path := range KernelPaths() {
 		rng := rand.New(rand.NewSource(5))
 		w0 := benchMatrix(rng, 1, n, 0.1).Data
 		fresh := func() state {
@@ -180,7 +184,7 @@ func TestAdamStepCoefficientConventions(t *testing.T) {
 			g := benchMatrix(rng, 1, n, 0.1).Data
 			kg := gcnAdamCoef(step, lr)
 			km := mlpAdamCoef(step, lr, beta1, beta2, 1e-8)
-			WithAVX(avx, func() {
+			WithKernel(path, func() {
 				AdamStep(gcnGot.w, g, gcnGot.m, gcnGot.v, &kg)
 				AdamStep(mlpGot.w, g, mlpGot.m, mlpGot.v, &km)
 				AdamStep(swapped.w, g, swapped.m, swapped.v, &kg)
@@ -192,16 +196,52 @@ func TestAdamStepCoefficientConventions(t *testing.T) {
 			name      string
 			got, want state
 		}{{"gcn", gcnGot, gcnWant}, {"mlp", mlpGot, mlpWant}} {
-			requireSliceBitEqual(t, c.got.m, c.want.m, fmt.Sprintf("%s m avx=%v", c.name, avx))
-			requireSliceBitEqual(t, c.got.v, c.want.v, fmt.Sprintf("%s v avx=%v", c.name, avx))
-			requireSliceBitEqual(t, c.got.w, c.want.w, fmt.Sprintf("%s w avx=%v", c.name, avx))
+			requireSliceBitEqual(t, c.got.m, c.want.m, fmt.Sprintf("%s m path=%v", c.name, path))
+			requireSliceBitEqual(t, c.got.v, c.want.v, fmt.Sprintf("%s v path=%v", c.name, path))
+			requireSliceBitEqual(t, c.got.w, c.want.w, fmt.Sprintf("%s w path=%v", c.name, path))
 		}
 		same := true
 		for j := range swapped.w {
 			same = same && swapped.w[j] == mlpWant.w[j]
 		}
 		if same {
-			t.Fatalf("avx=%v: the gcn coefficients reproduced the mlp loop; the 1-β conventions no longer differ", avx)
+			t.Fatalf("path=%v: the gcn coefficients reproduced the mlp loop; the 1-β conventions no longer differ", path)
+		}
+	}
+}
+
+// TestAdamStepBiasCorrectionShortcut pins the steps on both sides of
+// the point where C1 = 1−β₁ᵗ first rounds to exactly 1 (t = 356 for
+// β₁ = 0.9), where AdamStep stops dividing m by C1: on every path and
+// under both callers' conventions, the step must still match the
+// reference, which always divides, bit for bit, over operands of every
+// awkward class.
+func TestAdamStepBiasCorrectionShortcut(t *testing.T) {
+	const n = 67 // crosses the four-wide body and the scalar tail
+	for _, step := range []int{355, 356} {
+		if c1 := 1 - math.Pow(0.9, float64(step)); (c1 == 1) != (step == 356) {
+			t.Fatalf("t=%d: C1 = %v; the shortcut's threshold moved", step, c1)
+		}
+		coefs := []AdamCoef{gcnAdamCoef(step, 0.01), mlpAdamCoef(step, 1e-3, 0.9, 0.999, 1e-8)}
+		for _, path := range KernelPaths() {
+			for ci := range coefs {
+				k := &coefs[ci]
+				fill := func(salt int) []float64 {
+					s := make([]float64, n)
+					for i := range s {
+						s[i] = fuzzValue(byte(i*7+salt), i+salt)
+					}
+					return s
+				}
+				w, g, m, v := fill(0), fill(1), fill(2), fill(3)
+				ww, wm, wv := slices.Clone(w), slices.Clone(m), slices.Clone(v)
+				refAdam(ww, g, wm, wv, k)
+				WithKernel(path, func() { AdamStep(w, g, m, v, k) })
+				label := fmt.Sprintf("t=%d coef=%d path=%v", step, ci, path)
+				requireSliceBitEqual(t, m, wm, label+" m")
+				requireSliceBitEqual(t, v, wv, label+" v")
+				requireSliceBitEqual(t, w, ww, label+" w")
+			}
 		}
 	}
 }
@@ -217,8 +257,10 @@ func TestAdamStepLengthPanics(t *testing.T) {
 }
 
 // BenchmarkElementwise times the training step's element-wise kernels
-// on both paths: Adam over a 256×256 weight matrix, and the ReLU and
-// ReLU-gradient steps over one batch-16 MLP hidden layer.
+// on every path: Adam over a 256×256 weight matrix, early (step 3) and
+// late (step 400, where C1 = 1 and the bias-correction divide is
+// skipped), and the ReLU and ReLU-gradient steps over one batch-16 MLP
+// hidden layer.
 func BenchmarkElementwise(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := benchMatrix(rng, 256, 256, 0)
@@ -228,20 +270,26 @@ func BenchmarkElementwise(b *testing.B) {
 	d := benchMatrix(rng, 16, 256, 0)
 	x := New(16, 256)
 	k := mlpAdamCoef(3, 1e-3, 0.9, 0.999, 1e-8)
-	for _, avx := range KernelPaths() {
-		WithAVX(avx, func() {
-			b.Run(fmt.Sprintf("adam-256x256/avx=%v", avx), func(b *testing.B) {
+	late := mlpAdamCoef(400, 1e-3, 0.9, 0.999, 1e-8)
+	for _, path := range KernelPaths() {
+		WithKernel(path, func() {
+			b.Run(fmt.Sprintf("adam-256x256/path=%v", path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					AdamStep(w.Data, g.Data, m.Data, v.Data, &k)
 				}
 			})
-			b.Run(fmt.Sprintf("relu-16x256/avx=%v", avx), func(b *testing.B) {
+			b.Run(fmt.Sprintf("adam-late-256x256/path=%v", path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					AdamStep(w.Data, g.Data, m.Data, v.Data, &late)
+				}
+			})
+			b.Run(fmt.Sprintf("relu-16x256/path=%v", path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					x.CopyFrom(act)
 					x.ReLUInPlace()
 				}
 			})
-			b.Run(fmt.Sprintf("relugrad-16x256/avx=%v", avx), func(b *testing.B) {
+			b.Run(fmt.Sprintf("relugrad-16x256/path=%v", path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					d.ReLUGradInPlace(act)
 				}
