@@ -127,7 +127,7 @@ func TestManifestExplainFields(t *testing.T) {
 	}
 
 	s := newSession()
-	s.setRunInfo(1, 0, "text", true)
+	s.setRunInfo(1, "text", true)
 	ex := explain.Analyze(accel.TraceInput(gopim.Simulate(gopim.GoPIM,
 		gopim.Workload{Dataset: mustDataset(t, "ddi"), Seed: 1})), nil, explain.Options{})
 	s.setExplainInfo(ex)
@@ -149,7 +149,7 @@ func TestManifestExplainFields(t *testing.T) {
 
 	// No analysis: the keys must not appear at all.
 	s = newSession()
-	s.setRunInfo(1, 0, "text", true)
+	s.setRunInfo(1, "text", true)
 	if err := s.finish(); err != nil {
 		t.Fatal(err)
 	}

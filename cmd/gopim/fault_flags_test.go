@@ -57,7 +57,7 @@ func TestManifestFaultFields(t *testing.T) {
 	}
 
 	s := newSession()
-	s.setRunInfo(1, 0, "text", true)
+	s.setRunInfo(1, "text", true)
 	s.setFaultInfo(0.001, 5, 8)
 	if err := s.finish(); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestManifestFaultFields(t *testing.T) {
 
 	// Faults off: the keys must not even appear in the JSON.
 	s = newSession()
-	s.setRunInfo(1, 0, "text", true)
+	s.setRunInfo(1, "text", true)
 	s.setFaultInfo(0, 5, 8) // rate 0 = off
 	if err := s.finish(); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestManifestKernelFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.setRunInfo(1, 0, "text", true)
+		s.setRunInfo(1, "text", true)
 		if err := s.finish(); err != nil {
 			t.Fatal(err)
 		}

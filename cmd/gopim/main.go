@@ -7,7 +7,6 @@
 //	gopim all                      regenerate every table and figure
 //	gopim fig13 tab5 ...           regenerate specific artifacts
 //	gopim compare <dataset>        run the six baselines on one dataset
-//	gopim gantt <dataset> <model>  render the pipeline schedule
 //	gopim theta <dataset>          re-derive the adaptive θ (§VI-C)
 //	gopim endurance <dataset>      ISU's array-lifetime effect
 //	gopim churn <dataset>          stream seeded graph mutations through
@@ -64,7 +63,7 @@
 //
 //	-metrics f   write a metrics snapshot on exit (.csv/.json by
 //	             extension, else text with wall metrics behind '#')
-//	-trace-out f write wall-clock spans (and, for gantt, the simulated
+//	-trace-out f write wall-clock spans (and, for explain, the simulated
 //	             schedule) as Chrome trace-event JSON — load in Perfetto
 //	-manifest f  write the run manifest (default: derived from
 //	             -metrics/-trace-out)
@@ -75,6 +74,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gopim"
@@ -85,7 +85,6 @@ import (
 	"gopim/internal/gcn"
 	"gopim/internal/mapping"
 	"gopim/internal/simmemo"
-	"gopim/internal/trace"
 	"gopim/internal/tuner"
 )
 
@@ -145,7 +144,7 @@ func main() {
 	if err != nil {
 		fatal(err.Error())
 	}
-	sess.setRunInfo(*seed, *workers, *format, *fast)
+	sess.setRunInfo(*seed, *format, *fast)
 	if faultModel.Enabled() {
 		cfg := faultModel.Config()
 		sess.setFaultInfo(cfg.Rate, cfg.Seed, cfg.VerifyMax)
@@ -180,25 +179,18 @@ func main() {
 		if err := c.Render(os.Stdout); err != nil {
 			fatal(err.Error())
 		}
-	case "gantt":
-		if len(args) != 3 {
-			fatal("usage: gopim gantt <dataset> <Serial|GoPIM|...>")
-		}
-		if err := renderGantt(sess, args[1], args[2], *seed); err != nil {
-			fatal(err.Error())
-		}
 	case "theta":
 		if len(args) != 2 {
 			fatal("usage: gopim theta <dataset>")
 		}
-		if err := searchTheta(args[1], *seed, *fast); err != nil {
+		if err := searchTheta(os.Stdout, args[1], *seed, *fast); err != nil {
 			fatal(err.Error())
 		}
 	case "endurance":
 		if len(args) != 2 {
 			fatal("usage: gopim endurance <dataset>")
 		}
-		if err := showEndurance(args[1], *seed); err != nil {
+		if err := showEndurance(os.Stdout, args[1], *seed); err != nil {
 			fatal(err.Error())
 		}
 	case "churn":
@@ -262,6 +254,8 @@ usage:
   gopim [flags] all
   gopim [flags] <experiment-id>...
   gopim [flags] compare <dataset>
+  gopim [flags] theta <dataset>
+  gopim [flags] endurance <dataset>
   gopim [flags] bench [-label L] [-repeats N] [-attrib]
   gopim [flags] explain [-mb N] [-json] [-no-sensitivity] [-gantt] <dataset> [model]
   gopim [flags] churn [-epochs N] [-wear-days D] <dataset>
@@ -291,37 +285,8 @@ func modelByName(name string) (gopim.Model, error) {
 	return 0, fmt.Errorf("unknown model %q (try Serial, GoPIM, ReGraphX, ReFlip, SlimGNN-like, GoPIM-Vanilla)", name)
 }
 
-// renderGantt simulates the model on the dataset and draws the
-// replica-level schedule of the first 16 micro-batches. With
-// -trace-out set, the same schedule also lands in the Chrome trace on
-// the simulated-time process track.
-func renderGantt(sess *obsSession, dataset, model string, seed int64) error {
-	d, err := gopim.DatasetByName(dataset)
-	if err != nil {
-		return err
-	}
-	kind, err := modelByName(model)
-	if err != nil {
-		return err
-	}
-	r := gopim.Simulate(kind, gopim.Workload{Dataset: d, Seed: seed})
-	mb := r.MicroBatches
-	if mb > 16 {
-		mb = 16
-	}
-	sched := trace.Simulate(trace.Input{
-		TimesNS:      r.StageTimesNS,
-		Replicas:     r.Replicas,
-		MicroBatches: mb,
-	})
-	sess.addSimEvents(sched.ChromeTraceEvents(r.StageNames))
-	fmt.Printf("%s on %s — first %d micro-batches (replica-level trace):\n",
-		model, dataset, mb)
-	return sched.RenderGantt(os.Stdout, 100, r.StageNames)
-}
-
 // searchTheta re-derives the adaptive update threshold for a dataset.
-func searchTheta(dataset string, seed int64, fast bool) error {
+func searchTheta(w io.Writer, dataset string, seed int64, fast bool) error {
 	d, err := gopim.DatasetByName(dataset)
 	if err != nil {
 		return err
@@ -341,24 +306,23 @@ func searchTheta(dataset string, seed int64, fast bool) error {
 		// run share one memoized training.
 		InstanceKey: fmt.Sprintf("%+v|%d|%d", d, seed, maxV),
 	})
-	fmt.Printf("θ search on %s (baseline accuracy %.2f%%):\n", dataset, res.Baseline*100)
+	fmt.Fprintf(w, "θ search on %s (baseline accuracy %.2f%%):\n", dataset, res.Baseline*100)
 	for _, p := range res.Points {
-		fmt.Printf("  θ=%.0f%%  accuracy %6.2f%%  rows rewritten/epoch %5.1f%%\n",
+		fmt.Fprintf(w, "  θ=%.0f%%  accuracy %6.2f%%  rows rewritten/epoch %5.1f%%\n",
 			p.Theta*100, p.Accuracy*100, p.UpdatedRowFraction*100)
 	}
-	fmt.Printf("chosen θ: %.0f%% (paper's density rule would pick %.0f%%)\n",
+	fmt.Fprintf(w, "chosen θ: %.0f%% (paper's density rule would pick %.0f%%)\n",
 		res.Chosen*100, d.AdaptiveTheta()*100)
 	return nil
 }
 
 // showEndurance reports ISU's array-lifetime effect for a dataset.
-func showEndurance(dataset string, seed int64) error {
+func showEndurance(w io.Writer, dataset string, seed int64) error {
 	d, err := gopim.DatasetByName(dataset)
 	if err != nil {
 		return err
 	}
-	w := gopim.Workload{Dataset: d, Seed: seed}
-	r := gopim.Simulate(gopim.GoPIM, w)
+	r := gopim.Simulate(gopim.GoPIM, gopim.Workload{Dataset: d, Seed: seed})
 	deg := d.SynthDegreeModel(seed)
 	plan := mapping.NewUpdatePlan(deg.DegreesByIndex, d.AdaptiveTheta(), 20)
 	// Back-to-back training runs at the simulated epoch makespan — the
@@ -371,17 +335,17 @@ func showEndurance(dataset string, seed int64) error {
 		RunsPerDay:              runsPerDay,
 	}
 	rep := endurance.Compare(prof, plan)
-	fmt.Printf("endurance on %s (θ=%.0f%%, stale period 20, %.0f back-to-back runs/day):\n",
+	fmt.Fprintf(w, "endurance on %s (θ=%.0f%%, stale period 20, %.0f back-to-back runs/day):\n",
 		dataset, d.AdaptiveTheta()*100, runsPerDay)
-	fmt.Printf("  full updating:        hottest rows last %10.0f training runs (%.1f days)\n",
+	fmt.Fprintf(w, "  full updating:        hottest rows last %10.0f training runs (%.1f days)\n",
 		endurance.ReRAMWriteLimit/epochsPerRun, rep.FullDays)
-	fmt.Printf("  ISU important rows:   %10.0f training runs (%.1f days)\n",
+	fmt.Fprintf(w, "  ISU important rows:   %10.0f training runs (%.1f days)\n",
 		endurance.ReRAMWriteLimit/epochsPerRun, rep.ImportantDays)
-	fmt.Printf("  ISU unimportant rows: %10.0f training runs (%.1f days, %.0fx longer)\n",
+	fmt.Fprintf(w, "  ISU unimportant rows: %10.0f training runs (%.1f days, %.0fx longer)\n",
 		endurance.ReRAMWriteLimit/epochsPerRun*float64(plan.StalePeriod),
 		rep.UnimportantDays, rep.UnimportantDays/rep.FullDays)
-	fmt.Printf("  mean wear vs full:    %.1f%%\n", rep.WearRatio*100)
-	fmt.Printf("  (SRAM weight manager outlasts ReRAM by %.0e at equal traffic — §IV-A)\n",
+	fmt.Fprintf(w, "  mean wear vs full:    %.1f%%\n", rep.WearRatio*100)
+	fmt.Fprintf(w, "  (SRAM weight manager outlasts ReRAM by %.0e at equal traffic — §IV-A)\n",
 		endurance.SRAMAdvantage())
 	return nil
 }

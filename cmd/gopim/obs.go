@@ -12,6 +12,7 @@ import (
 
 	"gopim/internal/explain"
 	"gopim/internal/obs"
+	"gopim/internal/parallel"
 	"gopim/internal/simmemo"
 )
 
@@ -46,13 +47,15 @@ func (s *obsSession) addSimEvents(ev []obs.TraceEvent) {
 	}
 }
 
-// setRunInfo records the output-shaping knobs in the run manifest.
-func (s *obsSession) setRunInfo(seed int64, workers int, format string, fast bool) {
+// setRunInfo records the output-shaping knobs in the run manifest. The
+// worker count is the one the pool runs at, after -workers and
+// GOPIM_WORKERS have been resolved, not the raw flag value.
+func (s *obsSession) setRunInfo(seed int64, format string, fast bool) {
 	if s.manifest == nil {
 		return
 	}
 	s.manifest.Seed = seed
-	s.manifest.Workers = workers
+	s.manifest.Workers = parallel.Workers()
 	s.manifest.Format = format
 	s.manifest.Fast = fast
 }

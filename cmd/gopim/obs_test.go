@@ -1,12 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"gopim/internal/obs"
+	"gopim/internal/parallel"
 )
 
 // resetObs restores global observability state a session mutated.
@@ -257,6 +259,40 @@ func TestWriteMetricsSnapshotTextSeparatesClocks(t *testing.T) {
 		}
 		if strings.Contains(line, "cmdtest.wall_line") && !strings.HasPrefix(line, "#") {
 			t.Errorf("wall metric not behind comment: %q", line)
+		}
+	}
+}
+
+// The manifest records the worker count the pool actually runs at: the
+// -workers override when set, else the resolved GOPIM_WORKERS/GOMAXPROCS
+// default, never the raw flag's 0.
+func TestManifestRecordsEffectiveWorkers(t *testing.T) {
+	resetObs(t)
+	defer parallel.SetWorkers(0)
+	dir := t.TempDir()
+	for _, tc := range []struct{ flag, want int }{
+		{3, 3},
+		{0, parallel.Workers()},
+	} {
+		parallel.SetWorkers(tc.flag)
+		s, err := startObsSession(obsFlags{metricsPath: filepath.Join(dir, "m.txt")}, []string{"list"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.setRunInfo(1, "text", false)
+		if err := s.finish(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "m.manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := new(obs.Manifest)
+		if err := json.Unmarshal(data, m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Workers != tc.want || m.Workers < 1 {
+			t.Errorf("-workers %d: manifest workers = %d, want %d", tc.flag, m.Workers, tc.want)
 		}
 	}
 }

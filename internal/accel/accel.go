@@ -306,6 +306,19 @@ type Report struct {
 // EnergyPJ is shorthand for the total energy.
 func (r Report) EnergyPJ() float64 { return r.Energy.TotalPJ() }
 
+// AvgIdleFrac returns the mean of the per-stage idle fractions, summed
+// in stage order; 0 for a report with no stages.
+func (r Report) AvgIdleFrac() float64 {
+	if len(r.IdleFrac) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, f := range r.IdleFrac {
+		sum += f
+	}
+	return sum / float64(len(r.IdleFrac))
+}
+
 // runCache memoizes whole accelerator runs keyed on (kind, workload).
 // The experiments grids re-run the same {dataset, model} cells across
 // figures (fig13/14, tab6/7, fig16's micro-batch sweep, the cora

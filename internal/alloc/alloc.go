@@ -345,82 +345,3 @@ func FixedRatio(req Request, coWeight, agWeight int) Result {
 func SpaceProportional(req Request) Result {
 	return EqualSplit(req)
 }
-
-// CombinationOnly pours the whole budget into Combination stages
-// (ReFlip's policy: replicas only in combination phases), splitting
-// evenly among them.
-func CombinationOnly(req Request) Result {
-	if err := req.validate(); err != nil {
-		panic(err)
-	}
-	perSet := 0
-	for i := range req.TimesNS {
-		if req.Replicable[i] && req.Kinds[i] == stage.Combination {
-			perSet += req.Crossbars[i]
-		}
-	}
-	replicas := onesLike(len(req.TimesNS))
-	if perSet == 0 {
-		return Result{Replicas: replicas, Degraded: req.degraded()}
-	}
-	extra := req.effectiveBudget() / perSet
-	used := 0
-	for i := range req.TimesNS {
-		if req.Replicable[i] && req.Kinds[i] == stage.Combination {
-			add := extra
-			if max := req.capOf(i) - 1; add > max {
-				add = max
-			}
-			replicas[i] += add
-			used += add * req.Crossbars[i]
-		}
-	}
-	return Result{Replicas: replicas, Used: used, Degraded: req.degraded()}
-}
-
-// Optimal exhaustively searches replica assignments up to maxReplicas
-// per stage and returns the assignment minimising T_A within budget.
-// Exponential; only for small test instances (the dynamic-programming
-// decision procedure the paper says takes days on products — included
-// to validate the greedy's near-optimality).
-func Optimal(req Request, maxReplicas int) Result {
-	if err := req.validate(); err != nil {
-		panic(err)
-	}
-	n := len(req.TimesNS)
-	budget := req.effectiveBudget()
-	best := onesLike(n)
-	bestT := TotalTimeNS(req.TimesNS, best, req.MicroBatches)
-	bestUsed := 0
-	cur := onesLike(n)
-
-	var rec func(i, used int)
-	rec = func(i, used int) {
-		if i == n {
-			t := TotalTimeNS(req.TimesNS, cur, req.MicroBatches)
-			if t < bestT {
-				bestT = t
-				copy(best, cur)
-				bestUsed = used
-			}
-			return
-		}
-		maxR := maxReplicas
-		if !req.Replicable[i] {
-			maxR = 1
-		}
-		for r := 1; r <= maxR; r++ {
-			extra := (r - 1) * req.Crossbars[i]
-			if used+extra > budget {
-				break
-			}
-			cur[i] = r
-			rec(i+1, used+extra)
-		}
-		cur[i] = 1
-	}
-	rec(0, 0)
-	out := make([]int, n)
-	copy(out, best)
-	return Result{Replicas: out, Used: bestUsed, Degraded: req.degraded()}
-}

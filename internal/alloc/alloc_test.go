@@ -181,14 +181,6 @@ func TestFixedRatio(t *testing.T) {
 	mustPanicAlloc(t, func() { FixedRatio(req, -1, 2) })
 }
 
-func TestCombinationOnly(t *testing.T) {
-	req := twoStage(5)
-	res := CombinationOnly(req)
-	if res.Replicas[0] != 6 || res.Replicas[1] != 1 {
-		t.Fatalf("CombinationOnly replicas = %v, want [6 1]", res.Replicas)
-	}
-}
-
 func TestNonReplicableStagesUntouched(t *testing.T) {
 	req := Request{
 		TimesNS:      []float64{5, 10},
@@ -202,7 +194,6 @@ func TestNonReplicableStagesUntouched(t *testing.T) {
 		"greedy": Greedy(req),
 		"equal":  EqualSplit(req),
 		"ratio":  FixedRatio(req, 1, 2),
-		"coonly": CombinationOnly(req),
 	} {
 		if res.Replicas[0] != 1 {
 			t.Fatalf("%s: non-replicable stage got %d replicas", name, res.Replicas[0])
@@ -324,7 +315,6 @@ func TestRetiredCrossbarsShrinkBudget(t *testing.T) {
 		"greedy":  Greedy(req),
 		"equal":   EqualSplit(req),
 		"ratio":   FixedRatio(req, 1, 2),
-		"coonly":  CombinationOnly(req),
 		"optimal": Optimal(req, 8),
 	} {
 		if res.Used > 3 {
@@ -354,7 +344,6 @@ func TestRetirementEmptiesPool(t *testing.T) {
 		"greedy":  Greedy(req),
 		"equal":   EqualSplit(req),
 		"ratio":   FixedRatio(req, 1, 2),
-		"coonly":  CombinationOnly(req),
 		"optimal": Optimal(req, 4),
 	} {
 		if res.Used != 0 {
@@ -401,4 +390,51 @@ func TestNegativeRetiredPanics(t *testing.T) {
 	req := twoStage(4)
 	req.RetiredCrossbars = -1
 	Greedy(req)
+}
+
+// Optimal exhaustively searches replica assignments up to maxReplicas
+// per stage and returns the assignment minimising T_A within budget.
+// Exponential; only for small test instances (the dynamic-programming
+// decision procedure the paper says takes days on products — included
+// to validate the greedy's near-optimality).
+func Optimal(req Request, maxReplicas int) Result {
+	if err := req.validate(); err != nil {
+		panic(err)
+	}
+	n := len(req.TimesNS)
+	budget := req.effectiveBudget()
+	best := onesLike(n)
+	bestT := TotalTimeNS(req.TimesNS, best, req.MicroBatches)
+	bestUsed := 0
+	cur := onesLike(n)
+
+	var rec func(i, used int)
+	rec = func(i, used int) {
+		if i == n {
+			t := TotalTimeNS(req.TimesNS, cur, req.MicroBatches)
+			if t < bestT {
+				bestT = t
+				copy(best, cur)
+				bestUsed = used
+			}
+			return
+		}
+		maxR := maxReplicas
+		if !req.Replicable[i] {
+			maxR = 1
+		}
+		for r := 1; r <= maxR; r++ {
+			extra := (r - 1) * req.Crossbars[i]
+			if used+extra > budget {
+				break
+			}
+			cur[i] = r
+			rec(i+1, used+extra)
+		}
+		cur[i] = 1
+	}
+	rec(0, 0)
+	out := make([]int, n)
+	copy(out, best)
+	return Result{Replicas: out, Used: bestUsed, Degraded: req.degraded()}
 }

@@ -13,7 +13,6 @@ func policies() map[string]func(Request) Result {
 		"greedy": Greedy,
 		"equal":  EqualSplit,
 		"ratio":  func(r Request) Result { return FixedRatio(r, 1, 2) },
-		"coonly": CombinationOnly,
 		"space":  SpaceProportional,
 		"optimal": func(r Request) Result {
 			return Optimal(r, 8)

@@ -164,15 +164,6 @@ func NewStream(cfg Config) (*Stream, error) {
 	return &Stream{cfg: cfg.WithDefaults()}, nil
 }
 
-// MustNewStream is NewStream for configurations known valid.
-func MustNewStream(cfg Config) *Stream {
-	s, err := NewStream(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config returns the defaulted configuration.
 func (s *Stream) Config() Config { return s.cfg }
 
@@ -274,9 +265,6 @@ func NewGraphState(g *graphgen.Graph) *GraphState {
 	}
 	return gs
 }
-
-// Edges returns the current undirected edge count.
-func (gs *GraphState) Edges() int { return len(gs.edges) }
 
 // Degrees returns the current degree sequence as float64 (the mapping
 // layer's currency). Freshly allocated each call.

@@ -53,6 +53,16 @@ func TestShouldRefresh(t *testing.T) {
 	}
 }
 
+// newStream builds a stream from a configuration the test knows valid.
+func newStream(t *testing.T, cfg Config) *Stream {
+	t.Helper()
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func degSeq(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	degs := make([]float64, n)
@@ -67,7 +77,7 @@ func degSeq(n int, seed int64) []float64 {
 func TestStreamDeterministic(t *testing.T) {
 	cfg := Config{Rate: 0.05, VertexRate: 0.01, Seed: 42}
 	a, b := degSeq(200, 1), degSeq(200, 1)
-	sa, sb := MustNewStream(cfg), MustNewStream(cfg)
+	sa, sb := newStream(t, cfg), newStream(t, cfg)
 	for e := 0; e < 5; e++ {
 		var da, db Delta
 		a, da = sa.Mutate(a, e)
@@ -78,7 +88,7 @@ func TestStreamDeterministic(t *testing.T) {
 	}
 	// A different seed must draw a different batch.
 	c := degSeq(200, 1)
-	c, dc := MustNewStream(Config{Rate: 0.05, VertexRate: 0.01, Seed: 43}).Mutate(c, 0)
+	c, dc := newStream(t, Config{Rate: 0.05, VertexRate: 0.01, Seed: 43}).Mutate(c, 0)
 	if reflect.DeepEqual(a[:200], c[:200]) && reflect.DeepEqual(dc, Delta{}) {
 		t.Fatal("different seed produced no divergence")
 	}
@@ -93,7 +103,7 @@ func TestStreamDeltaAccounting(t *testing.T) {
 	for _, d := range degs {
 		massBefore += d
 	}
-	s := MustNewStream(Config{Rate: 0.1, Seed: 9})
+	s := newStream(t, Config{Rate: 0.1, Seed: 9})
 	degs, d := s.Mutate(degs, 0)
 	if d.EdgesAdded == 0 && d.EdgesRemoved == 0 {
 		t.Fatal("10% churn on 300 vertices mutated nothing")
@@ -129,7 +139,7 @@ func TestStreamDeltaAccounting(t *testing.T) {
 // newcomers as changed.
 func TestStreamVertexArrivals(t *testing.T) {
 	degs := degSeq(100, 3)
-	s := MustNewStream(Config{VertexRate: 0.05, Seed: 4})
+	s := newStream(t, Config{VertexRate: 0.05, Seed: 4})
 	degs, d := s.Mutate(degs, 0)
 	if d.VerticesAdded != 5 || len(degs) != 105 {
 		t.Fatalf("VerticesAdded = %d, len = %d, want 5 and 105", d.VerticesAdded, len(degs))
@@ -145,7 +155,7 @@ func TestStreamVertexArrivals(t *testing.T) {
 func TestStreamDisabled(t *testing.T) {
 	degs := degSeq(50, 5)
 	before := append([]float64(nil), degs...)
-	degs, d := MustNewStream(Config{}).Mutate(degs, 0)
+	degs, d := newStream(t, Config{}).Mutate(degs, 0)
 	if !reflect.DeepEqual(degs, before) || !reflect.DeepEqual(d, Delta{}) {
 		t.Fatalf("disabled stream mutated: %+v", d)
 	}
@@ -162,7 +172,7 @@ func TestStreamPreservesSkew(t *testing.T) {
 		// Rough power-law start: a few hubs, many leaves.
 		degs[i] = math.Floor(1 + 50/float64(1+rng.Intn(25)))
 	}
-	s := MustNewStream(Config{Rate: 0.05, Seed: 6})
+	s := newStream(t, Config{Rate: 0.05, Seed: 6})
 	for e := 0; e < 40; e++ {
 		degs, _ = s.Mutate(degs, e)
 	}
@@ -243,3 +253,6 @@ func TestFromFlagsFallbacks(t *testing.T) {
 		t.Fatalf("valid flags mangled: %+v", cfg)
 	}
 }
+
+// Edges returns the current undirected edge count.
+func (gs *GraphState) Edges() int { return len(gs.edges) }

@@ -29,9 +29,6 @@ func (b Breakdown) TotalPJ() float64 {
 	return b.ReadPJ + b.WritePJ + b.SRAMPJ + b.StaticPJ
 }
 
-// TotalMJ returns the total in millijoules.
-func (b Breakdown) TotalMJ() float64 { return b.TotalPJ() * 1e-15 * 1e3 }
-
 // ReadOpPJ is the energy of one crossbar read activation: the crossbar
 // itself plus its per-crossbar share of the PE periphery (ADC, S&H,
 // shift-and-add, registers) for one read cycle.

@@ -68,9 +68,6 @@ func TestComputeAccounting(t *testing.T) {
 	if math.Abs(b.TotalPJ()-(wantRead+wantWrite+wantSRAM+wantStatic)) > 1e-6 {
 		t.Fatal("TotalPJ must sum components")
 	}
-	if b.TotalMJ() <= 0 {
-		t.Fatal("TotalMJ must be positive")
-	}
 }
 
 func TestComputeValidation(t *testing.T) {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"gopim/internal/accel"
-	"gopim/internal/alloc"
 	"gopim/internal/graphgen"
 	"gopim/internal/mapping"
 	"gopim/internal/pipeline"
-	"gopim/internal/stage"
 )
 
 func init() {
@@ -167,17 +165,4 @@ func fig7(Options) (*Result, error) {
 		},
 	}
 	return res, nil
-}
-
-// fig5Alloc demonstrates Algorithm 1 solving the Fig. 5 instance; kept
-// exported for the allocator example.
-func fig5Alloc() alloc.Result {
-	return alloc.Greedy(alloc.Request{
-		TimesNS:      []float64{1, 6},
-		Crossbars:    []int{1, 1},
-		Replicable:   []bool{true, true},
-		Kinds:        []stage.Kind{stage.Combination, stage.Aggregation},
-		Budget:       3,
-		MicroBatches: 8,
-	})
 }

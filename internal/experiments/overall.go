@@ -113,14 +113,7 @@ func fig15(opt Options) (*Result, error) {
 		w := accel.Workload{Dataset: d, Seed: opt.Seed, MicroBatch: mb}
 		naive := accel.Run(accel.PlusPP, w)
 		gopim := accel.Run(accel.GoPIM, w)
-		avg := func(r accel.Report) float64 {
-			var s float64
-			for _, f := range r.IdleFrac {
-				s += f
-			}
-			return s / float64(len(r.IdleFrac))
-		}
-		ni, gi := avg(naive), avg(gopim)
+		ni, gi := naive.AvgIdleFrac(), gopim.AvgIdleFrac()
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", mb), fmtPct(ni), fmtPct(gi), fmtPct(ni - gi),
 		})

@@ -270,17 +270,6 @@ func newWorkspace(adj, adjT *sparsemat.CSR, n int, dims []int) *workspace {
 	return ws
 }
 
-// layerDims reconstructs the width vector from an input matrix and the
-// weight stack (used by the test-facing free functions).
-func layerDims(x *tensor.Matrix, weights []*tensor.Matrix) []int {
-	dims := make([]int, 0, len(weights)+1)
-	dims = append(dims, x.Cols)
-	for _, w := range weights {
-		dims = append(dims, w.Cols)
-	}
-	return dims
-}
-
 // Train runs GCN training on a synthetic instance and returns the
 // final test metric.
 func Train(inst *graphgen.Instance, cfg Config) Result {
@@ -505,29 +494,6 @@ type forwardState struct {
 	updatedFrac float64
 }
 
-// forward and forwardQuant are the test-facing entry points; each call
-// builds a transient workspace so successive calls return
-// independently owned states (the staleness tests compare two forward
-// passes side by side).
-func forward(adj *sparsemat.CSR, x *tensor.Matrix, weights []*tensor.Matrix,
-	written []*tensor.Matrix, plan *mapping.UpdatePlan, epoch int,
-	dropout float64, rng *rand.Rand) *forwardState {
-	return forwardQuant(adj, x, weights, written, plan, epoch, dropout, rng, 0)
-}
-
-func forwardQuant(adj *sparsemat.CSR, x *tensor.Matrix, weights []*tensor.Matrix,
-	written []*tensor.Matrix, plan *mapping.UpdatePlan, epoch int,
-	dropout float64, rng *rand.Rand, quantBits int) *forwardState {
-	ws := newWorkspace(adj, nil, x.Rows, layerDims(x, weights))
-	fw := ws.forwardQuant(x, weights, written, plan, epoch, dropout, rng, quantBits)
-	// Transient workspaces flush their row counters immediately: the
-	// free functions are not memoized, so their metric effect must
-	// match the historic direct increments.
-	ws.counts.apply()
-	ws.counts = simCounts{}
-	return fw
-}
-
 // forwardQuant runs one forward pass into the workspace buffers. The
 // compute order — per-layer GEMM, optional quantisation, ISU row
 // refresh, SpMM aggregation, mask build with one rng draw per positive
@@ -655,17 +621,6 @@ func applyStuckAll(m *tensor.Matrix, msk *fault.Mask, s quant.Scheme, bitsPerCel
 	for r := 0; r < m.Rows; r++ {
 		applyStuckRow(m, msk, r, s, bitsPerCell, cells)
 	}
-}
-
-// backward is the test-facing entry point mirroring the historic free
-// function; fw carries its owning workspace, and a missing Âᵀ (forward
-// built the workspace without one) is filled in here.
-func backward(adj *sparsemat.CSR, fw *forwardState, weights []*tensor.Matrix, dOut *tensor.Matrix) []*tensor.Matrix {
-	ws := fw.ws
-	if ws.adjT == nil {
-		ws.adjT = adj.Transpose()
-	}
-	return ws.backward(fw, weights, dOut)
 }
 
 // backward runs standard GCN backprop from dOut (gradient w.r.t. the

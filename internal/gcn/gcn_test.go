@@ -306,3 +306,48 @@ func TestQuantization(t *testing.T) {
 		t.Fatal("quantised training must be deterministic")
 	}
 }
+
+// forward runs one unquantised forward pass on a transient workspace,
+// so successive calls return independently owned states (the
+// staleness tests compare two forward passes side by side).
+func forward(adj *sparsemat.CSR, x *tensor.Matrix, weights []*tensor.Matrix,
+	written []*tensor.Matrix, plan *mapping.UpdatePlan, epoch int,
+	dropout float64, rng *rand.Rand) *forwardState {
+	ws := newWorkspace(adj, nil, x.Rows, layerDims(x, weights))
+	fw := ws.forwardQuant(x, weights, written, plan, epoch, dropout, rng, 0)
+	// Transient workspaces flush their row counters immediately, as an
+	// unmemoized training step would.
+	ws.counts.apply()
+	ws.counts = simCounts{}
+	return fw
+}
+
+// layerDims reconstructs the width vector from an input matrix and the
+// weight stack (used by forward).
+func layerDims(x *tensor.Matrix, weights []*tensor.Matrix) []int {
+	dims := make([]int, 0, len(weights)+1)
+	dims = append(dims, x.Cols)
+	for _, w := range weights {
+		dims = append(dims, w.Cols)
+	}
+	return dims
+}
+
+// backward runs backprop for a forward pass; fw carries its owning
+// workspace, and a missing Âᵀ (forward built the workspace without
+// one) is filled in here.
+func backward(adj *sparsemat.CSR, fw *forwardState, weights []*tensor.Matrix, dOut *tensor.Matrix) []*tensor.Matrix {
+	ws := fw.ws
+	if ws.adjT == nil {
+		ws.adjT = adj.Transpose()
+	}
+	return ws.backward(fw, weights, dOut)
+}
+
+// nodeLossGrad is nodeLossGradInto on freshly allocated scratch.
+func nodeLossGrad(logits *tensor.Matrix, labels []int, trainMask []bool) (float64, *tensor.Matrix) {
+	probs := tensor.New(logits.Rows, logits.Cols)
+	grad := tensor.New(logits.Rows, logits.Cols)
+	loss := nodeLossGradInto(probs, grad, logits, labels, trainMask)
+	return loss, grad
+}

@@ -8,19 +8,11 @@ import (
 	"gopim/internal/tensor"
 )
 
-// nodeLossGrad computes mean softmax cross-entropy over the training
-// vertices and its gradient w.r.t. the logits.
-func nodeLossGrad(logits *tensor.Matrix, labels []int, trainMask []bool) (float64, *tensor.Matrix) {
-	probs := tensor.New(logits.Rows, logits.Cols)
-	grad := tensor.New(logits.Rows, logits.Cols)
-	loss := nodeLossGradInto(probs, grad, logits, labels, trainMask)
-	return loss, grad
-}
-
-// nodeLossGradInto is the workspace form of nodeLossGrad: probs and
-// grad are caller-owned scratch matching logits' shape, overwritten in
-// full (grad is zeroed first, so rows outside the training mask come
-// back zero exactly as the allocating version returns them).
+// nodeLossGradInto computes mean softmax cross-entropy over the
+// training vertices and writes its gradient w.r.t. the logits into
+// grad. probs and grad are caller-owned scratch matching logits' shape,
+// overwritten in full (grad is zeroed first, so rows outside the
+// training mask come back zero).
 func nodeLossGradInto(probs, grad *tensor.Matrix, logits *tensor.Matrix, labels []int, trainMask []bool) float64 {
 	logits.SoftmaxRowsInto(probs)
 	grad.Zero()
@@ -77,19 +69,11 @@ func nodeAccuracy(logits *tensor.Matrix, labels []int, testMask []bool) float64 
 // sampled per epoch for link-prediction training.
 const linkTrainSamples = 512
 
-// linkLossGrad samples training edges and non-edges, scores pairs by
-// embedding dot products through a logistic loss, and returns the
-// gradient w.r.t. the embeddings.
-func linkLossGrad(rng *rand.Rand, emb *tensor.Matrix, g *graphgen.Graph) (float64, *tensor.Matrix) {
-	grad := tensor.New(emb.Rows, emb.Cols)
-	loss := linkLossGradInto(rng, grad, emb, g)
-	return loss, grad
-}
-
-// linkLossGradInto is the workspace form of linkLossGrad: grad is
-// caller-owned scratch matching emb's shape, zeroed before the pair
-// sampling accumulates into it. The rng draw order is identical to the
-// allocating version.
+// linkLossGradInto samples training edges and non-edges, scores pairs
+// by embedding dot products through a logistic loss, and writes the
+// gradient w.r.t. the embeddings into grad: caller-owned scratch
+// matching emb's shape, zeroed before the pair sampling accumulates
+// into it.
 func linkLossGradInto(rng *rand.Rand, grad *tensor.Matrix, emb *tensor.Matrix, g *graphgen.Graph) float64 {
 	grad.Zero()
 	var loss float64

@@ -5,20 +5,6 @@ import (
 	"math/rand"
 )
 
-// ErdosRenyi samples a G(n, p) random graph. Intended for tests and
-// small sparse stand-ins; O(n²) edge trials.
-func ErdosRenyi(rng *rand.Rand, n int, p float64) *Graph {
-	var pairs [][2]int
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				pairs = append(pairs, [2]int{u, v})
-			}
-		}
-	}
-	return FromEdges(n, pairs)
-}
-
 // PowerLawWeights draws n Pareto-distributed expected degrees with tail
 // exponent alpha (> 1), scaled so their mean is avgDeg and capped at
 // n-1. The result is shuffled so that degrees appear in random vertex-
@@ -218,40 +204,4 @@ func DCSBM(rng *rand.Rand, cfg DCSBMConfig) (*Graph, []int) {
 		}
 	}
 	return FromEdges(cfg.N, pairs), comm
-}
-
-// PreferentialAttachment grows a Barabási–Albert graph: each new vertex
-// attaches m edges to existing vertices with probability proportional
-// to their degree. Produces a power-law degree distribution; used in
-// tests as an independent generator family.
-func PreferentialAttachment(rng *rand.Rand, n, m int) *Graph {
-	if m < 1 {
-		m = 1
-	}
-	if n <= m {
-		return ErdosRenyi(rng, n, 1) // complete graph fallback
-	}
-	var pairs [][2]int
-	// Repeated-endpoint list trick: sampling uniform from `ends` is
-	// degree-proportional sampling.
-	ends := make([]int, 0, 2*m*n)
-	// Seed: a star over the first m+1 vertices.
-	for v := 1; v <= m; v++ {
-		pairs = append(pairs, [2]int{0, v})
-		ends = append(ends, 0, v)
-	}
-	for v := m + 1; v < n; v++ {
-		chosen := map[int]bool{}
-		for len(chosen) < m {
-			t := ends[rng.Intn(len(ends))]
-			if t != v {
-				chosen[t] = true
-			}
-		}
-		for t := range chosen {
-			pairs = append(pairs, [2]int{v, t})
-			ends = append(ends, v, t)
-		}
-	}
-	return FromEdges(n, pairs)
 }

@@ -15,7 +15,6 @@ package graphgen
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"gopim/internal/sparsemat"
@@ -108,14 +107,6 @@ func (g *Graph) Degrees() []int { return g.degrees }
 // Edges returns the number of undirected edges.
 func (g *Graph) Edges() int { return g.edges }
 
-// AvgDegree returns the mean vertex degree.
-func (g *Graph) AvgDegree() float64 {
-	if g.N == 0 {
-		return 0
-	}
-	return 2 * float64(g.edges) / float64(g.N)
-}
-
 // MaxDegree returns the largest vertex degree, 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
@@ -132,14 +123,6 @@ func (g *Graph) MaxDegree() int {
 func (g *Graph) Neighbors(v int) []int {
 	cols, _ := g.adj.Row(v)
 	return cols
-}
-
-// Density returns |E| / (n·(n−1)/2), the paper's graph-density metric.
-func (g *Graph) Density() float64 {
-	if g.N < 2 {
-		return 0
-	}
-	return float64(g.edges) / (float64(g.N) * float64(g.N-1) / 2)
 }
 
 // DegreeModel summarises a graph by its degree sequence only. The
@@ -175,13 +158,6 @@ func (g *Graph) DegreeModel() *DegreeModel {
 		ds[v] = float64(d)
 	}
 	return NewDegreeModel(ds)
-}
-
-// SortedDesc returns the degree sequence sorted descending (a copy).
-func (m *DegreeModel) SortedDesc() []float64 {
-	out := append([]float64(nil), m.DegreesByIndex...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }
 
 // TotalEdges returns the (approximate, for synthetic models) number of

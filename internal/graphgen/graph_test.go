@@ -42,26 +42,16 @@ func TestFromEdgesOutOfRangePanics(t *testing.T) {
 	FromEdges(2, [][2]int{{0, 5}})
 }
 
-func TestDensityTriangle(t *testing.T) {
-	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	if got := g.Density(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("triangle density = %v, want 1", got)
-	}
-}
-
 // Property: any generated graph has a consistent degree sequence —
 // sum of degrees equals twice the edge count, adjacency symmetric.
 func TestHandshakeLemma(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var g *Graph
-		switch seed % 3 {
-		case 0:
-			g = ErdosRenyi(rng, 2+rng.Intn(40), 0.2)
-		case 1:
+		if seed%2 == 0 {
 			g = PowerLaw(rng, 2+rng.Intn(200), 4, 2.2)
-		default:
-			g = PreferentialAttachment(rng, 5+rng.Intn(100), 2)
+		} else {
+			g, _ = DCSBM(rng, DCSBMConfig{N: 4 + rng.Intn(200), Communities: 4, AvgDeg: 6, Alpha: 2.3, InFraction: 0.8})
 		}
 		sum := 0
 		for _, d := range g.Degrees() {
@@ -117,17 +107,6 @@ func TestChungLuDegreeSkew(t *testing.T) {
 	}
 }
 
-func TestPreferentialAttachmentEdgeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n, m := 500, 3
-	g := PreferentialAttachment(rng, n, m)
-	// m seed edges + m per added vertex.
-	want := m + (n-m-1)*m
-	if g.Edges() != want {
-		t.Fatalf("Edges = %d, want %d", g.Edges(), want)
-	}
-}
-
 func TestDCSBMCommunityStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g, comm := DCSBM(rng, DCSBMConfig{N: 1200, Communities: 4, AvgDeg: 16, Alpha: 2.3, InFraction: 0.85})
@@ -162,10 +141,6 @@ func TestDegreeModelRoundTrip(t *testing.T) {
 	}
 	if math.Abs(m.TotalEdges()-3) > 1e-12 {
 		t.Fatalf("TotalEdges = %v, want 3", m.TotalEdges())
-	}
-	s := m.SortedDesc()
-	if s[0] != 3 || s[3] != 1 {
-		t.Fatalf("SortedDesc wrong: %v", s)
 	}
 }
 
@@ -267,4 +242,12 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if !a.Features.Equal(b.Features, 0) {
 		t.Fatal("same seed must give same features")
 	}
+}
+
+// AvgDegree returns the mean vertex degree.
+func (g *Graph) AvgDegree() float64 {
+	if g.N == 0 {
+		return 0
+	}
+	return 2 * float64(g.edges) / float64(g.N)
 }

@@ -99,7 +99,6 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 		Order:     append([]int(nil), l.Order...),
 		GroupSize: l.GroupSize,
 		Policy:    l.Policy,
-		slotOf:    append([]int(nil), l.slotOf...),
 		byDeg:     newByDeg,
 	}
 	var stats DeltaStats
@@ -125,7 +124,6 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 			continue
 		}
 		out.Order[slot] = v
-		out.slotOf[v] = slot
 		stats.StripesMoved++
 		touched[slot/l.GroupSize] = true
 	}

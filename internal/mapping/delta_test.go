@@ -7,13 +7,12 @@ import (
 )
 
 // layoutsEqual compares every field that affects placement or timing,
-// including the unexported inverse index and rank order.
+// including the unexported rank order.
 func layoutsEqual(a, b *Layout) bool {
 	return reflect.DeepEqual(a.Order, b.Order) &&
 		a.GroupSize == b.GroupSize &&
 		a.Policy == b.Policy &&
 		reflect.DeepEqual(a.PhysGroups, b.PhysGroups) &&
-		reflect.DeepEqual(a.slotOf, b.slotOf) &&
 		reflect.DeepEqual(a.byDeg, b.byDeg)
 }
 

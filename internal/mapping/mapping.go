@@ -37,7 +37,6 @@ type Layout struct {
 	// while ISU writes land on healthy cells.
 	PhysGroups []int
 
-	slotOf []int // inverse of Order
 	// byDeg is the degree-ranked vertex order the striping was derived
 	// from (rank k → vertex), kept by the interleaved constructors so
 	// ApplyDelta can re-rank incrementally. Nil for index layouts.
@@ -48,11 +47,7 @@ func newLayout(order []int, groupSize int, policy string) *Layout {
 	if groupSize < 1 {
 		panic(fmt.Sprintf("mapping: group size %d must be positive", groupSize))
 	}
-	slot := make([]int, len(order))
-	for p, v := range order {
-		slot[v] = p
-	}
-	return &Layout{Order: order, GroupSize: groupSize, Policy: policy, slotOf: slot}
+	return &Layout{Order: order, GroupSize: groupSize, Policy: policy}
 }
 
 // IndexLayout places vertices in vertex-index order.
@@ -132,14 +127,6 @@ func healthyPhysGroups(numGroups int, dead []bool) []int {
 	return phys
 }
 
-// PhysGroupOf returns the physical crossbar id of logical group g.
-func (l *Layout) PhysGroupOf(g int) int {
-	if l.PhysGroups == nil {
-		return g
-	}
-	return l.PhysGroups[g]
-}
-
 func numGroups(n, groupSize int) int {
 	if n == 0 {
 		return 0
@@ -149,9 +136,6 @@ func numGroups(n, groupSize int) int {
 
 // NumGroups returns the number of crossbar groups in the layout.
 func (l *Layout) NumGroups() int { return numGroups(len(l.Order), l.GroupSize) }
-
-// GroupOf returns the crossbar group holding vertex v.
-func (l *Layout) GroupOf(v int) int { return l.slotOf[v] / l.GroupSize }
 
 // GroupVertices returns the vertex ids mapped to group g.
 func (l *Layout) GroupVertices(g int) []int {
@@ -276,9 +260,6 @@ func (p *UpdatePlan) UpdatedThisEpoch(v, epoch int) bool {
 	return p.Important[v] || epoch%p.StalePeriod == 0
 }
 
-// IsRefreshEpoch reports whether every vertex is rewritten this epoch.
-func (p *UpdatePlan) IsRefreshEpoch(epoch int) bool { return epoch%p.StalePeriod == 0 }
-
 // AvgUpdateFraction is the steady-state fraction of vertices rewritten
 // per epoch: θ + (1−θ)/StalePeriod.
 func (p *UpdatePlan) AvgUpdateFraction() float64 {
@@ -310,48 +291,4 @@ func (l *Layout) MaxUpdatedRows(p *UpdatePlan, epoch int) int {
 		}
 	}
 	return max
-}
-
-// SteadyStateMaxUpdatedRows averages the per-epoch maximum over one
-// stale period: one refresh epoch plus (period−1) selective epochs.
-func (l *Layout) SteadyStateMaxUpdatedRows(p *UpdatePlan) float64 {
-	period := p.StalePeriod
-	var sum float64
-	for e := 0; e < period; e++ {
-		sum += float64(l.MaxUpdatedRows(p, e))
-	}
-	return sum / float64(period)
-}
-
-// UpdatedRowsPerDomain aggregates updated vertex rows over
-// serialisation domains of domainGroups consecutive crossbar groups
-// (a PE in the Table II chip = 32 crossbars sharing write drivers).
-// The maximum domain bounds the write time at PE granularity.
-func (l *Layout) UpdatedRowsPerDomain(p *UpdatePlan, epoch, domainGroups int) []int {
-	if domainGroups < 1 {
-		panic(fmt.Sprintf("mapping: domainGroups %d must be ≥ 1", domainGroups))
-	}
-	perGroup := l.UpdatedRowsPerGroup(p, epoch)
-	nd := (len(perGroup) + domainGroups - 1) / domainGroups
-	out := make([]int, nd)
-	for g, c := range perGroup {
-		out[g/domainGroups] += c
-	}
-	return out
-}
-
-// SteadyStateMaxUpdatedRowsPerDomain averages the per-epoch max domain
-// row count over one stale period.
-func (l *Layout) SteadyStateMaxUpdatedRowsPerDomain(p *UpdatePlan, domainGroups int) float64 {
-	var sum float64
-	for e := 0; e < p.StalePeriod; e++ {
-		max := 0
-		for _, c := range l.UpdatedRowsPerDomain(p, e, domainGroups) {
-			if c > max {
-				max = c
-			}
-		}
-		sum += float64(max)
-	}
-	return sum / float64(p.StalePeriod)
 }

@@ -48,9 +48,6 @@ func New(rng *rand.Rand, sizes ...int) *Net {
 	return n
 }
 
-// NumLayers returns the number of linear layers.
-func (n *Net) NumLayers() int { return len(n.Weights) }
-
 // Forward runs a batch (rows = samples) through the network.
 func (n *Net) Forward(x *tensor.Matrix) *tensor.Matrix {
 	ws := newNetWorkspace(n, x.Rows, false)
@@ -237,12 +234,6 @@ func (a *Adam) step(n *Net, g grads) {
 		tensor.AdamStep(n.Weights[i].Data, g.w[i].Data, a.mw[i].Data, a.vw[i].Data, &k)
 		tensor.AdamStep(n.Biases[i], g.b[i], a.mb[i], a.vb[i], &k)
 	}
-}
-
-// TrainStep runs one forward/backward pass on a batch and applies an
-// Adam update. It returns the batch's pre-update MSE loss.
-func (n *Net) TrainStep(opt *Adam, x, y *tensor.Matrix) float64 {
-	return n.trainStepWS(newNetWorkspace(n, x.Rows, true), opt, x, y)
 }
 
 func (n *Net) trainStepWS(ws *netWorkspace, opt *Adam, x, y *tensor.Matrix) float64 {

@@ -11,8 +11,8 @@ import (
 func TestNewShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := New(rng, 10, 256, 1)
-	if n.NumLayers() != 2 {
-		t.Fatalf("NumLayers = %d, want 2", n.NumLayers())
+	if len(n.Weights) != 2 || len(n.Biases) != 2 {
+		t.Fatalf("%d weight and %d bias layers, want 2", len(n.Weights), len(n.Biases))
 	}
 	if n.Weights[0].Rows != 10 || n.Weights[0].Cols != 256 {
 		t.Fatalf("W0 shape %dx%d", n.Weights[0].Rows, n.Weights[0].Cols)
@@ -146,10 +146,11 @@ func TestTrainStepReducesLoss(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		y.Set(i, 0, x.At(i, 0)+2*x.At(i, 1))
 	}
-	first := n.TrainStep(opt, x, y)
+	// One full-batch epoch is one step; Fit returns its pre-update loss.
+	first := n.Fit(rng, opt, x, y, 1, 64)
 	var last float64
 	for i := 0; i < 200; i++ {
-		last = n.TrainStep(opt, x, y)
+		last = n.Fit(rng, opt, x, y, 1, 64)
 	}
 	if last >= first/4 {
 		t.Fatalf("loss %v → %v: training not converging", first, last)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"time"
 )
 
 // syncWriter serialises concurrent writes so interleaved handlers never
@@ -90,10 +89,3 @@ func (a *AccessLogger) LogShed(rec RequestRecord, reason string) {
 		slog.String("reason", reason),
 		slog.Float64("dur_ms", float64(rec.WallNS)/1e6))
 }
-
-// uptimeStart anchors process uptime reporting for structured logs.
-var uptimeStart = time.Now()
-
-// Uptime returns the time elapsed since the obs package was
-// initialised — effectively process uptime.
-func Uptime() time.Duration { return time.Since(uptimeStart) }

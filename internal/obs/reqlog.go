@@ -331,14 +331,6 @@ func (a *ActiveRequest) Sampled() bool {
 	return a.rec.Sampled // immutable after Begin
 }
 
-// TraceID returns the request's trace ID ("" on a nil handle).
-func (a *ActiveRequest) TraceID() string {
-	if a == nil {
-		return ""
-	}
-	return a.rec.TraceID // immutable after Begin
-}
-
 // Finish seals the record with its terminal status and response size,
 // moves it from the active set into the completed ring, and returns a
 // copy (the access logger's input).

@@ -100,11 +100,6 @@ func (t *Tracer) Events() []TraceEvent {
 	return append(out, t.ev...)
 }
 
-// WriteJSON writes the recorded spans as Chrome trace-event JSON.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	return WriteTraceJSON(w, t.Events())
-}
-
 // WriteSummary renders a per-span-name aggregate (count, total, min,
 // max wall time), sorted by total descending — the text companion to
 // the JSON trace.

@@ -55,7 +55,7 @@ func TestSpansRecordAndExportJSON(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := WriteTraceJSON(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {

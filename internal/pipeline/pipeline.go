@@ -223,15 +223,3 @@ func ClosedFormTotal(eff []float64, b int) float64 {
 	}
 	return sum + float64(b-1)*max
 }
-
-// AvgIdleFrac returns the mean of the per-stage idle fractions.
-func (r Result) AvgIdleFrac() float64 {
-	if len(r.IdleFrac) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, f := range r.IdleFrac {
-		sum += f
-	}
-	return sum / float64(len(r.IdleFrac))
-}

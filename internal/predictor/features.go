@@ -33,15 +33,6 @@ const (
 	FLayer           // current layer index
 )
 
-// FeatureNames lists the Table I feature mnemonics in order.
-func FeatureNames() []string {
-	return []string{
-		"R_IFM_CO", "C_IFM_CO", "R_E_CO", "C_E_CO",
-		"R_A_AG", "C_A_AG", "R_E_AG", "C_E_AG",
-		"s", "k",
-	}
-}
-
 // Extract builds the Table I feature vector for layer l of a workload.
 func Extract(cfg stage.Config, l int) Features {
 	in, out := stage.LayerDims(cfg.Dataset, l)

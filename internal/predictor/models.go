@@ -13,7 +13,6 @@ import (
 // Regressor is a single-output regression model. Implementations
 // mirror the scikit-learn families the paper benchmarks in Fig. 9.
 type Regressor interface {
-	Name() string
 	// Fit trains on rows X with targets y.
 	Fit(X [][]float64, y []float64)
 	// Predict returns the model output for one row.
@@ -72,20 +71,17 @@ func (s *scaler) apply(x []float64) []float64 {
 // least squares (the paper's "LR" baseline); with Lambda = 1 it is the
 // ridge/Bayesian-ridge family ("BR").
 type Linear struct {
-	ModelName string
-	Lambda    float64
+	Lambda float64
 
 	scale *scaler
 	w     []float64 // weights, last entry is the intercept
 }
 
 // NewLinear returns an OLS regressor (λ = 1e-8).
-func NewLinear() *Linear { return &Linear{ModelName: "LR", Lambda: 1e-8} }
+func NewLinear() *Linear { return &Linear{Lambda: 1e-8} }
 
 // NewBayesianRidge returns a ridge regressor (λ = 1).
-func NewBayesianRidge() *Linear { return &Linear{ModelName: "BR", Lambda: 1} }
-
-func (l *Linear) Name() string { return l.ModelName }
+func NewBayesianRidge() *Linear { return &Linear{Lambda: 1} }
 
 func (l *Linear) Fit(X [][]float64, y []float64) {
 	if len(X) == 0 || len(X) != len(y) {
@@ -185,8 +181,6 @@ type treeNode struct {
 
 // NewTree returns a depth-8 CART regressor.
 func NewTree() *Tree { return &Tree{MaxDepth: 8, MinLeaf: 4, Thresholds: 24} }
-
-func (t *Tree) Name() string { return "DT" }
 
 func (t *Tree) Fit(X [][]float64, y []float64) {
 	if len(X) == 0 || len(X) != len(y) {
@@ -298,8 +292,6 @@ type GBT struct {
 // NewGBT returns a 60-round, depth-4, 0.15-shrinkage booster.
 func NewGBT() *GBT { return &GBT{Rounds: 60, Depth: 4, Shrinkage: 0.15} }
 
-func (g *GBT) Name() string { return "XGB" }
-
 func (g *GBT) Fit(X [][]float64, y []float64) {
 	if len(X) == 0 || len(X) != len(y) {
 		panic(fmt.Sprintf("predictor: gbt fit with %d rows, %d targets", len(X), len(y)))
@@ -355,8 +347,6 @@ type SVR struct {
 
 // NewSVR returns an SVR with ε = 0.01 and C = 10.
 func NewSVR() *SVR { return &SVR{Epsilon: 0.01, C: 10, Epochs: 200, LR: 0.01} }
-
-func (s *SVR) Name() string { return "SVR" }
 
 func (s *SVR) Fit(X [][]float64, y []float64) {
 	if len(X) == 0 || len(X) != len(y) {
@@ -424,10 +414,6 @@ type MLP struct {
 // NewMLP returns the paper's predictor: one hidden layer of 256
 // neurons.
 func NewMLP() *MLP { return &MLP{Hidden: []int{256}, Epochs: 450, Batch: 16, LR: 1e-3} }
-
-func (m *MLP) Name() string {
-	return fmt.Sprintf("MLP%dx", len(m.Hidden)+2)
-}
 
 // MemoKey fingerprints everything Fit's outcome depends on, so memo
 // keys built from it collapse sweep axes that reach the same network:

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"gopim/internal/obs"
-	"gopim/internal/parallel"
 	"gopim/internal/simmemo"
 	"gopim/internal/stage"
 )
@@ -294,39 +293,4 @@ func MLPWithWidth(width int) *MLP {
 	m := NewMLP()
 	m.Hidden = []int{width}
 	return m
-}
-
-// FeatureAblation reproduces the paper's §V-A feature-selection study:
-// re-train the predictor with one Table I feature blinded at a time
-// (replaced by a constant, so the model cannot use it) and report the
-// test RMSE for each ablation alongside the full-feature baseline.
-// A large RMSE jump means the feature must be kept.
-// Each per-feature retrain is independent (models seed themselves), so
-// the sweep fans out across workers with results in feature order.
-func FeatureAblation(newModel func() Regressor, train, test []Sample) (baseline float64, ablated [NumFeatures]float64) {
-	baseline = ModelRMSE(newModel, train, test)
-	res := parallel.Map(NumFeatures, func(f int) float64 {
-		return ModelRMSE(newModel, blindFeature(train, f), blindFeature(test, f))
-	})
-	copy(ablated[:], res)
-	return baseline, ablated
-}
-
-// BlindFeatures zeroes the given features in a copy of the samples —
-// useful for group ablations, since several Table I features carry the
-// same quantity (e.g. the graph size appears as both C_A_AG and
-// R_E_AG) and only blinding the whole group removes the information.
-func BlindFeatures(samples []Sample, feats ...int) []Sample {
-	out := make([]Sample, len(samples))
-	copy(out, samples)
-	for i := range out {
-		for _, f := range feats {
-			out[i].Features[f] = 0
-		}
-	}
-	return out
-}
-
-func blindFeature(samples []Sample, f int) []Sample {
-	return BlindFeatures(samples, f)
 }

@@ -91,7 +91,7 @@ func unitSeed(base int64, i int) int64 {
 // driver and the shared-predictor path regenerate the same spec per
 // sweep cell. The cached sample slice is shared — callers must treat
 // Generate's result as read-only (the existing consumers already copy:
-// SplitTrainTest and BlindFeatures build fresh slices).
+// SplitTrainTest builds fresh slices).
 var profileCache = simmemo.NewCache("profile", 64)
 
 // profileMemo carries the sweep result plus the unit count needed to

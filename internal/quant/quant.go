@@ -71,15 +71,6 @@ func (s Scheme) Quantize(x float64) float64 {
 	return s.Dequantize(s.QuantizeInt(x))
 }
 
-// StepSize returns the quantisation step (resolution).
-func (s Scheme) StepSize() float64 {
-	l := s.Levels()
-	if l == 0 {
-		return 0
-	}
-	return s.Scale / float64(l)
-}
-
 // QuantizeSlice quantises xs in place.
 func (s Scheme) QuantizeSlice(xs []float64) {
 	for i, x := range xs {
@@ -92,17 +83,6 @@ func (s Scheme) QuantizeSlice(xs []float64) {
 func QuantizeMatrix(m *tensor.Matrix, bits int) Scheme {
 	s := Fit(bits, m.MaxAbs())
 	s.QuantizeSlice(m.Data)
-	return s
-}
-
-// QuantizeRows quantises only the selected rows of m in place —
-// exactly what selective updating writes — using a scale from the
-// whole matrix so rows stay mutually comparable.
-func QuantizeRows(m *tensor.Matrix, bits int, rows []int) Scheme {
-	s := Fit(bits, m.MaxAbs())
-	for _, r := range rows {
-		s.QuantizeSlice(m.Row(r))
-	}
 	return s
 }
 
@@ -157,10 +137,6 @@ func CellsPerValue(bits, bitsPerCell int) int {
 	}
 	return (magBits + bitsPerCell - 1) / bitsPerCell
 }
-
-// MaxQuantError returns the worst-case absolute rounding error of the
-// scheme (half a step) for in-range inputs.
-func (s Scheme) MaxQuantError() float64 { return s.StepSize() / 2 }
 
 // ApplyStuck models writing x onto a value whose cell slice sliceIdx
 // is stuck: the value is quantised, decomposed into its physical cell

@@ -174,12 +174,6 @@ func (c Chip) CrossbarsForMatrix(rows, cols int) int {
 	return int(2 * ((cells + per - 1) / per))
 }
 
-// PEsForMatrix returns the number of PEs the matrix's crossbars span.
-func (c Chip) PEsForMatrix(rows, cols int) int {
-	x := c.CrossbarsForMatrix(rows, cols)
-	return (x + c.CrossbarsPerPE - 1) / c.CrossbarsPerPE
-}
-
 // InputCyclesPerMVM is the number of read cycles one full-precision
 // input vector needs: weightBits / dacBits (16/2 = 8).
 func (c Chip) InputCyclesPerMVM() int {

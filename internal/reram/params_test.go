@@ -83,16 +83,6 @@ func TestCrossbarsForMatrixMonotone(t *testing.T) {
 	}
 }
 
-func TestPEsForMatrix(t *testing.T) {
-	c := DefaultChip()
-	if got := c.PEsForMatrix(256, 256); got != 1 {
-		t.Fatalf("PEs for 32 crossbars = %d, want 1", got)
-	}
-	if got := c.PEsForMatrix(4267, 256); got != 17 {
-		t.Fatalf("PEs for 534 crossbars = %d, want 17", got)
-	}
-}
-
 func TestTimingPrimitives(t *testing.T) {
 	c := DefaultChip()
 	if got := c.InputCyclesPerMVM(); got != 8 {

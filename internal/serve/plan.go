@@ -372,20 +372,14 @@ type PlanResponse struct {
 	Explain *ExplainBlock `json:"explain,omitempty"`
 }
 
-// computePlan answers one normalized planning query. It is a pure
-// deterministic function of the key: the same key always yields the
-// same response, whatever the concurrency, worker count or request
+// computePlanStaged answers one normalized planning query. It is a
+// pure deterministic function of the key: the same key always yields
+// the same response, whatever the concurrency, worker count or request
 // order — that is what makes the response cacheable and the cache
-// counters Sim-clock material.
-func computePlan(k planKey) *PlanResponse {
-	return computePlanStaged(k, func(string) func() { return func() {} })
-}
-
-// computePlanStaged is computePlan with lifecycle-stage hooks: begin
-// is called with each stage name ("plan", then "simulate" when the
-// request asks for a what-if run) and returns the closer for that
-// stage. The hooks observe timing only — the response remains a pure
-// function of the key.
+// counters Sim-clock material. begin is called with each lifecycle
+// stage name ("plan", then "simulate" when the request asks for a
+// what-if run) and returns the closer for that stage; the hooks
+// observe timing only.
 func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse {
 	endPlan := begin("plan")
 	d := k.datasetOf()
@@ -536,21 +530,14 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 			w.PredictedTimes = allocTimes
 		}
 		r := accel.Run(k.model, w)
-		sim := &SimSummary{
+		resp.Simulation = &SimSummary{
 			Model:          r.Kind.String(),
 			MakespanNS:     r.MakespanNS,
 			EnergyPJ:       r.EnergyPJ(),
 			CrossbarsUsed:  r.CrossbarsUsed,
 			UpdateFraction: r.UpdateFraction,
+			AvgIdleFrac:    r.AvgIdleFrac(),
 		}
-		var idle float64
-		for _, f := range r.IdleFrac {
-			idle += f
-		}
-		if len(r.IdleFrac) > 0 {
-			sim.AvgIdleFrac = idle / float64(len(r.IdleFrac))
-		}
-		resp.Simulation = sim
 	}
 	return resp
 }

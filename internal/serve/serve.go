@@ -11,7 +11,7 @@
 //	workspace acquire → single-flight compute → respond
 //
 // Planning is a pure function of the normalized request (see
-// computePlan), so responses are cached as their final JSON bytes,
+// computePlanStaged), so responses are cached as their final JSON bytes,
 // keyed by the normalized request. Identical requests therefore get
 // byte-identical bodies whether they hit the cache, coalesce onto an
 // in-flight computation, or recompute after eviction — and at any
@@ -208,10 +208,6 @@ func New(cfg Config) *Server {
 	s.handler = s.instrument(s.mux)
 	return s
 }
-
-// Handler exposes the daemon's endpoint set, telemetry middleware
-// included (handler tests mount it on httptest servers).
-func (s *Server) Handler() http.Handler { return s.handler }
 
 // Workers reports the bounded pool size requests compute under.
 func (s *Server) Workers() int { return s.cfg.Workers }

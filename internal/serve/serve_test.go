@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(New(cfg).Handler())
+	ts := httptest.NewServer(New(cfg).handler)
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -285,7 +285,7 @@ func TestConcurrentLoadDeterministic(t *testing.T) {
 // request succeeds.
 func TestAdmissionControl(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: -1, RequestTimeout: 5 * time.Second})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.handler)
 	defer ts.Close()
 
 	// Occupy the single workspace (and the single admission token) by
@@ -314,7 +314,7 @@ func TestAdmissionControl(t *testing.T) {
 // but unable to get a workspace before its deadline is shed.
 func TestQueueDeadline(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 50 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.handler)
 	defer ts.Close()
 
 	ws := <-srv.pool // wedge the only workspace
@@ -334,7 +334,7 @@ func TestQueueDeadline(t *testing.T) {
 // the pool is fully wedged — hits take the fast path.
 func TestCacheHitsBypassAdmission(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: -1})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.handler)
 	defer ts.Close()
 
 	req := `{"dataset":"Cora","micro_batch":80}`

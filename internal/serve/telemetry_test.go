@@ -76,7 +76,7 @@ func TestTracePropagation(t *testing.T) {
 // and readiness must be distinct signals.
 func TestReadyzDrain(t *testing.T) {
 	srv := New(Config{Workers: 1})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.handler)
 	defer ts.Close()
 
 	status := func(path string) int {
@@ -106,7 +106,7 @@ func TestReadyzDrain(t *testing.T) {
 
 	// Shutdown (even on a never-started server) also begins the drain.
 	srv2 := New(Config{})
-	ts2 := httptest.NewServer(srv2.Handler())
+	ts2 := httptest.NewServer(srv2.handler)
 	defer ts2.Close()
 	if err := srv2.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestMetricsNegotiation(t *testing.T) {
 func TestAccessLogJoinsTraces(t *testing.T) {
 	var buf bytes.Buffer
 	srv := New(Config{Workers: 1, QueueDepth: -1, AccessLog: obs.NewAccessLogger(&syncBuffer{buf: &buf})})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.handler)
 	defer ts.Close()
 
 	resp, _ := postPlan(t, ts.URL, `{"dataset":"ddi","micro_batch":88}`)
@@ -378,7 +378,7 @@ func TestScrapedLoadKeepsSimSnapshotIdentical(t *testing.T) {
 		obs.Default().Reset()
 		parallel.SetWorkers(workers)
 		srv := New(Config{Workers: workers, QueueDepth: 256, TraceSample: 0.5})
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(srv.handler)
 		defer ts.Close()
 
 		stop := make(chan struct{})

@@ -97,15 +97,6 @@ func (m *CSR) At(r, c int) float64 {
 	return 0
 }
 
-// Sparsity returns the fraction of zero entries, in [0,1].
-func (m *CSR) Sparsity() float64 {
-	total := float64(m.Rows) * float64(m.Cols)
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(m.NNZ())/total
-}
-
 // spmmParallelMinFLOPs is the multiply-add count below which
 // MulDenseInto stays serial; tiny aggregations are cheaper than a
 // fork/join.
@@ -211,28 +202,6 @@ func (m *CSR) Transpose() *CSR {
 			out.Val[p] = m.Val[i]
 			next[c]++
 		}
-	}
-	return out
-}
-
-// Dense expands the matrix into a dense tensor.Matrix (test helper;
-// avoid for paper-scale graphs).
-func (m *CSR) Dense() *tensor.Matrix {
-	out := tensor.New(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		cols, vals := m.Row(r)
-		for i, c := range cols {
-			out.Set(r, c, vals[i])
-		}
-	}
-	return out
-}
-
-// Scale returns a copy of m with every value multiplied by s.
-func (m *CSR) Scale(s float64) *CSR {
-	out := m.clone()
-	for i := range out.Val {
-		out.Val[i] *= s
 	}
 	return out
 }

@@ -97,8 +97,8 @@ func TestRowNNZAndSparsity(t *testing.T) {
 	if m.RowNNZ(0) != 2 || m.RowNNZ(1) != 0 {
 		t.Fatalf("RowNNZ = %d,%d", m.RowNNZ(0), m.RowNNZ(1))
 	}
-	if got := m.Sparsity(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("Sparsity = %v, want 0.75", got)
+	if m.NNZ() != 2 {
+		t.Fatalf("NNZ = %d of 8 cells, want 2", m.NNZ())
 	}
 }
 
@@ -204,24 +204,10 @@ func TestSymNormalizedNonSquarePanics(t *testing.T) {
 	NewFromEntries(2, 3, nil).SymNormalized()
 }
 
-func TestScale(t *testing.T) {
-	m := NewFromEntries(1, 2, entriesOf(Entry{0, 0, 2}, Entry{0, 1, -4}))
-	s := m.Scale(0.5)
-	if s.At(0, 0) != 1 || s.At(0, 1) != -2 {
-		t.Fatalf("Scale wrong: %v", s.Val)
-	}
-	if m.At(0, 0) != 2 {
-		t.Fatal("Scale must not mutate the original")
-	}
-}
-
 func TestEmptyMatrix(t *testing.T) {
 	m := NewFromEntries(0, 0, nil)
 	if m.NNZ() != 0 {
 		t.Fatal("empty matrix should have no entries")
-	}
-	if m.Sparsity() != 0 {
-		t.Fatal("empty matrix sparsity defined as 0")
 	}
 }
 
@@ -282,4 +268,17 @@ func TestTMulDenseSymmetric(t *testing.T) {
 	if !mulDense(m.Transpose(), d).Equal(mulDense(m, d), 1e-12) {
 		t.Fatal("Aᵀ·d must equal A·d for symmetric A")
 	}
+}
+
+// Dense expands the matrix into a dense tensor.Matrix, the reference
+// the SpMM tests compare against.
+func (m *CSR) Dense() *tensor.Matrix {
+	out := tensor.New(m.Rows, m.Cols)
+	for r := 0; r < m.Rows; r++ {
+		cols, vals := m.Row(r)
+		for i, c := range cols {
+			out.Set(r, c, vals[i])
+		}
+	}
+	return out
 }

@@ -400,21 +400,3 @@ func TotalCrossbars(stages []Stage) int {
 	}
 	return total
 }
-
-// MaxTimeNS returns the largest per-micro-batch stage time.
-func MaxTimeNS(stages []Stage) float64 {
-	max := 0.0
-	for _, s := range stages {
-		max = math.Max(max, s.TimeNS)
-	}
-	return max
-}
-
-// SumTimeNS returns the sum of per-micro-batch stage times.
-func SumTimeNS(stages []Stage) float64 {
-	var sum float64
-	for _, s := range stages {
-		sum += s.TimeNS
-	}
-	return sum
-}

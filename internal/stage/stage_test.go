@@ -261,12 +261,6 @@ func TestAggregates(t *testing.T) {
 	if got := TotalCrossbars(stages); got != 2*32+2*534+2*32 {
 		t.Fatalf("TotalCrossbars = %d, want %d", got, 2*32+2*534+2*32)
 	}
-	if MaxTimeNS(stages) < SumTimeNS(stages)/float64(len(stages)) {
-		t.Fatal("max must be at least the mean")
-	}
-	if SumTimeNS(stages) <= MaxTimeNS(stages) {
-		t.Fatal("sum must exceed max for multiple stages")
-	}
 }
 
 func TestMicroBatchScalesCOTime(t *testing.T) {

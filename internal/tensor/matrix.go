@@ -85,12 +85,6 @@ func (m *Matrix) Set(r, c int, v float64) {
 	m.Data[r*m.Cols+c] = v
 }
 
-// Add accumulates v into element (r, c).
-func (m *Matrix) Add(r, c int, v float64) {
-	m.check(r, c)
-	m.Data[r*m.Cols+c] += v
-}
-
 func (m *Matrix) check(r, c int) {
 	if r < 0 || r >= m.Rows || c < 0 || c >= m.Cols {
 		panic(fmt.Sprintf("tensor: index (%d,%d) out of range %dx%d", r, c, m.Rows, m.Cols))

