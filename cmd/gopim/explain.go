@@ -41,7 +41,7 @@ func explainCmd(sess *obsSession, args []string, seed int64, format experiments.
 	}
 	model := gopim.GoPIM
 	if fs.NArg() == 2 {
-		if model, err = modelByName(fs.Arg(1)); err != nil {
+		if model, err = accel.KindByName(fs.Arg(1)); err != nil {
 			return err
 		}
 	}
@@ -89,7 +89,7 @@ func renderExplain(w io.Writer, ex *explain.Result, r gopim.Report, in trace.Inp
 	}
 	ganttIn := in
 	ganttIn.MicroBatches = mb
-	sched := trace.SimulateUnrecorded(ganttIn)
+	sched := trace.Simulate(ganttIn)
 	gx := explain.Analyze(ganttIn, r.StageNames, explain.Options{})
 	fmt.Fprintf(w, "first %d micro-batches (* = critical path):\n", mb)
 	return sched.RenderGanttMarked(w, 100, r.StageNames, gx.OnPath)

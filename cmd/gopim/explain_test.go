@@ -188,6 +188,32 @@ func TestExplainFlagValidation(t *testing.T) {
 	}
 }
 
+// explain accepts every model accel knows, Pipelayer included.
+func TestExplainEveryModel(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "explain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	defer func() { os.Stdout = stdout }()
+	for _, k := range accel.Kinds() {
+		args := []string{"-no-sensitivity", "ddi", k.String()}
+		if err := explainCmd(&obsSession{}, args, 1, experiments.FormatText); err != nil {
+			t.Errorf("explain %v: %v", args, err)
+		}
+	}
+	os.Stdout = stdout
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "critical path of Pipelayer on ddi") {
+		t.Errorf("no Pipelayer report in the output:\n%s", data)
+	}
+}
+
 // The marked gantt renders '*' cells exactly where the critical path
 // runs; the summary output must carry the ruler and utilization gutter.
 func TestExplainGanttMarks(t *testing.T) {

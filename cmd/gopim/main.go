@@ -272,19 +272,6 @@ func fatal(msg string) {
 	os.Exit(1)
 }
 
-// modelByName resolves an accelerator model from its display name.
-func modelByName(name string) (gopim.Model, error) {
-	for _, k := range []gopim.Model{
-		gopim.Serial, gopim.SlimGNNLike, gopim.ReGraphX, gopim.ReFlip,
-		gopim.GoPIMVanilla, gopim.GoPIM, gopim.PlusPP, gopim.PlusISU,
-	} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown model %q (try Serial, GoPIM, ReGraphX, ReFlip, SlimGNN-like, GoPIM-Vanilla)", name)
-}
-
 // searchTheta re-derives the adaptive update threshold for a dataset.
 func searchTheta(w io.Writer, dataset string, seed int64, fast bool) error {
 	d, err := gopim.DatasetByName(dataset)

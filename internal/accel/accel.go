@@ -11,8 +11,9 @@
 //	GoPIM-Vanilla intra+inter pipeline, ML-allocated replicas, no ISU
 //	GoPIM         everything above plus ISU
 //
-// plus the ablation variants of Fig. 14 (+PP, +ISU).
-// All models receive identical crossbar budgets.
+// plus the ablation variants of Fig. 14 (+PP, +ISU) and the Pipelayer
+// strawman. All models receive identical crossbar budgets, and all of
+// them are planned by one core (stageConfig, then plan).
 package accel
 
 import (
@@ -119,22 +120,14 @@ func recordReport(r Report) {
 // TraceInput builds the event-level simulation input that reproduces a
 // report's schedule at replica granularity: true stage times, the
 // allocated replicas, the epoch's micro-batches, and the barrier
-// placement implied by the model's pipeline mode (Serial = barrier
-// after every micro-batch; IntraBatch models = barrier per batch
-// window; intra+inter models = no barrier).
+// placement implied by the model's pipeline mode.
 func TraceInput(r Report) trace.Input {
-	in := trace.Input{
-		TimesNS:      r.StageTimesNS,
-		Replicas:     r.Replicas,
-		MicroBatches: r.MicroBatches,
+	return trace.Input{
+		TimesNS:              r.StageTimesNS,
+		Replicas:             r.Replicas,
+		MicroBatches:         r.MicroBatches,
+		MicroBatchesPerBatch: r.Kind.barrier(r.MicroBatchesPerBatch),
 	}
-	switch r.Kind {
-	case Serial:
-		in.MicroBatchesPerBatch = 1
-	case SlimGNNLike, ReGraphX, Pipelayer:
-		in.MicroBatchesPerBatch = r.MicroBatchesPerBatch
-	}
-	return in
 }
 
 // Kind names an accelerator model.
@@ -185,9 +178,57 @@ func (k Kind) String() string {
 	}
 }
 
-// AllBaselines lists the models of the headline comparison (Fig. 13).
+// Kinds lists every model in paper order: the Fig. 13 baselines, the
+// Fig. 14 ablations, then the Pipelayer strawman.
+func Kinds() []Kind {
+	return []Kind{Serial, SlimGNNLike, ReGraphX, ReFlip, GoPIMVanilla, GoPIM,
+		PlusPP, PlusISU, Pipelayer}
+}
+
+// KindByName resolves a model from its display name.
+func KindByName(name string) (Kind, error) {
+	var names []string
+	for _, k := range Kinds() {
+		if k.String() == name {
+			return k, nil
+		}
+		names = append(names, k.String())
+	}
+	return 0, fmt.Errorf("unknown model %q (try %s)", name, strings.Join(names, ", "))
+}
+
+// AllBaselines lists the models of the headline comparison (Fig. 13),
+// the first six of Kinds.
 func AllBaselines() []Kind {
-	return []Kind{Serial, SlimGNNLike, ReGraphX, ReFlip, GoPIMVanilla, GoPIM}
+	return Kinds()[:GoPIM+1]
+}
+
+// Mode is the model's pipelining mode: Serial runs stages and
+// micro-batches strictly in sequence, the intra-batch designs
+// (SlimGNN-like, ReGraphX, Pipelayer) barrier the pipeline at every
+// batch boundary, and the rest pipeline across batches (§IV-A).
+func (k Kind) Mode() pipeline.Mode {
+	switch k {
+	case Serial:
+		return pipeline.Serial
+	case SlimGNNLike, ReGraphX, Pipelayer:
+		return pipeline.IntraBatch
+	}
+	return pipeline.IntraInterBatch
+}
+
+// barrier is how many micro-batches the model pipelines between
+// full-completion barriers, given the intra-batch window perBatch: one
+// under Serial, perBatch under IntraBatch, and 0 (no barrier) under
+// IntraInterBatch — trace.Input's MicroBatchesPerBatch convention.
+func (k Kind) barrier(perBatch int) int {
+	switch k.Mode() {
+	case pipeline.Serial:
+		return 1
+	case pipeline.IntraBatch:
+		return perBatch
+	}
+	return 0
 }
 
 // SlimGNNPruneFraction is the input-subgraph pruning rate of the
@@ -250,6 +291,15 @@ func (w *Workload) defaults() {
 	if w.Deg == nil {
 		w.Deg = DegModelFor(w.Dataset, w.Seed)
 	}
+}
+
+// Theta is the selective-updating threshold the ISU models run with:
+// the override when set, else the dataset's adaptive θ.
+func (w Workload) Theta() float64 {
+	if w.ThetaOverride != 0 {
+		return w.ThetaOverride
+	}
+	return w.Dataset.AdaptiveTheta()
 }
 
 // DegModelFor returns the (memoized) synthesized degree model for a
@@ -389,8 +439,9 @@ func runKey(kind Kind, w Workload, fm *fault.Model) string {
 	return b.String()
 }
 
-// runCore is the simulation proper. It records nothing: Run replays
-// the metric effect identically for fresh and cached outcomes.
+// runCore is the simulation proper: the planning core plus energy
+// accounting. It records nothing: Run replays the metric effect
+// identically for fresh and cached outcomes.
 func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 	retryFactor := 1.0
 	retired := 0
@@ -402,19 +453,62 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		w.Chip.WriteRetryFactor = retryFactor
 		retired = fm.Retired(w.Chip.TotalCrossbars(), w.Chip.CellsPerCrossbar())
 	}
-	n := w.Deg.N
-	numMB := (n + w.MicroBatch - 1) / w.MicroBatch
-	if numMB < 1 {
-		numMB = 1
+	cfg := stageConfig(kind, w, fm)
+	p := plan(kind, w, cfg, 0, retired)
+	updateFraction := 1.0
+	if cfg.Plan != nil {
+		updateFraction = cfg.Plan.AvgUpdateFraction()
 	}
 
+	stages := p.Stages
+	originals := stage.TotalCrossbars(stages)
+	replicaXB := make([]int, len(stages))
+	names := make([]string, len(stages))
+	xbs := make([]int, len(stages))
+	var writeRows float64
+	for i, s := range stages {
+		replicaXB[i] = (p.Alloc.Replicas[i] - 1) * s.Crossbars
+		names[i] = s.Name
+		xbs[i] = s.Crossbars
+		writeRows += s.WriteRows
+	}
+	eng := energy.ComputeSchedule(w.Chip, stages, p.MicroBatches, p.Schedule.MakespanNS,
+		originals, replicaXB, p.Schedule.BusyNS)
+	rep := Report{
+		Kind:                 kind,
+		Dataset:              w.Dataset.Name,
+		StageTimesNS:         p.TimesNS,
+		MakespanNS:           p.Schedule.MakespanNS,
+		Energy:               eng,
+		Replicas:             p.Alloc.Replicas,
+		StageNames:           names,
+		CrossbarsPerStage:    xbs,
+		CrossbarsUsed:        originals + p.Alloc.Used,
+		IdleFrac:             p.Schedule.IdleFrac,
+		MicroBatches:         p.MicroBatches,
+		MicroBatchesPerBatch: w.MicroBatchesPerBatch,
+		UpdateFraction:       updateFraction,
+		WriteRetryFactor:     retryFactor,
+		CrossbarsRetired:     retired,
+		AllocDegraded:        p.Alloc.Degraded,
+	}
+	return rep, writeRows
+}
+
+// isuStalePeriod is the ISU refresh period: every 20th epoch rewrites
+// the non-important vertices too.
+const isuStalePeriod = 20
+
+// stageConfig is the model's stage-build input: SlimGNN-like's input
+// pruning, ReFlip's hybrid-execution reload, and for the ISU models the
+// interleaved layout and its update plan.
+func stageConfig(kind Kind, w Workload, fm *fault.Model) stage.Config {
 	cfg := stage.Config{
 		Chip:       w.Chip,
 		Dataset:    w.Dataset,
 		Deg:        w.Deg,
 		MicroBatch: w.MicroBatch,
 	}
-	updateFraction := 1.0
 	switch kind {
 	case SlimGNNLike:
 		cfg.PruneEdgeFraction = SlimGNNPruneFraction
@@ -422,10 +516,6 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		cfg.ReloadPenalty = true
 		cfg.AGMVMSpeedup = ReFlipAGSpeedup
 	case GoPIM, PlusISU:
-		theta := w.ThetaOverride
-		if theta == 0 {
-			theta = w.Dataset.AdaptiveTheta()
-		}
 		degs := w.Deg.DegreesByIndex
 		if fm.Enabled() {
 			// Stripe around retired crossbars: the logical degree mix is
@@ -437,49 +527,61 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		} else {
 			cfg.Layout = mapping.InterleavedLayout(degs, w.Chip.CrossbarRows)
 		}
-		cfg.Plan = cfg.Layout.UpdatePlan(theta, 20)
-		updateFraction = cfg.Plan.AvgUpdateFraction()
+		cfg.Plan = cfg.Layout.UpdatePlan(w.Theta(), isuStalePeriod)
 	}
+	return cfg
+}
+
+// Plan is one model's planned epoch: its stages, the replica pool, the
+// allocation its policy drew from that pool, and the schedule the
+// allocation yields.
+type Plan struct {
+	Stages []stage.Stage
+	// MicroBatches is B, the epoch's micro-batch count.
+	MicroBatches int
+	// Budget is the replica crossbar pool the allocation drew from.
+	Budget int
+	// TimesNS are the true per-micro-batch single-replica stage times
+	// the schedule ran on; AllocTimesNS are the times the allocator
+	// planned against (the workload's PredictedTimes when set).
+	TimesNS      []float64
+	AllocTimesNS []float64
+	Alloc        alloc.Result
+	Schedule     pipeline.Result
+}
+
+// plan is the planning core shared by Run, churn epochs and PlanGoPIM:
+// build the stages, size the replica pool, allocate under the model's
+// policy and schedule the epoch under its pipelining mode. A zero
+// budget is the chip's crossbars beyond the original mappings;
+// fault-retired crossbars come out of that pool via the Request's
+// RetiredCrossbars, so the policies clamp gracefully. It records
+// nothing.
+func plan(kind Kind, w Workload, cfg stage.Config, budget, retired int) Plan {
 	stages := stage.Build(cfg)
-
-	// Shared crossbar budget: whatever the chip has beyond the original
-	// mappings. Fault-retired crossbars come out of this free pool (the
-	// original mappings are re-placed on healthy crossbars), via the
-	// Request's RetiredCrossbars so the policies clamp gracefully.
-	originals := stage.TotalCrossbars(stages)
-	budget := w.Chip.TotalCrossbars() - originals
-	if budget < 0 {
-		budget = 0
+	numMB := (cfg.Deg.N + cfg.MicroBatch - 1) / cfg.MicroBatch
+	if numMB < 1 {
+		numMB = 1
 	}
-
-	mode := pipeline.IntraInterBatch
-	switch kind {
-	case Serial:
-		mode = pipeline.Serial
-	case SlimGNNLike, ReGraphX, Pipelayer:
-		mode = pipeline.IntraBatch
+	if budget == 0 {
+		budget = max(0, cfg.Chip.TotalCrossbars()-stage.TotalCrossbars(stages))
 	}
 
 	// Replica usefulness cap: in-flight micro-batches (the pipelining
 	// window) times the intra-micro-batch split factor. Splitting one
 	// micro-batch across copies stops paying off quickly (input
 	// distribution and result gathering serialise), so the split factor
-	// is IntraSplit (8), which also reproduces the scale of the paper's
+	// is IntraSplit (32), which also reproduces the scale of the paper's
 	// Table VI replica counts (hundreds, ≈ 9× the micro-batch count).
-	window := numMB
-	switch kind {
-	case Serial:
-		window = 1
-	case SlimGNNLike, ReGraphX, Pipelayer:
-		window = w.MicroBatchesPerBatch
+	window := kind.barrier(w.MicroBatchesPerBatch)
+	if window == 0 {
+		window = numMB
 	}
-	caps := make([]int, len(stages))
-	for i := range caps {
-		caps[i] = window * IntraSplit
-	}
-
 	req := alloc.FromStages(stages, budget, numMB)
-	req.MaxReplicas = caps
+	req.MaxReplicas = make([]int, len(stages))
+	for i := range req.MaxReplicas {
+		req.MaxReplicas[i] = window * IntraSplit
+	}
 	req.RetiredCrossbars = retired
 	allocTimes := req.TimesNS
 	if w.PredictedTimes != nil {
@@ -525,46 +627,27 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		Replicas:             res.Replicas,
 		MicroBatches:         numMB,
 		MicroBatchesPerBatch: w.MicroBatchesPerBatch,
-		Mode:                 mode,
+		Mode:                 kind.Mode(),
 	})
+	return Plan{
+		Stages:       stages,
+		MicroBatches: numMB,
+		Budget:       budget,
+		TimesNS:      req.TimesNS,
+		AllocTimesNS: allocTimes,
+		Alloc:        res,
+		Schedule:     sched,
+	}
+}
 
-	crossbarsUsed := originals + res.Used
-	replicaXB := make([]int, len(stages))
-	for i, s := range stages {
-		replicaXB[i] = (res.Replicas[i] - 1) * s.Crossbars
-	}
-	eng := energy.ComputeSchedule(w.Chip, stages, numMB, sched.MakespanNS,
-		originals, replicaXB, sched.BusyNS)
-
-	names := make([]string, len(stages))
-	xbs := make([]int, len(stages))
-	for i, s := range stages {
-		names[i] = s.Name
-		xbs[i] = s.Crossbars
-	}
-	rep := Report{
-		Kind:                 kind,
-		Dataset:              w.Dataset.Name,
-		StageTimesNS:         req.TimesNS,
-		MakespanNS:           sched.MakespanNS,
-		Energy:               eng,
-		Replicas:             res.Replicas,
-		StageNames:           names,
-		CrossbarsPerStage:    xbs,
-		CrossbarsUsed:        crossbarsUsed,
-		IdleFrac:             sched.IdleFrac,
-		MicroBatches:         numMB,
-		MicroBatchesPerBatch: w.MicroBatchesPerBatch,
-		UpdateFraction:       updateFraction,
-		WriteRetryFactor:     retryFactor,
-		CrossbarsRetired:     retired,
-		AllocDegraded:        res.Degraded,
-	}
-	var writeRows float64
-	for _, s := range stages {
-		writeRows += s.WriteRows
-	}
-	return rep, writeRows
+// PlanGoPIM plans GoPIM on a workload through the same core as Run:
+// ISU stages, Algorithm 1 on the workload's PredictedTimes (else the
+// true times) against budget crossbars (0 = the chip's spare ones),
+// and the intra+inter schedule. The plan is fault-free whatever
+// fault.Default() says, and it records no metrics.
+func PlanGoPIM(w Workload, budget int) Plan {
+	w.defaults()
+	return plan(GoPIM, w, stageConfig(GoPIM, w, nil), budget, 0)
 }
 
 // recordFault publishes the fault-injection counters for one run.

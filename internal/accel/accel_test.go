@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"strings"
 	"testing"
 
 	"gopim/internal/graphgen"
@@ -231,7 +232,7 @@ func TestModeStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		Serial: "Serial", SlimGNNLike: "SlimGNN-like", ReGraphX: "ReGraphX",
 		ReFlip: "ReFlip", GoPIMVanilla: "GoPIM-Vanilla", GoPIM: "GoPIM",
-		PlusPP: "+PP", PlusISU: "+ISU",
+		PlusPP: "+PP", PlusISU: "+ISU", Pipelayer: "Pipelayer",
 	} {
 		if k.String() != want {
 			t.Fatalf("String(%d) = %s, want %s", int(k), k.String(), want)
@@ -239,6 +240,30 @@ func TestModeStrings(t *testing.T) {
 	}
 	if len(AllBaselines()) != 6 {
 		t.Fatal("Fig. 13 compares six models")
+	}
+}
+
+// Every model in Kinds resolves back to itself by display name, and an
+// unknown name's error offers all of them.
+func TestKindsRoundTrip(t *testing.T) {
+	kinds := Kinds()
+	if len(kinds) != 9 {
+		t.Fatalf("Kinds() has %d models, want 9", len(kinds))
+	}
+	for _, k := range kinds {
+		got, err := KindByName(k.String())
+		if err != nil || got != k {
+			t.Errorf("KindByName(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	_, err := KindByName("TPU")
+	if err == nil {
+		t.Fatal("KindByName accepted an unknown model")
+	}
+	for _, k := range kinds {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("unknown-model error %q omits %s", err, k)
+		}
 	}
 }
 

@@ -3,14 +3,12 @@ package accel
 import (
 	"fmt"
 
-	"gopim/internal/alloc"
 	"gopim/internal/churn"
 	"gopim/internal/endurance"
 	"gopim/internal/fault"
 	"gopim/internal/graphgen"
 	"gopim/internal/mapping"
 	"gopim/internal/obs"
-	"gopim/internal/pipeline"
 	"gopim/internal/stage"
 )
 
@@ -34,9 +32,6 @@ var (
 // crossbar when churn wear runs without a base fault model (whose New
 // default of 2×Rate would be zero and retire everything).
 const churnRetireThreshold = 0.02
-
-// churnStalePeriod matches runCore's ISU refresh period.
-const churnStalePeriod = 20
 
 // ChurnProfile is the production write-traffic profile one churn epoch
 // scales by Config.DaysPerEpoch: each epoch the array absorbs
@@ -113,20 +108,11 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 		baseCfg.RetireThreshold = churnRetireThreshold
 	}
 
-	theta := w.ThetaOverride
-	if theta == 0 {
-		theta = w.Dataset.AdaptiveTheta()
-	}
+	theta := w.Theta()
+	isu := stageConfig(GoPIM, w, fm)
+	layout, upd := isu.Layout, isu.Plan
 	rows := w.Chip.CrossbarRows
 	cells := w.Chip.CellsPerCrossbar()
-	var layout *mapping.Layout
-	if fm.Enabled() {
-		needed := (len(degs) + rows - 1) / rows
-		layout = mapping.InterleavedLayoutHealthy(degs, rows, fm.DeadGroups(needed, cells))
-	} else {
-		layout = mapping.InterleavedLayout(degs, rows)
-	}
-	plan := layout.UpdatePlan(theta, churnStalePeriod)
 
 	res := ChurnResult{Dataset: w.Dataset.Name, Policy: cc.Policy}
 	prevRetired := 0
@@ -185,12 +171,12 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 			if cc.Policy == churn.Adaptive {
 				theta = mapping.AdaptiveTheta(avgDegree(degs))
 			}
-			plan = layout.UpdatePlan(theta, churnStalePeriod)
+			upd = layout.UpdatePlan(theta, isuStalePeriod)
 			drift = 0
 			res.Refreshes++
 		}
 
-		ep := simulateChurnEpoch(w, epochFM, degs, layout, plan, retired)
+		ep := simulateChurnEpoch(w, epochFM, degs, layout, upd, retired)
 		ep.Epoch = e
 		ep.EdgesAdded = delta.EdgesAdded
 		ep.EdgesRemoved = delta.EdgesRemoved
@@ -209,51 +195,27 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	return res, nil
 }
 
-// simulateChurnEpoch prices one post-mutation epoch the way runCore
-// prices the GoPIM model — stages under the delta-maintained layout and
-// plan, benefit-aware greedy allocation against the wear-shrunk pool,
-// intra+inter pipeline — but unrecorded: churn runs publish only the
-// churn.* counters, not per-epoch accel.* series.
+// simulateChurnEpoch prices one post-mutation epoch through the GoPIM
+// planning core, with the delta-maintained layout and update plan in
+// place of a fresh ISU layout, against the wear-shrunk pool, and on the
+// true stage times (a churn run ignores PredictedTimes). Like the core
+// it records nothing: churn runs publish only the churn.* counters,
+// not per-epoch accel.* series.
 func simulateChurnEpoch(w Workload, fm *fault.Model, degs []float64,
-	layout *mapping.Layout, plan *mapping.UpdatePlan, retired int) ChurnEpoch {
-	chip := w.Chip
+	layout *mapping.Layout, upd *mapping.UpdatePlan, retired int) ChurnEpoch {
 	if fm.Enabled() {
-		chip.WriteRetryFactor = fm.RetryFactor(chip.CrossbarCols)
+		w.Chip.WriteRetryFactor = fm.RetryFactor(w.Chip.CrossbarCols)
 	}
-	n := len(degs)
-	numMB := (n + w.MicroBatch - 1) / w.MicroBatch
-	if numMB < 1 {
-		numMB = 1
-	}
-	stages := stage.Build(stage.Config{
-		Chip:       chip,
+	w.PredictedTimes = nil
+	p := plan(GoPIM, w, stage.Config{
+		Chip:       w.Chip,
 		Dataset:    w.Dataset,
 		Deg:        graphgen.NewDegreeModel(degs),
 		MicroBatch: w.MicroBatch,
 		Layout:     layout,
-		Plan:       plan,
-	})
-	originals := stage.TotalCrossbars(stages)
-	budget := chip.TotalCrossbars() - originals
-	if budget < 0 {
-		budget = 0
-	}
-	req := alloc.FromStages(stages, budget, numMB)
-	caps := make([]int, len(stages))
-	for i := range caps {
-		caps[i] = numMB * IntraSplit
-	}
-	req.MaxReplicas = caps
-	req.RetiredCrossbars = retired
-	ares := alloc.Greedy(req)
-	sched := pipeline.SimulateUnrecorded(pipeline.Input{
-		TimesNS:              req.TimesNS,
-		Replicas:             ares.Replicas,
-		MicroBatches:         numMB,
-		MicroBatchesPerBatch: w.MicroBatchesPerBatch,
-		Mode:                 pipeline.IntraInterBatch,
-	})
-	return ChurnEpoch{Degraded: ares.Degraded, MakespanNS: sched.MakespanNS}
+		Plan:       upd,
+	}, 0, retired)
+	return ChurnEpoch{Degraded: p.Alloc.Degraded, MakespanNS: p.Schedule.MakespanNS}
 }
 
 func avgDegree(degs []float64) float64 {

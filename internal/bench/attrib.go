@@ -45,11 +45,7 @@ func stageSortKey(name string) (layer, kind int, known bool) {
 // modelOrder ranks models in the paper's Fig. 13/14 order.
 var modelOrder = func() map[string]int {
 	order := map[string]int{}
-	for i, k := range []accel.Kind{
-		accel.Serial, accel.SlimGNNLike, accel.ReGraphX, accel.ReFlip,
-		accel.GoPIMVanilla, accel.GoPIM, accel.PlusPP, accel.PlusISU,
-		accel.Pipelayer,
-	} {
+	for i, k := range accel.Kinds() {
 		order[k.String()] = i
 	}
 	return order

@@ -8,17 +8,15 @@
 //
 // Everything here is a pure function of the input schedule, so all of
 // it — including the Sim metrics it records — is deterministic at any
-// worker count. Re-simulations (the analysis itself and the ±1-replica
-// what-ifs) run through trace.SimulateUnrecorded, so the pre-existing
-// trace.* series never drift.
+// worker count.
 package explain
 
 import (
 	"fmt"
 	"math"
 
+	"gopim/internal/alloc"
 	"gopim/internal/obs"
-	"gopim/internal/pipeline"
 	"gopim/internal/trace"
 )
 
@@ -193,7 +191,7 @@ func (r *Result) OnPath(e trace.Event) bool {
 
 // Analyze simulates the input at event level and explains the result.
 func Analyze(in trace.Input, names []string, opt Options) *Result {
-	sched := trace.SimulateUnrecorded(in)
+	sched := trace.Simulate(in)
 	n := len(in.TimesNS)
 	res := &Result{
 		MakespanNS:   sched.MakespanNS,
@@ -220,8 +218,7 @@ func Analyze(in trace.Input, names []string, opt Options) *Result {
 	res.Stages = a.stageReports(in, names, res)
 	rankBySlack(res.Stages)
 
-	eff := pipeline.EffectiveTimes(in.TimesNS, sched.Replicas)
-	res.Eq6NS = pipeline.ClosedFormTotal(eff, in.MicroBatches)
+	res.Eq6NS = alloc.TotalTimeNS(in.TimesNS, sched.Replicas, in.MicroBatches)
 	res.Eq6GapNS = res.MakespanNS - res.Eq6NS
 	res.Eq6GapFrac = frac(res.Eq6GapNS, res.Eq6NS)
 
@@ -486,7 +483,7 @@ func (a *analysis) perturbed(in trace.Input, replicas []int, stage, delta int) f
 	r[stage] += delta
 	in.Replicas = r
 	mResims.Inc()
-	return trace.SimulateUnrecorded(in).MakespanNS
+	return trace.Simulate(in).MakespanNS
 }
 
 // frac is num/den with a zero-denominator (and non-finite) guard: no

@@ -248,11 +248,12 @@ func TestOnPath(t *testing.T) {
 	}
 }
 
-// Analyze must not touch the recorded trace.* metrics, only its own.
+// Analyze's schedule is trace.Simulate's, and it records one
+// explain.analyses per call.
 func TestAnalyzeUsesUnrecordedSimulation(t *testing.T) {
 	before := mAnalyses.Value()
 	in := trace.Input{TimesNS: []float64{2, 3}, MicroBatches: 4}
-	tr := trace.Simulate(in) // records trace.simulations
+	tr := trace.Simulate(in)
 	r := analyzeT(t, in, Options{Sensitivity: true})
 	if r.MakespanNS != tr.MakespanNS {
 		t.Fatalf("analyzer schedule diverges: %v vs %v", r.MakespanNS, tr.MakespanNS)

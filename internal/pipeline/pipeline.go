@@ -4,9 +4,10 @@
 //	start(i,j) ≥ end(i−1,j)   — stage order within a micro-batch
 //	start(i,j) ≥ end(i,j−1)   — micro-batch order within a stage
 //
-// and computes makespan, per-stage busy/idle percentages (the
-// quantities of paper Figs. 4 and 15), and the closed-form total
-// T_A = Σ tᵢ + (B−1)·max tᵢ for the fully pipelined mode.
+// and computes makespan and per-stage busy/idle percentages (the
+// quantities of paper Figs. 4 and 15). For the fully pipelined mode the
+// makespan equals the closed-form total T_A = Σ tᵢ + (B−1)·max tᵢ,
+// which alloc.TotalTimeNS evaluates.
 //
 // Replicas shorten a stage's effective per-micro-batch time to tᵢ/rᵢ
 // (paper Fig. 5: splitting a stage's work across replicated crossbars).
@@ -209,17 +210,4 @@ func pipelinedMakespan(eff []float64, b int) float64 {
 		}
 	}
 	return end[len(eff)-1]
-}
-
-// ClosedFormTotal evaluates paper equation (6) directly:
-// T_A = Σ tᵢ + (B−1)·max tᵢ.
-func ClosedFormTotal(eff []float64, b int) float64 {
-	var sum, max float64
-	for _, t := range eff {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	return sum + float64(b-1)*max
 }

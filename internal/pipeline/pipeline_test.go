@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gopim/internal/alloc"
 )
 
 // Paper Fig. 5: two stages with times 1 and 6, two micro-batches per
@@ -59,12 +61,14 @@ func TestPipelinedMatchesClosedForm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(12)
 		times := make([]float64, n)
+		ones := make([]int, n)
 		for i := range times {
 			times[i] = rng.Float64() * 100
+			ones[i] = 1
 		}
 		b := 1 + rng.Intn(50)
 		r := Simulate(Input{TimesNS: times, MicroBatches: b, Mode: IntraInterBatch})
-		want := ClosedFormTotal(times, b)
+		want := alloc.TotalTimeNS(times, ones, b)
 		return math.Abs(r.MakespanNS-want) < 1e-6*want+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -11,7 +11,6 @@ import (
 	"gopim/internal/experiments"
 	"gopim/internal/explain"
 	"gopim/internal/graphgen"
-	"gopim/internal/mapping"
 	"gopim/internal/pipeline"
 	"gopim/internal/reram"
 	"gopim/internal/stage"
@@ -116,20 +115,6 @@ func badf(format string, args ...any) error {
 	return badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// modelByName resolves an accelerator model from its display name.
-func modelByName(name string) (accel.Kind, error) {
-	for _, k := range []accel.Kind{
-		accel.Serial, accel.SlimGNNLike, accel.ReGraphX, accel.ReFlip,
-		accel.GoPIMVanilla, accel.GoPIM, accel.PlusPP, accel.PlusISU,
-		accel.Pipelayer,
-	} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, badf("unknown model %q (try Serial, SlimGNN-like, ReGraphX, ReFlip, GoPIM-Vanilla, GoPIM, +PP, +ISU, Pipelayer)", name)
-}
-
 // decodePlanRequest reads one /v1/plan body and folds it into the
 // normalized cache key — the complete untrusted-input surface of the
 // planning endpoint, factored out of the HTTP handler so the fuzz
@@ -204,8 +189,8 @@ func normalize(req PlanRequest) (planKey, error) {
 		model = accel.GoPIM.String()
 	}
 	var err error
-	if k.model, err = modelByName(model); err != nil {
-		return k, err
+	if k.model, err = accel.KindByName(model); err != nil {
+		return k, badRequestError{msg: err.Error()}
 	}
 
 	k.seed = req.Seed
@@ -383,44 +368,13 @@ type PlanResponse struct {
 func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse {
 	endPlan := begin("plan")
 	d := k.datasetOf()
-	chip := reram.DefaultChip()
-	deg := d.SynthDegreeModel(k.seed)
-
-	theta := k.theta
-	if theta == 0 {
-		theta = d.AdaptiveTheta()
+	w := accel.Workload{
+		Dataset:       d,
+		Deg:           d.SynthDegreeModel(k.seed),
+		Seed:          k.seed,
+		MicroBatch:    k.microBatch,
+		ThetaOverride: k.theta,
 	}
-	layout := mapping.InterleavedLayout(deg.DegreesByIndex, chip.CrossbarRows)
-	cfg := stage.Config{
-		Chip:       chip,
-		Dataset:    d,
-		Deg:        deg,
-		MicroBatch: k.microBatch,
-		Layout:     layout,
-		Plan:       layout.UpdatePlan(theta, 20),
-	}
-	stages := stage.Build(cfg)
-
-	numMB := (deg.N + k.microBatch - 1) / k.microBatch
-	if numMB < 1 {
-		numMB = 1
-	}
-	budget := k.budget
-	if budget == 0 {
-		budget = chip.TotalCrossbars() - stage.TotalCrossbars(stages)
-		if budget < 0 {
-			budget = 0
-		}
-	}
-
-	req := alloc.FromStages(stages, budget, numMB)
-	caps := make([]int, len(stages))
-	for i := range caps {
-		caps[i] = numMB * accel.IntraSplit
-	}
-	req.MaxReplicas = caps
-
-	allocTimes := req.TimesNS
 	if k.usePred {
 		// Shared immutable model, one per (profile mode, seed), via the
 		// single-flight cache: concurrent first requests coalesce onto
@@ -429,43 +383,35 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 		pred := experiments.SharedPredictor(experiments.Options{
 			Seed: k.seed, Fast: !k.fullProfile,
 		})
-		allocTimes = pred.PredictTimes(stage.Config{
-			Chip:       chip,
+		w.PredictedTimes = pred.PredictTimes(stage.Config{
+			Chip:       reram.DefaultChip(),
 			Dataset:    d,
-			Deg:        deg,
+			Deg:        w.Deg,
 			MicroBatch: k.microBatch,
 		})
 	}
-
-	mlReq := req
-	mlReq.TimesNS = allocTimes
-	res := alloc.Greedy(mlReq)
-
-	sched := pipeline.Simulate(pipeline.Input{
-		TimesNS:      req.TimesNS, // true times, always
-		Replicas:     res.Replicas,
-		MicroBatches: numMB,
-		Mode:         pipeline.IntraInterBatch,
-	})
+	p := accel.PlanGoPIM(w, k.budget)
+	pipeline.RecordSim(len(p.Stages), p.MicroBatches, p.Schedule.MakespanNS)
+	res := p.Alloc
 
 	resp := &PlanResponse{
 		Dataset:             d.Name,
 		Model:               k.model.String(),
 		Seed:                k.seed,
 		MicroBatch:          k.microBatch,
-		MicroBatches:        numMB,
-		Theta:               theta,
-		Budget:              budget,
+		MicroBatches:        p.MicroBatches,
+		Theta:               w.Theta(),
+		Budget:              p.Budget,
 		BudgetUsed:          res.Used,
-		PredictedMakespanNS: alloc.TotalTimeNS(allocTimes, res.Replicas, numMB),
-		ScheduledMakespanNS: sched.MakespanNS,
+		PredictedMakespanNS: alloc.TotalTimeNS(p.AllocTimesNS, res.Replicas, p.MicroBatches),
+		ScheduledMakespanNS: p.Schedule.MakespanNS,
 	}
-	for i, s := range stages {
+	for i, s := range p.Stages {
 		resp.Stages = append(resp.Stages, StagePlan{
 			Name:        s.Name,
 			Kind:        s.Kind.String(),
 			TimeNS:      s.TimeNS,
-			AllocTimeNS: allocTimes[i],
+			AllocTimeNS: p.AllocTimesNS[i],
 			Crossbars:   s.Crossbars,
 			Replicas:    res.Replicas[i],
 		})
@@ -474,15 +420,12 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 
 	if k.explain {
 		endExplain := begin("explain")
-		window := numMB
-		if window > ExplainWindow {
-			window = ExplainWindow
-		}
+		window := min(p.MicroBatches, ExplainWindow)
 		ex := explain.Analyze(trace.Input{
-			TimesNS:      req.TimesNS, // true times, as scheduled
+			TimesNS:      p.TimesNS, // true times, as scheduled
 			Replicas:     res.Replicas,
 			MicroBatches: window,
-		}, stageNames(stages), explain.Options{Sensitivity: true})
+		}, stageNames(p.Stages), explain.Options{Sensitivity: true})
 		block := &ExplainBlock{
 			WindowMicroBatches: window,
 			MakespanNS:         ex.MakespanNS,
@@ -517,18 +460,6 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 	if k.simulate {
 		endSim := begin("simulate")
 		defer endSim()
-		w := accel.Workload{
-			Dataset:    d,
-			Deg:        deg,
-			Seed:       k.seed,
-			MicroBatch: k.microBatch,
-		}
-		if k.theta != 0 {
-			w.ThetaOverride = k.theta
-		}
-		if k.usePred {
-			w.PredictedTimes = allocTimes
-		}
 		r := accel.Run(k.model, w)
 		resp.Simulation = &SimSummary{
 			Model:          r.Kind.String(),

@@ -421,12 +421,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, 9)
-	for _, k := range []accel.Kind{
-		accel.Serial, accel.SlimGNNLike, accel.ReGraphX, accel.ReFlip,
-		accel.GoPIMVanilla, accel.GoPIM, accel.PlusPP, accel.PlusISU,
-		accel.Pipelayer,
-	} {
+	var names []string
+	for _, k := range accel.Kinds() {
 		names = append(names, k.String())
 	}
 	writeJSON(w, http.StatusOK, names)

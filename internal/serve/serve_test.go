@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"gopim/internal/accel"
+	"gopim/internal/graphgen"
 	"gopim/internal/parallel"
 )
 
@@ -92,6 +94,41 @@ func TestPlanGoldenResponses(t *testing.T) {
 
 // TestPlanValidation covers the 4xx surface: malformed bodies, unknown
 // names, out-of-range statistics and budgets.
+// The daemon plans through accel's GoPIM core: at the chip-default
+// budget and without the predictor, /v1/plan's per-stage replicas and
+// scheduled makespan are accel.Run(GoPIM)'s, bit for bit.
+func TestPlanMatchesAccelRun(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, name := range []string{"ddi", "Cora"} {
+		resp, body := postPlan(t, ts.URL, fmt.Sprintf(`{"dataset":%q}`, name))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+		var plan PlanResponse
+		if err := json.Unmarshal(body, &plan); err != nil {
+			t.Fatal(err)
+		}
+		d, err := graphgen.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := accel.Run(accel.GoPIM, accel.Workload{Dataset: d, Seed: plan.Seed})
+		if plan.ScheduledMakespanNS != r.MakespanNS {
+			t.Errorf("%s: scheduled_makespan_ns %v, accel.Run makespan %v",
+				name, plan.ScheduledMakespanNS, r.MakespanNS)
+		}
+		if len(plan.Stages) != len(r.Replicas) {
+			t.Fatalf("%s: %d planned stages, accel.Run has %d", name, len(plan.Stages), len(r.Replicas))
+		}
+		for i, s := range plan.Stages {
+			if s.Replicas != r.Replicas[i] {
+				t.Errorf("%s stage %s: %d replicas planned, accel.Run allocates %d",
+					name, s.Name, s.Replicas, r.Replicas[i])
+			}
+		}
+	}
+}
+
 func TestPlanValidation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -381,8 +418,12 @@ func TestAuxEndpoints(t *testing.T) {
 	if err := json.Unmarshal(get("/v1/models"), &models); err != nil {
 		t.Fatal(err)
 	}
-	if len(models) != 9 {
-		t.Errorf("models: %d entries, want 9", len(models))
+	var want []string
+	for _, k := range accel.Kinds() {
+		want = append(want, k.String())
+	}
+	if fmt.Sprint(models) != fmt.Sprint(want) {
+		t.Errorf("models = %q, want accel.Kinds() %q", models, want)
 	}
 	if !strings.Contains(string(get("/healthz")), "ok") {
 		t.Error("healthz not ok")

@@ -143,10 +143,10 @@ func TestConfigure(t *testing.T) {
 		{"0", "", false, false},
 		{"", "no", false, false},
 		{"", "yes", true, false},
-		{"sideways", "", true, true},     // invalid flag: stays on
-		{"", "maybe", true, true},        // invalid env: stays on
-		{"off", "on", false, false},      // flag wins over env
-		{"", "", true, false},            // nothing set: default on
+		{"sideways", "", true, true}, // invalid flag: stays on
+		{"", "maybe", true, true},    // invalid env: stays on
+		{"off", "on", false, false},  // flag wins over env
+		{"", "", true, false},        // nothing set: default on
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("flag=%q env=%q", tc.flag, tc.env), func(t *testing.T) {

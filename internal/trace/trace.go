@@ -20,18 +20,7 @@ import (
 	"strconv"
 	"strings"
 
-	"gopim/internal/obs"
 	"gopim/internal/simmemo"
-)
-
-// Event-level schedule metrics (Sim clock: functions of the input).
-var (
-	mSimulations = obs.NewCounter("trace.simulations", obs.Sim,
-		"event-level schedules simulated")
-	mEvents = obs.NewCounter("trace.events", obs.Sim,
-		"stage-execution events generated")
-	mMakespan = obs.NewDistribution("trace.makespan_ns", obs.Sim,
-		"event-level makespan per schedule")
 )
 
 // Event is one stage execution of one micro-batch on one replica.
@@ -44,8 +33,8 @@ type Event struct {
 }
 
 // Schedule is a complete simulated execution. Schedules returned by
-// Simulate/SimulateUnrecorded may be shared across callers via the
-// memo layer and must be treated as read-only.
+// Simulate may be shared across callers via the memo layer and must be
+// treated as read-only.
 //
 // Events are appended micro-batch-major, stage-minor: the event for
 // (stage i, micro-batch j) sits at index j·len(TimesNS)+i. The explain
@@ -77,26 +66,15 @@ type Input struct {
 	MicroBatchesPerBatch int
 }
 
-// Simulate runs the event-level schedule and records the trace metrics.
-// The metrics are pure functions of (input, returned schedule), so the
-// recording happens on every call even when the schedule itself comes
-// from the memo — Sim snapshots are identical with the memo on or off.
+// Simulate runs the event-level schedule, memoized on the exact input.
+// It records no metrics: its callers (critical-path extraction and the
+// ±1-replica what-ifs) re-simulate schedules many times per run.
 func Simulate(in Input) *Schedule {
-	sched := memoSimulate(in)
-	mSimulations.Inc()
-	mEvents.Add(int64(len(sched.Events)))
-	mMakespan.Observe(sched.MakespanNS)
-	return sched
+	if !simmemo.Enabled() || len(in.TimesNS)*in.MicroBatches > memoMaxEvents {
+		return simulate(in)
+	}
+	return simmemo.Do(schedCache, in.fingerprint(), func() *Schedule { return simulate(in) })
 }
-
-// SimulateUnrecorded runs the same schedule without touching the trace
-// metrics. Analysis layers (critical-path extraction, ±1-replica
-// what-if perturbations) re-simulate schedules many times per
-// user-visible run; routing those through the unrecorded path keeps
-// trace.simulations counting only the schedules the user asked for, so
-// existing Sim snapshots stay comparable across the explain feature's
-// introduction.
-func SimulateUnrecorded(in Input) *Schedule { return memoSimulate(in) }
 
 // schedCache memoizes event-level schedules by exact input tuple. The
 // explain analyzer's what-if perturbations and serve/sweep harnesses
@@ -111,15 +89,6 @@ var schedCache = simmemo.NewCache("trace", 512)
 // ~64k events (paper-scale one-off simulations) are cheap relative to
 // their footprint to re-run and would crowd the cache.
 const memoMaxEvents = 1 << 16
-
-// memoSimulate is the memoized core shared by Simulate and
-// SimulateUnrecorded. Results must be treated as immutable.
-func memoSimulate(in Input) *Schedule {
-	if !simmemo.Enabled() || len(in.TimesNS)*in.MicroBatches > memoMaxEvents {
-		return simulate(in)
-	}
-	return simmemo.Do(schedCache, in.fingerprint(), func() *Schedule { return simulate(in) })
-}
 
 // fingerprint renders the exact stage-input tuple: float64 latencies
 // by bit pattern, so two inputs collide only when every field is
@@ -163,8 +132,8 @@ func simulate(in Input) *Schedule {
 	}
 	for i, t := range in.TimesNS {
 		// NaN/Inf must fail here, at the boundary: every downstream
-		// consumer (StageUtilization, the explain analyzer, the Sim
-		// metric observations) assumes finite event times.
+		// consumer (StageUtilization, the explain analyzer and its Sim
+		// metrics) assumes finite event times.
 		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 			panic(fmt.Sprintf("trace: stage %d time %v must be finite and non-negative", i, t))
 		}

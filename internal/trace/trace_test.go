@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gopim/internal/alloc"
 	"gopim/internal/obs"
 	"gopim/internal/pipeline"
 )
@@ -35,12 +36,14 @@ func TestMatchesClosedFormSingleReplica(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
 		times := make([]float64, n)
+		ones := make([]int, n)
 		for i := range times {
 			times[i] = rng.Float64() * 50
+			ones[i] = 1
 		}
 		b := 1 + rng.Intn(40)
 		tr := Simulate(Input{TimesNS: times, MicroBatches: b})
-		cf := pipeline.ClosedFormTotal(times, b)
+		cf := alloc.TotalTimeNS(times, ones, b)
 		return math.Abs(tr.MakespanNS-cf) < 1e-6*cf+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -57,15 +60,13 @@ func TestReplicaThroughputMatchesClosedForm(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		times := make([]float64, n)
 		reps := make([]int, n)
-		eff := make([]float64, n)
 		for i := range times {
 			times[i] = 1 + rng.Float64()*30
 			reps[i] = 1 + rng.Intn(5)
-			eff[i] = times[i] / float64(reps[i])
 		}
 		b := 20 + rng.Intn(100)
 		tr := Simulate(Input{TimesNS: times, Replicas: reps, MicroBatches: b})
-		cf := pipeline.ClosedFormTotal(eff, b)
+		cf := alloc.TotalTimeNS(times, reps, b)
 		var fill float64
 		for _, t := range times {
 			fill += t // one full-latency pass bounds the fill/drain gap
@@ -325,24 +326,6 @@ func TestBarrierMatchesPipelineIntraBatch(t *testing.T) {
 	tr := Simulate(Input{TimesNS: times, MicroBatches: 5, MicroBatchesPerBatch: 1})
 	if tr.MakespanNS != 5*(3+5+2) {
 		t.Fatalf("per=1 makespan = %v, want serial 50", tr.MakespanNS)
-	}
-}
-
-// SimulateUnrecorded must leave the trace Sim counters untouched, so
-// explain re-simulations can't drift existing snapshots.
-func TestSimulateUnrecorded(t *testing.T) {
-	in := Input{TimesNS: []float64{2, 3}, MicroBatches: 4}
-	sims, evs, mk := mSimulations.Value(), mEvents.Value(), mMakespan.Count()
-	a := SimulateUnrecorded(in)
-	if mSimulations.Value() != sims || mEvents.Value() != evs || mMakespan.Count() != mk {
-		t.Fatal("SimulateUnrecorded touched trace metrics")
-	}
-	b := Simulate(in)
-	if mSimulations.Value() != sims+1 {
-		t.Fatal("Simulate no longer records")
-	}
-	if a.MakespanNS != b.MakespanNS || len(a.Events) != len(b.Events) {
-		t.Fatal("recorded and unrecorded schedules disagree")
 	}
 }
 
