@@ -20,7 +20,6 @@ import (
 func benchCmd(args []string, seed int64, fast bool, format experiments.Format) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	label := fs.String("label", "local", "bench label; output goes to BENCH_<label>.json")
-	suite := fs.String("suite", "", "workload suite: default, or kernels (SpMM micro-benchmarks, one per dataset)")
 	warmup := fs.Int("warmup", 1, "unrecorded warmup runs per configuration")
 	repeats := fs.Int("repeats", 3, "measured runs per configuration")
 	workersList := fs.String("bench-workers", "1,2", "comma-separated worker counts the suite runs at")
@@ -50,7 +49,6 @@ func benchCmd(args []string, seed int64, fast bool, format experiments.Format) e
 
 	cfg := bench.Config{
 		Label:  *label,
-		Suite:  *suite,
 		Seed:   seed,
 		Fast:   fast || !*full, // the smoke suite is always fast-scale
 		Warmup: *warmup, Repeats: *repeats,

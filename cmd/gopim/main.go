@@ -34,9 +34,6 @@
 //	-workers N   worker-pool size for parallel kernels and the
 //	             experiment fan-out (default: GOPIM_WORKERS env, else
 //	             GOMAXPROCS); output is identical at any worker count
-//	-sim-memo v  on/off for the sweep-memoization layer (default:
-//	             GOPIM_SIM_MEMO env, else on); off recomputes every
-//	             sweep cell, matching pre-memo behaviour exactly
 //
 // Fault-injection flags (see DESIGN.md §Fault model; all off by
 // default — a run without them is byte-identical to one before the
@@ -78,13 +75,12 @@ import (
 	"os"
 
 	"gopim"
+	"gopim/internal/accel"
 	"gopim/internal/churn"
 	"gopim/internal/endurance"
 	"gopim/internal/experiments"
 	"gopim/internal/fault"
 	"gopim/internal/gcn"
-	"gopim/internal/mapping"
-	"gopim/internal/simmemo"
 	"gopim/internal/tuner"
 )
 
@@ -93,7 +89,6 @@ func main() {
 	fast := flag.Bool("fast", false, "shrink workloads for a quick smoke run")
 	format := flag.String("format", "text", "output format: text, csv, markdown")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOPIM_WORKERS env, else GOMAXPROCS)")
-	simMemo := flag.String("sim-memo", "", "sweep-memoization layer: on|off (default: GOPIM_SIM_MEMO env, else on)")
 	faultRate := flag.Float64("fault-rate", 0, "stuck-at cell fault probability in [0,1] (0 = faults off)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault streams")
 	faultVerifyMax := flag.Int("fault-verify-max", fault.DefaultVerifyMax, "write-verify retry budget per row write")
@@ -115,10 +110,6 @@ func main() {
 		fatal(err.Error())
 	}
 	gopim.SetWorkers(*workers)
-	// -sim-memo shares the GOPIM_WORKERS convention (see below): an
-	// invalid value warns and falls back rather than aborting, and the
-	// knob cannot change output bytes — it only skips recomputation.
-	simmemo.Configure(*simMemo)
 
 	// Fault flags follow the GOPIM_WORKERS convention rather than the
 	// -format one: invalid values warn (via the obs warn path and the
@@ -309,9 +300,9 @@ func showEndurance(w io.Writer, dataset string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	r := gopim.Simulate(gopim.GoPIM, gopim.Workload{Dataset: d, Seed: seed})
-	deg := d.SynthDegreeModel(seed)
-	plan := mapping.NewUpdatePlan(deg.DegreesByIndex, d.AdaptiveTheta(), 20)
+	wl := gopim.Workload{Dataset: d, Seed: seed}
+	r := gopim.Simulate(gopim.GoPIM, wl)
+	plan := accel.ISUPlan(wl)
 	// Back-to-back training runs at the simulated epoch makespan — the
 	// worst-case wear scenario.
 	const epochsPerRun = 200
@@ -322,8 +313,8 @@ func showEndurance(w io.Writer, dataset string, seed int64) error {
 		RunsPerDay:              runsPerDay,
 	}
 	rep := endurance.Compare(prof, plan)
-	fmt.Fprintf(w, "endurance on %s (θ=%.0f%%, stale period 20, %.0f back-to-back runs/day):\n",
-		dataset, d.AdaptiveTheta()*100, runsPerDay)
+	fmt.Fprintf(w, "endurance on %s (θ=%.0f%%, stale period %d, %.0f back-to-back runs/day):\n",
+		dataset, plan.Theta*100, plan.StalePeriod, runsPerDay)
 	fmt.Fprintf(w, "  full updating:        hottest rows last %10.0f training runs (%.1f days)\n",
 		endurance.ReRAMWriteLimit/epochsPerRun, rep.FullDays)
 	fmt.Fprintf(w, "  ISU important rows:   %10.0f training runs (%.1f days)\n",

@@ -13,7 +13,6 @@ import (
 	"gopim/internal/explain"
 	"gopim/internal/obs"
 	"gopim/internal/parallel"
-	"gopim/internal/simmemo"
 )
 
 // obsFlags carries the CLI's observability switches.
@@ -96,18 +95,6 @@ func (s *obsSession) setExplainInfo(ex *explain.Result) {
 		s.manifest.ExplainCritShare = ex.Stages[ex.BottleneckStage].CritShare
 	}
 	s.manifest.ExplainEq6GapFrac = ex.Eq6GapFrac
-}
-
-// setKernelInfo records the -sim-memo knob in the run manifest at exit
-// when the memo layer was off. The key is omitempty, so default-run
-// manifests keep their shape.
-func (s *obsSession) setKernelInfo() {
-	if s.manifest == nil {
-		return
-	}
-	if !simmemo.Enabled() {
-		s.manifest.SimMemo = "off"
-	}
 }
 
 // startObsSession validates the observability flags and opens their
@@ -247,7 +234,6 @@ func (s *obsSession) finish() error {
 		keep(s.tracer.WriteSummary(os.Stderr))
 	}
 	if s.manifest != nil {
-		s.setKernelInfo()
 		s.manifest.Finish()
 		keep(s.manifest.WriteFile(s.manifestPath()))
 	}

@@ -126,7 +126,7 @@ func TraceInput(r Report) trace.Input {
 		TimesNS:              r.StageTimesNS,
 		Replicas:             r.Replicas,
 		MicroBatches:         r.MicroBatches,
-		MicroBatchesPerBatch: r.Kind.barrier(r.MicroBatchesPerBatch),
+		MicroBatchesPerBatch: r.Kind.barrier(),
 	}
 }
 
@@ -217,16 +217,21 @@ func (k Kind) Mode() pipeline.Mode {
 	return pipeline.IntraInterBatch
 }
 
+// microBatchesPerBatch is the intra-batch pipelining window: how many
+// micro-batches an IntraBatch-mode model overlaps before its weight
+// update barrier.
+const microBatchesPerBatch = 8
+
 // barrier is how many micro-batches the model pipelines between
-// full-completion barriers, given the intra-batch window perBatch: one
-// under Serial, perBatch under IntraBatch, and 0 (no barrier) under
-// IntraInterBatch — trace.Input's MicroBatchesPerBatch convention.
-func (k Kind) barrier(perBatch int) int {
+// full-completion barriers: one under Serial, microBatchesPerBatch
+// under IntraBatch, and 0 (no barrier) under IntraInterBatch —
+// trace.Input's MicroBatchesPerBatch convention.
+func (k Kind) barrier() int {
 	switch k.Mode() {
 	case pipeline.Serial:
 		return 1
 	case pipeline.IntraBatch:
-		return perBatch
+		return microBatchesPerBatch
 	}
 	return 0
 }
@@ -255,8 +260,6 @@ type Workload struct {
 	Seed int64
 	// MicroBatch defaults to 64 (paper §VII-A).
 	MicroBatch int
-	// MicroBatchesPerBatch bounds intra-batch pipelines (default 8).
-	MicroBatchesPerBatch int
 	// PredictedTimes, when set, replaces profiled stage times as the
 	// allocator's input (GoPIM's ML path). Evaluation always uses the
 	// true times.
@@ -281,9 +284,6 @@ var degCache = simmemo.NewCache("degmodel", 128)
 func (w *Workload) defaults() {
 	if w.MicroBatch == 0 {
 		w.MicroBatch = 64
-	}
-	if w.MicroBatchesPerBatch == 0 {
-		w.MicroBatchesPerBatch = 8
 	}
 	if w.Chip.Tiles == 0 {
 		w.Chip = reram.DefaultChip()
@@ -336,9 +336,6 @@ type Report struct {
 	IdleFrac []float64
 	// MicroBatches is B for this run (one epoch sweep).
 	MicroBatches int
-	// MicroBatchesPerBatch is the intra-batch window the workload ran
-	// with (relevant to barrier placement in IntraBatch-mode models).
-	MicroBatchesPerBatch int
 	// UpdateFraction is the steady-state fraction of vertex rows
 	// rewritten per epoch (1 without ISU).
 	UpdateFraction float64
@@ -399,10 +396,7 @@ type runMemo struct {
 func Run(kind Kind, w Workload) Report {
 	memoizable := w.Deg == nil && simmemo.Enabled()
 	w.defaults()
-	fm := w.Fault
-	if fm == nil {
-		fm = fault.Default()
-	}
+	fm := w.faultModel()
 	var out *runMemo
 	if memoizable {
 		out = simmemo.Do(runCache, runKey(kind, w, fm), func() *runMemo {
@@ -428,8 +422,8 @@ func Run(kind Kind, w Workload) Report {
 // by the model's Config.
 func runKey(kind Kind, w Workload, fm *fault.Model) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%+v|%+v|%d|%d|%d|%x", kind, w.Chip, w.Dataset,
-		w.Seed, w.MicroBatch, w.MicroBatchesPerBatch, math.Float64bits(w.ThetaOverride))
+	fmt.Fprintf(&b, "%d|%+v|%+v|%d|%d|%x", kind, w.Chip, w.Dataset,
+		w.Seed, w.MicroBatch, math.Float64bits(w.ThetaOverride))
 	for _, t := range w.PredictedTimes {
 		fmt.Fprintf(&b, ",%x", math.Float64bits(t))
 	}
@@ -443,16 +437,7 @@ func runKey(kind Kind, w Workload, fm *fault.Model) string {
 // accounting. It records nothing: Run replays the metric effect
 // identically for fresh and cached outcomes.
 func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
-	retryFactor := 1.0
-	retired := 0
-	if fm.Enabled() {
-		// Every row program becomes a program-verify loop; stretching
-		// ProgramRowNS propagates the retries into both the vertex-update
-		// wall time (stage) and the per-row write energy (energy).
-		retryFactor = fm.RetryFactor(w.Chip.CrossbarCols)
-		w.Chip.WriteRetryFactor = retryFactor
-		retired = fm.Retired(w.Chip.TotalCrossbars(), w.Chip.CellsPerCrossbar())
-	}
+	retryFactor, retired := applyFault(&w, fm)
 	cfg := stageConfig(kind, w, fm)
 	p := plan(kind, w, cfg, 0, retired)
 	updateFraction := 1.0
@@ -475,24 +460,47 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 	eng := energy.ComputeSchedule(w.Chip, stages, p.MicroBatches, p.Schedule.MakespanNS,
 		originals, replicaXB, p.Schedule.BusyNS)
 	rep := Report{
-		Kind:                 kind,
-		Dataset:              w.Dataset.Name,
-		StageTimesNS:         p.TimesNS,
-		MakespanNS:           p.Schedule.MakespanNS,
-		Energy:               eng,
-		Replicas:             p.Alloc.Replicas,
-		StageNames:           names,
-		CrossbarsPerStage:    xbs,
-		CrossbarsUsed:        originals + p.Alloc.Used,
-		IdleFrac:             p.Schedule.IdleFrac,
-		MicroBatches:         p.MicroBatches,
-		MicroBatchesPerBatch: w.MicroBatchesPerBatch,
-		UpdateFraction:       updateFraction,
-		WriteRetryFactor:     retryFactor,
-		CrossbarsRetired:     retired,
-		AllocDegraded:        p.Alloc.Degraded,
+		Kind:              kind,
+		Dataset:           w.Dataset.Name,
+		StageTimesNS:      p.TimesNS,
+		MakespanNS:        p.Schedule.MakespanNS,
+		Energy:            eng,
+		Replicas:          p.Alloc.Replicas,
+		StageNames:        names,
+		CrossbarsPerStage: xbs,
+		CrossbarsUsed:     originals + p.Alloc.Used,
+		IdleFrac:          p.Schedule.IdleFrac,
+		MicroBatches:      p.MicroBatches,
+		UpdateFraction:    updateFraction,
+		WriteRetryFactor:  retryFactor,
+		CrossbarsRetired:  retired,
+		AllocDegraded:     p.Alloc.Degraded,
 	}
 	return rep, writeRows
+}
+
+// faultModel is the fault model the workload runs under: Fault, else
+// the process-wide fault.Default().
+func (w Workload) faultModel() *fault.Model {
+	if w.Fault != nil {
+		return w.Fault
+	}
+	return fault.Default()
+}
+
+// applyFault is the fault preamble of every planned epoch. Every row
+// program becomes a program-verify loop; stretching the chip's
+// ProgramRowNS propagates the retries into both the vertex-update wall
+// time (stage) and the per-row write energy (energy). It returns that
+// retry factor (1 without faults) and how many crossbars retirement
+// takes out of the replica pool.
+func applyFault(w *Workload, fm *fault.Model) (retryFactor float64, retired int) {
+	if !fm.Enabled() {
+		return 1, 0
+	}
+	retryFactor = fm.RetryFactor(w.Chip.CrossbarCols)
+	w.Chip.WriteRetryFactor = retryFactor
+	return retryFactor, fm.Retired(w.Chip.TotalCrossbars(), w.Chip.CellsPerCrossbar())
 }
 
 // isuStalePeriod is the ISU refresh period: every 20th epoch rewrites
@@ -573,7 +581,7 @@ func plan(kind Kind, w Workload, cfg stage.Config, budget, retired int) Plan {
 	// distribution and result gathering serialise), so the split factor
 	// is IntraSplit (32), which also reproduces the scale of the paper's
 	// Table VI replica counts (hundreds, ≈ 9× the micro-batch count).
-	window := kind.barrier(w.MicroBatchesPerBatch)
+	window := kind.barrier()
 	if window == 0 {
 		window = numMB
 	}
@@ -626,7 +634,7 @@ func plan(kind Kind, w Workload, cfg stage.Config, budget, retired int) Plan {
 		TimesNS:              req.TimesNS, // true times, always
 		Replicas:             res.Replicas,
 		MicroBatches:         numMB,
-		MicroBatchesPerBatch: w.MicroBatchesPerBatch,
+		MicroBatchesPerBatch: microBatchesPerBatch,
 		Mode:                 kind.Mode(),
 	})
 	return Plan{
@@ -643,11 +651,23 @@ func plan(kind Kind, w Workload, cfg stage.Config, budget, retired int) Plan {
 // PlanGoPIM plans GoPIM on a workload through the same core as Run:
 // ISU stages, Algorithm 1 on the workload's PredictedTimes (else the
 // true times) against budget crossbars (0 = the chip's spare ones),
-// and the intra+inter schedule. The plan is fault-free whatever
-// fault.Default() says, and it records no metrics.
+// and the intra+inter schedule. It plans the chip Run simulates: under
+// the workload's fault model (Fault, else fault.Default()) writes are
+// retry-stretched, ISU stripes around dead crossbars and retirement
+// shrinks the pool, an explicit budget included. It records no metrics.
 func PlanGoPIM(w Workload, budget int) Plan {
 	w.defaults()
-	return plan(GoPIM, w, stageConfig(GoPIM, w, nil), budget, 0)
+	fm := w.faultModel()
+	_, retired := applyFault(&w, fm)
+	return plan(GoPIM, w, stageConfig(GoPIM, w, fm), budget, retired)
+}
+
+// ISUPlan is the selective-updating plan GoPIM runs w under, built on
+// the path Run takes: the workload's θ and isuStalePeriod over the
+// interleaved layout of its (memoized) degree model.
+func ISUPlan(w Workload) *mapping.UpdatePlan {
+	w.defaults()
+	return stageConfig(GoPIM, w, w.faultModel()).Plan
 }
 
 // recordFault publishes the fault-injection counters for one run.

@@ -50,7 +50,7 @@ type ChurnEpoch struct {
 	Epoch        int
 	EdgesAdded   int
 	EdgesRemoved int
-	Vertices     int // vertex count after this epoch's arrivals
+	Vertices     int // vertex count (churn rewires edges only)
 	StripesMoved int
 	FullRemap    bool
 	Refreshed    bool
@@ -99,10 +99,7 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	w.defaults()
 	// DegModelFor memoizes: mutate a copy, never the shared model.
 	degs := append([]float64(nil), w.Deg.DegreesByIndex...)
-	fm := w.Fault
-	if fm == nil {
-		fm = fault.Default()
-	}
+	fm := w.faultModel()
 	baseCfg := fm.Config() // zero Config when fm is nil
 	if baseCfg.RetireThreshold == 0 {
 		baseCfg.RetireThreshold = churnRetireThreshold
@@ -121,8 +118,7 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	}
 	drift := 0.0
 	for e := 0; e < epochs; e++ {
-		var delta churn.Delta
-		degs, delta = stream.Mutate(degs, e)
+		delta := stream.Mutate(degs, e)
 		mChurnEdgesAdded.Add(int64(delta.EdgesAdded))
 		mChurnEdgesRemoved.Add(int64(delta.EdgesRemoved))
 		res.EdgesAdded += delta.EdgesAdded
@@ -162,11 +158,10 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 			res.FullRemaps++
 		}
 
-		// Refresh policy: vertex arrivals force a replan (the plan's
-		// importance arrays are sized to n); otherwise accumulated drift
-		// since the last refresh decides.
+		// Refresh policy: accumulated drift since the last refresh
+		// decides.
 		drift += float64(len(delta.Changed)) / float64(len(degs))
-		refreshed := delta.VerticesAdded > 0 || cc.ShouldRefresh(drift)
+		refreshed := cc.ShouldRefresh(drift)
 		if refreshed {
 			if cc.Policy == churn.Adaptive {
 				theta = mapping.AdaptiveTheta(avgDegree(degs))
@@ -176,7 +171,7 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 			res.Refreshes++
 		}
 
-		ep := simulateChurnEpoch(w, epochFM, degs, layout, upd, retired)
+		ep := simulateChurnEpoch(w, epochFM, degs, layout, upd)
 		ep.Epoch = e
 		ep.EdgesAdded = delta.EdgesAdded
 		ep.EdgesRemoved = delta.EdgesRemoved
@@ -202,10 +197,8 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 // it records nothing: churn runs publish only the churn.* counters,
 // not per-epoch accel.* series.
 func simulateChurnEpoch(w Workload, fm *fault.Model, degs []float64,
-	layout *mapping.Layout, upd *mapping.UpdatePlan, retired int) ChurnEpoch {
-	if fm.Enabled() {
-		w.Chip.WriteRetryFactor = fm.RetryFactor(w.Chip.CrossbarCols)
-	}
+	layout *mapping.Layout, upd *mapping.UpdatePlan) ChurnEpoch {
+	_, retired := applyFault(&w, fm)
 	w.PredictedTimes = nil
 	p := plan(GoPIM, w, stage.Config{
 		Chip:       w.Chip,

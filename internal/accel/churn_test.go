@@ -154,27 +154,6 @@ func TestRunChurnComposesWithBaseFaultModel(t *testing.T) {
 	}
 }
 
-// TestRunChurnVertexArrivalsForceFullRemap: growing the vertex set
-// resizes the degree sequence, which the delta path cannot patch — it
-// must fall back to a full remap and still keep the loop consistent.
-func TestRunChurnVertexArrivalsForceFullRemap(t *testing.T) {
-	w := ddiWorkload(t)
-	res, err := RunChurn(w, churn.Config{VertexRate: 0.01, Seed: 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FullRemaps != 3 {
-		t.Fatalf("every arrival epoch must full-remap: got %d of 3", res.FullRemaps)
-	}
-	last := res.Epochs[len(res.Epochs)-1]
-	if first := res.Epochs[0]; last.Vertices <= first.Vertices {
-		t.Fatalf("vertex count did not grow: %d → %d", first.Vertices, last.Vertices)
-	}
-	if res.Refreshes != 3 {
-		t.Fatalf("arrival epochs must force plan refreshes: got %d of 3", res.Refreshes)
-	}
-}
-
 // TestRunChurnRejectsBadInput: invalid configs and epoch counts error
 // cleanly.
 func TestRunChurnRejectsBadInput(t *testing.T) {

@@ -39,9 +39,6 @@ type Request struct {
 	RetiredCrossbars int
 	// MicroBatches is B in equation (6).
 	MicroBatches int
-	// MinRelBenefit stops the greedy when the best single-replica gain
-	// falls below this fraction of the current total (default 1e-6).
-	MinRelBenefit float64
 	// MaxReplicas caps each stage's replica count (0 = unlimited).
 	// Physically, a stage cannot use more copies than it has work items
 	// in flight: the pipelining window times the micro-batch's
@@ -185,6 +182,10 @@ func (h *maxHeap) Pop() interface{} {
 	return x
 }
 
+// minRelBenefit stops Greedy when the best single-replica gain falls
+// below this fraction of the current total.
+const minRelBenefit = 1e-6
+
 // Greedy implements paper Algorithm 1: two max-heaps, H_v keyed by each
 // stage's replica adjustment value (the T_A reduction of one more
 // replica) and H_p keyed by each stage's current effective duration.
@@ -195,10 +196,6 @@ func (h *maxHeap) Pop() interface{} {
 func Greedy(req Request) Result {
 	if err := req.validate(); err != nil {
 		panic(err)
-	}
-	minRel := req.MinRelBenefit
-	if minRel <= 0 {
-		minRel = 1e-6
 	}
 	n := len(req.TimesNS)
 	replicas := onesLike(n)
@@ -231,7 +228,7 @@ func Greedy(req Request) Result {
 		}
 		total := TotalTimeNS(req.TimesNS, replicas, req.MicroBatches)
 		v := (*hv)[0]
-		if v.key <= minRel*total {
+		if v.key <= minRelBenefit*total {
 			break
 		}
 		i := v.value

@@ -285,16 +285,15 @@ func TestOptimalFindsExact(t *testing.T) {
 }
 
 func TestGreedyStopsOnDiminishingReturns(t *testing.T) {
-	// Enormous budget with cheap replicas: the MinRelBenefit floor must
+	// Enormous budget with cheap replicas: the minRelBenefit floor must
 	// terminate the loop long before the budget is gone.
 	req := Request{
-		TimesNS:       []float64{1, 6},
-		Crossbars:     []int{1, 1},
-		Replicable:    []bool{true, true},
-		Kinds:         []stage.Kind{stage.Combination, stage.Aggregation},
-		Budget:        100_000_000,
-		MicroBatches:  64,
-		MinRelBenefit: 1e-6,
+		TimesNS:      []float64{1, 6},
+		Crossbars:    []int{1, 1},
+		Replicable:   []bool{true, true},
+		Kinds:        []stage.Kind{stage.Combination, stage.Aggregation},
+		Budget:       100_000_000,
+		MicroBatches: 64,
 	}
 	res := Greedy(req)
 	if res.Used >= req.Budget {

@@ -46,10 +46,6 @@ const Schema = 2
 type Config struct {
 	// Label names the output file (BENCH_<label>.json).
 	Label string
-	// Suite selects the workload family: "" (or "default") is the
-	// standard sim-matrix + experiments pair; KernelsSuite runs the SpMM
-	// micro-benchmarks instead.
-	Suite string
 	// Seed drives all synthetic graph generation.
 	Seed int64
 	// Fast shrinks the experiment workloads (experiments.Options.Fast).
@@ -112,7 +108,6 @@ func (c *Config) defaults() {
 // Suite records the workload definition inside the BENCH file, so a
 // diff can tell when two files measured different things.
 type Suite struct {
-	Name        string   `json:"suite,omitempty"`
 	Seed        int64    `json:"seed"`
 	Fast        bool     `json:"fast"`
 	Warmup      int      `json:"warmup"`
@@ -282,7 +277,6 @@ func Run(cfg Config) (*File, error) {
 		Schema: Schema,
 		Label:  cfg.Label,
 		Suite: Suite{
-			Name: cfg.Suite,
 			Seed: cfg.Seed, Fast: cfg.Fast,
 			Warmup: cfg.Warmup, Repeats: cfg.Repeats,
 			Workers: cfg.Workers, Experiments: cfg.Experiments,
@@ -317,15 +311,7 @@ func Run(cfg Config) (*File, error) {
 		return err
 	}
 
-	var groups []benchGroup
-	switch cfg.Suite {
-	case "", "default":
-		groups = []benchGroup{{"sim-matrix", simMatrix}, {"experiments", expSuite}}
-	case KernelsSuite:
-		groups = kernelGroups(datasets, cfg.Seed, cfg.Fast)
-	default:
-		return nil, fmt.Errorf("bench: unknown suite %q (want default or %s)", cfg.Suite, KernelsSuite)
-	}
+	groups := []benchGroup{{"sim-matrix", simMatrix}, {"experiments", expSuite}}
 
 	for _, w := range cfg.Workers {
 		for _, group := range groups {

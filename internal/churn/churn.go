@@ -1,6 +1,6 @@
 // Package churn is a deterministic, seed-driven streaming-graph
 // mutation engine: power-law-preserving edge insert/delete streams
-// (and optional vertex arrivals), batched into epochs, that the accel
+// over a fixed vertex set, batched into epochs, that the accel
 // layer threads through mapping, ISU refresh, endurance wear-out and
 // replica allocation as a robustness loop (ROADMAP item 3).
 //
@@ -37,7 +37,7 @@ const (
 	// maximum planning work.
 	Eager Policy = "eager"
 	// Threshold recomputes only once the drifted-vertex fraction since
-	// the last refresh reaches DriftThreshold.
+	// the last refresh reaches DefaultDriftThreshold.
 	Threshold Policy = "threshold"
 	// Adaptive is Threshold plus a θ re-derived from the current
 	// average degree at each refresh (mapping.AdaptiveTheta), so the
@@ -69,18 +69,10 @@ type Config struct {
 	// insert/delete operations are drawn each epoch, where E is the
 	// epoch-start edge count. 0 disables edge churn.
 	Rate float64
-	// VertexRate, when positive, grows the graph: round(VertexRate × N)
-	// new vertices arrive each epoch, each wired to ~avg-degree
-	// neighbours. Vertex arrivals resize the degree sequence, forcing
-	// the mapping layer's full-remap path.
-	VertexRate float64
 	// Seed drives every mutation stream.
 	Seed int64
 	// Policy is the ISU refresh policy (default Threshold).
 	Policy Policy
-	// DriftThreshold overrides DefaultDriftThreshold for the
-	// threshold/adaptive policies.
-	DriftThreshold float64
 	// DaysPerEpoch scales the endurance coupling: each churn epoch
 	// represents this many days of the array's production write
 	// traffic when accumulating wear (default 1).
@@ -92,10 +84,6 @@ func (c Config) Validate() error {
 	switch {
 	case math.IsNaN(c.Rate) || c.Rate < 0 || c.Rate > 1:
 		return fmt.Errorf("churn: rate %v must be in [0,1]", c.Rate)
-	case math.IsNaN(c.VertexRate) || c.VertexRate < 0 || c.VertexRate > 1:
-		return fmt.Errorf("churn: vertex rate %v must be in [0,1]", c.VertexRate)
-	case math.IsNaN(c.DriftThreshold) || c.DriftThreshold < 0 || c.DriftThreshold > 1:
-		return fmt.Errorf("churn: drift threshold %v must be in [0,1]", c.DriftThreshold)
 	case math.IsNaN(c.DaysPerEpoch) || math.IsInf(c.DaysPerEpoch, 0) || c.DaysPerEpoch < 0:
 		return fmt.Errorf("churn: days/epoch %v must be finite and non-negative", c.DaysPerEpoch)
 	}
@@ -112,9 +100,6 @@ func (c Config) WithDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = DefaultPolicy
 	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = DefaultDriftThreshold
-	}
 	if c.DaysPerEpoch == 0 {
 		c.DaysPerEpoch = 1
 	}
@@ -122,7 +107,7 @@ func (c Config) WithDefaults() Config {
 }
 
 // Enabled reports whether the configuration mutates anything.
-func (c Config) Enabled() bool { return c.Rate > 0 || c.VertexRate > 0 }
+func (c Config) Enabled() bool { return c.Rate > 0 }
 
 // ShouldRefresh decides whether the ISU plan is recomputed given the
 // drifted-vertex fraction accumulated since the last refresh.
@@ -131,21 +116,16 @@ func (c Config) ShouldRefresh(drift float64) bool {
 	case Eager:
 		return true
 	default: // Threshold, Adaptive and the zero value
-		th := c.DriftThreshold
-		if th == 0 {
-			th = DefaultDriftThreshold
-		}
-		return drift >= th
+		return drift >= DefaultDriftThreshold
 	}
 }
 
 // Delta summarises one epoch's mutations.
 type Delta struct {
-	EdgesAdded    int
-	EdgesRemoved  int
-	VerticesAdded int
+	EdgesAdded   int
+	EdgesRemoved int
 	// Changed lists the vertex ids whose degree differs from the epoch
-	// start, ascending and unique (newly arrived vertices included).
+	// start, ascending and unique.
 	Changed []int
 }
 
@@ -167,18 +147,16 @@ func NewStream(cfg Config) (*Stream, error) {
 // Config returns the defaulted configuration.
 func (s *Stream) Config() Config { return s.cfg }
 
-// Mutate applies epoch e's mutation batch to the degree sequence and
-// returns the (possibly grown) sequence plus the delta. The input
-// slice is mutated in place up to its original length; endpoint
+// Mutate applies epoch e's mutation batch to the degree sequence in
+// place and returns the delta. The vertex count is fixed; endpoint
 // weights are fixed at epoch start, so one epoch's draws are
 // order-free within the batch.
-func (s *Stream) Mutate(degs []float64, epoch int) ([]float64, Delta) {
+func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 	var d Delta
 	if !s.cfg.Enabled() || len(degs) == 0 {
-		return degs, d
+		return d
 	}
 	rng := rand.New(rand.NewSource(streamSeed(s.cfg.Seed, tagEpoch, int64(epoch))))
-	n0 := len(degs)
 	orig := append([]float64(nil), degs...)
 	insert := newPicker(degs, 1) // degree+1 weighted
 	remove := newPicker(degs, 0) // degree weighted
@@ -208,35 +186,12 @@ func (s *Stream) Mutate(degs []float64, epoch int) ([]float64, Delta) {
 		}
 	}
 
-	// Vertex arrivals: each newcomer attaches ~avg-degree edges to
-	// degree-weighted targets among the epoch-start population.
-	if newV := int(math.Round(s.cfg.VertexRate * float64(n0))); newV > 0 {
-		attach := int(math.Round(totalDeg / float64(n0)))
-		if attach < 1 {
-			attach = 1
-		}
-		for i := 0; i < newV; i++ {
-			degs = append(degs, 0)
-			vid := len(degs) - 1
-			for j := 0; j < attach; j++ {
-				u := insert.pick(rng)
-				degs[u]++
-				degs[vid]++
-				d.EdgesAdded++
-			}
-			d.VerticesAdded++
-		}
-	}
-
-	for v := 0; v < n0; v++ {
+	for v := range degs {
 		if degs[v] != orig[v] {
 			d.Changed = append(d.Changed, v)
 		}
 	}
-	for v := n0; v < len(degs); v++ {
-		d.Changed = append(d.Changed, v)
-	}
-	return degs, d
+	return d
 }
 
 // GraphState threads churn through an explicit edge set — the view the

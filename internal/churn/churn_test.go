@@ -19,8 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		{"typical", Config{Rate: 0.05, Seed: 7, Policy: Adaptive}, true},
 		{"rate-high", Config{Rate: 1.5}, false},
 		{"rate-nan", Config{Rate: math.NaN()}, false},
-		{"vertex-negative", Config{VertexRate: -0.1}, false},
-		{"drift-high", Config{DriftThreshold: 2}, false},
 		{"days-inf", Config{DaysPerEpoch: math.Inf(1)}, false},
 		{"bad-policy", Config{Policy: "lazy"}, false},
 	} {
@@ -43,13 +41,10 @@ func TestShouldRefresh(t *testing.T) {
 	if !(Config{Policy: Eager}).ShouldRefresh(0) {
 		t.Fatal("eager must refresh at zero drift")
 	}
-	th := Config{Policy: Threshold, DriftThreshold: 0.2}
-	if th.ShouldRefresh(0.1) || !th.ShouldRefresh(0.2) {
-		t.Fatal("threshold policy must trip exactly at the threshold")
-	}
-	// Zero-value config gets the default threshold.
-	if (Config{}).ShouldRefresh(DefaultDriftThreshold / 2) {
-		t.Fatal("zero-value config must use the default threshold")
+	for _, cfg := range []Config{{Policy: Threshold}, {Policy: Adaptive}, {}} {
+		if cfg.ShouldRefresh(DefaultDriftThreshold/2) || !cfg.ShouldRefresh(DefaultDriftThreshold) {
+			t.Fatalf("policy %q must trip exactly at the default threshold", cfg.Policy)
+		}
 	}
 }
 
@@ -75,21 +70,19 @@ func degSeq(n int, seed int64) []float64 {
 // TestStreamDeterministic: identical (config, epoch, input) must yield
 // identical mutations — the worker-count-independence foundation.
 func TestStreamDeterministic(t *testing.T) {
-	cfg := Config{Rate: 0.05, VertexRate: 0.01, Seed: 42}
+	cfg := Config{Rate: 0.05, Seed: 42}
 	a, b := degSeq(200, 1), degSeq(200, 1)
 	sa, sb := newStream(t, cfg), newStream(t, cfg)
 	for e := 0; e < 5; e++ {
-		var da, db Delta
-		a, da = sa.Mutate(a, e)
-		b, db = sb.Mutate(b, e)
+		da, db := sa.Mutate(a, e), sb.Mutate(b, e)
 		if !reflect.DeepEqual(da, db) || !reflect.DeepEqual(a, b) {
 			t.Fatalf("epoch %d diverged: %+v vs %+v", e, da, db)
 		}
 	}
 	// A different seed must draw a different batch.
 	c := degSeq(200, 1)
-	c, dc := newStream(t, Config{Rate: 0.05, VertexRate: 0.01, Seed: 43}).Mutate(c, 0)
-	if reflect.DeepEqual(a[:200], c[:200]) && reflect.DeepEqual(dc, Delta{}) {
+	dc := newStream(t, Config{Rate: 0.05, Seed: 43}).Mutate(c, 0)
+	if reflect.DeepEqual(a, c) && reflect.DeepEqual(dc, Delta{}) {
 		t.Fatal("different seed produced no divergence")
 	}
 }
@@ -104,7 +97,7 @@ func TestStreamDeltaAccounting(t *testing.T) {
 		massBefore += d
 	}
 	s := newStream(t, Config{Rate: 0.1, Seed: 9})
-	degs, d := s.Mutate(degs, 0)
+	d := s.Mutate(degs, 0)
 	if d.EdgesAdded == 0 && d.EdgesRemoved == 0 {
 		t.Fatal("10% churn on 300 vertices mutated nothing")
 	}
@@ -135,27 +128,11 @@ func TestStreamDeltaAccounting(t *testing.T) {
 	}
 }
 
-// TestStreamVertexArrivals: VertexRate must grow the sequence and list
-// newcomers as changed.
-func TestStreamVertexArrivals(t *testing.T) {
-	degs := degSeq(100, 3)
-	s := newStream(t, Config{VertexRate: 0.05, Seed: 4})
-	degs, d := s.Mutate(degs, 0)
-	if d.VerticesAdded != 5 || len(degs) != 105 {
-		t.Fatalf("VerticesAdded = %d, len = %d, want 5 and 105", d.VerticesAdded, len(degs))
-	}
-	for v := 100; v < 105; v++ {
-		if degs[v] < 1 {
-			t.Fatalf("newcomer %d arrived isolated", v)
-		}
-	}
-}
-
 // TestStreamDisabled: a zero config must be a structural no-op.
 func TestStreamDisabled(t *testing.T) {
 	degs := degSeq(50, 5)
 	before := append([]float64(nil), degs...)
-	degs, d := newStream(t, Config{}).Mutate(degs, 0)
+	d := newStream(t, Config{}).Mutate(degs, 0)
 	if !reflect.DeepEqual(degs, before) || !reflect.DeepEqual(d, Delta{}) {
 		t.Fatalf("disabled stream mutated: %+v", d)
 	}
@@ -174,7 +151,7 @@ func TestStreamPreservesSkew(t *testing.T) {
 	}
 	s := newStream(t, Config{Rate: 0.05, Seed: 6})
 	for e := 0; e < 40; e++ {
-		degs, _ = s.Mutate(degs, e)
+		s.Mutate(degs, e)
 	}
 	var sum, max float64
 	for _, g := range degs {
@@ -249,7 +226,7 @@ func TestFromFlagsFallbacks(t *testing.T) {
 		t.Fatalf("bad policy not defaulted: %+v", cfg)
 	}
 	if cfg := FromFlags(0.05, 9, "adaptive"); cfg.Rate != 0.05 || cfg.Seed != 9 ||
-		cfg.Policy != Adaptive || cfg.DriftThreshold != DefaultDriftThreshold || cfg.DaysPerEpoch != 1 {
+		cfg.Policy != Adaptive || cfg.DaysPerEpoch != 1 {
 		t.Fatalf("valid flags mangled: %+v", cfg)
 	}
 }

@@ -47,10 +47,6 @@ type Manifest struct {
 	ExplainBottleneck string  `json:"explain_bottleneck,omitempty"`
 	ExplainCritShare  float64 `json:"explain_crit_share,omitempty"`
 	ExplainEq6GapFrac float64 `json:"explain_eq6_gap_frac,omitempty"`
-	// SimMemo records the -sim-memo knob only when the memo layer was
-	// disabled — the same omitempty byte-stability contract as the
-	// fault keys above.
-	SimMemo string `json:"sim_memo,omitempty"`
 	// Streaming-churn knobs (-churn-rate/-churn-seed/-refresh-policy),
 	// recorded only when churn is enabled — same omitempty byte-stability
 	// contract as the fault keys.

@@ -83,8 +83,6 @@ type Input struct {
 type Result struct {
 	// MakespanNS is the total execution time.
 	MakespanNS float64
-	// EffTimesNS are the effective per-micro-batch stage times tᵢ/rᵢ.
-	EffTimesNS []float64
 	// BusyNS is, per stage, the total time its crossbars compute.
 	BusyNS []float64
 	// IdleFrac is, per stage, 1 − busy/makespan — paper Fig. 4's
@@ -181,7 +179,7 @@ func SimulateUnrecorded(in Input) Result {
 			}
 		}
 	}
-	return Result{MakespanNS: makespan, EffTimesNS: eff, BusyNS: busy, IdleFrac: idle}
+	return Result{MakespanNS: makespan, BusyNS: busy, IdleFrac: idle}
 }
 
 func serialMakespan(eff []float64, b int) float64 {

@@ -36,6 +36,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -123,22 +124,11 @@ const (
 	DefaultRequestRing    = 128
 )
 
-// workspace is one request's scratch state, drawn from the bounded
-// pool for the duration of a planning computation. The pool doubles as
-// the admission semaphore: holding a workspace IS the right to
-// compute.
-type workspace struct {
-	// enc accumulates the marshalled response before it is copied into
-	// the cache, so steady-state encoding reuses one growing buffer
-	// per slot instead of allocating per request.
-	enc []byte
-}
-
 // Server is the planning daemon.
 type Server struct {
 	cfg      Config
 	cache    *singleflight.Cache[planKey, []byte]
-	pool     chan *workspace
+	pool     chan struct{} // workspace tokens: holding one is the right to compute
 	queued   chan struct{} // admission tokens: Workers+QueueDepth
 	mux      *http.ServeMux
 	handler  http.Handler // mux behind the telemetry middleware
@@ -188,13 +178,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		cache:  singleflight.New[planKey, []byte](cfg.CacheSize),
-		pool:   make(chan *workspace, cfg.Workers),
+		pool:   make(chan struct{}, cfg.Workers),
 		queued: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		done:   make(chan struct{}),
 	}
 	s.cache.OnEvict = func(planKey, []byte) { mEvictions.Inc() }
 	for i := 0; i < cfg.Workers; i++ {
-		s.pool <- &workspace{}
+		s.pool <- struct{}{}
 	}
 	s.reqlog = obs.NewRequestLog(cfg.RequestRing)
 	s.mux = http.NewServeMux()
@@ -342,11 +332,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	endAcquire := beginStage(r.Context(), "workspace_acquire")
-	var ws *workspace
 	select {
-	case ws = <-s.pool:
+	case <-s.pool:
 		endAcquire()
-		defer func() { s.pool <- ws }()
+		defer func() { s.pool <- struct{}{} }()
 	case <-ctx.Done():
 		endAcquire()
 		mDeadline.Inc()
@@ -361,11 +350,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		})
 		endMarshal := beginStage(r.Context(), "marshal")
 		defer endMarshal()
-		ws.enc = ws.enc[:0]
-		ws.enc = append(ws.enc, mustMarshal(resp)...)
-		ws.enc = append(ws.enc, '\n')
-		// The cache owns an immutable copy; ws.enc is reused.
-		return append([]byte(nil), ws.enc...)
+		// One exact-size allocation: the encoder writes the JSON and
+		// its trailing newline straight into the cached body.
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(resp); err != nil {
+			panic(fmt.Sprintf("serve: marshal response: %v", err))
+		}
+		return body.Bytes()
 	})
 	if out.Hit() {
 		mHits.Inc()
@@ -382,14 +373,6 @@ func (s *Server) writePlan(w http.ResponseWriter, body []byte, disposition strin
 	w.Header().Set("X-Gopim-Cache", disposition)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-}
-
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("serve: marshal response: %v", err))
-	}
-	return b
 }
 
 // datasetInfo is one catalog entry of GET /v1/datasets.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gopim/internal/accel"
+	"gopim/internal/fault"
 	"gopim/internal/graphgen"
 	"gopim/internal/parallel"
 )
@@ -92,43 +93,66 @@ func TestPlanGoldenResponses(t *testing.T) {
 	}
 }
 
-// TestPlanValidation covers the 4xx surface: malformed bodies, unknown
-// names, out-of-range statistics and budgets.
 // The daemon plans through accel's GoPIM core: at the chip-default
 // budget and without the predictor, /v1/plan's per-stage replicas and
 // scheduled makespan are accel.Run(GoPIM)'s, bit for bit.
 func TestPlanMatchesAccelRun(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for _, name := range []string{"ddi", "Cora"} {
-		resp, body := postPlan(t, ts.URL, fmt.Sprintf(`{"dataset":%q}`, name))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
-		}
-		var plan PlanResponse
-		if err := json.Unmarshal(body, &plan); err != nil {
-			t.Fatal(err)
-		}
-		d, err := graphgen.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := accel.Run(accel.GoPIM, accel.Workload{Dataset: d, Seed: plan.Seed})
-		if plan.ScheduledMakespanNS != r.MakespanNS {
-			t.Errorf("%s: scheduled_makespan_ns %v, accel.Run makespan %v",
-				name, plan.ScheduledMakespanNS, r.MakespanNS)
-		}
-		if len(plan.Stages) != len(r.Replicas) {
-			t.Fatalf("%s: %d planned stages, accel.Run has %d", name, len(plan.Stages), len(r.Replicas))
-		}
-		for i, s := range plan.Stages {
-			if s.Replicas != r.Replicas[i] {
-				t.Errorf("%s stage %s: %d replicas planned, accel.Run allocates %d",
-					name, s.Name, s.Replicas, r.Replicas[i])
-			}
-		}
+		checkPlanMatchesRun(t, ts.URL, name)
 	}
 }
 
+// Under a process-wide fault model the plan describes the chip Run
+// simulates — retry-stretched writes, ISU striping around dead
+// crossbars, the retirement-shrunk pool — so the plan and the
+// response's own simulate block quote one makespan.
+func TestFaultedPlanMatchesAccelRun(t *testing.T) {
+	fault.SetDefault(fault.MustNew(fault.Config{Rate: 0.01, Seed: 1}))
+	defer fault.SetDefault(nil)
+	ts := newTestServer(t, Config{})
+	plan := checkPlanMatchesRun(t, ts.URL, "ddi")
+	if plan.Simulation == nil || plan.Simulation.MakespanNS != plan.ScheduledMakespanNS {
+		t.Errorf("simulate block %+v disagrees with scheduled_makespan_ns %v",
+			plan.Simulation, plan.ScheduledMakespanNS)
+	}
+}
+
+// checkPlanMatchesRun plans dataset name with a simulate block and
+// checks the plan against accel.Run(GoPIM) under the same defaults.
+func checkPlanMatchesRun(t *testing.T, url, name string) PlanResponse {
+	t.Helper()
+	resp, body := postPlan(t, url, fmt.Sprintf(`{"dataset":%q,"simulate":true}`, name))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+	}
+	var plan PlanResponse
+	if err := json.Unmarshal(body, &plan); err != nil {
+		t.Fatal(err)
+	}
+	d, err := graphgen.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := accel.Run(accel.GoPIM, accel.Workload{Dataset: d, Seed: plan.Seed})
+	if plan.ScheduledMakespanNS != r.MakespanNS {
+		t.Errorf("%s: scheduled_makespan_ns %v, accel.Run makespan %v",
+			name, plan.ScheduledMakespanNS, r.MakespanNS)
+	}
+	if len(plan.Stages) != len(r.Replicas) {
+		t.Fatalf("%s: %d planned stages, accel.Run has %d", name, len(plan.Stages), len(r.Replicas))
+	}
+	for i, s := range plan.Stages {
+		if s.Replicas != r.Replicas[i] {
+			t.Errorf("%s stage %s: %d replicas planned, accel.Run allocates %d",
+				name, s.Name, s.Replicas, r.Replicas[i])
+		}
+	}
+	return plan
+}
+
+// TestPlanValidation covers the 4xx surface: malformed bodies, unknown
+// names, out-of-range statistics and budgets.
 func TestPlanValidation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	cases := []struct {

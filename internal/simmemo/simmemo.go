@@ -33,10 +33,14 @@
 //
 // Values handed back on a hit are shared, not copied: cached results
 // must be treated as immutable by every caller.
+//
+// The layer is always on in the CLI, the daemon and perfbench; no flag
+// or environment variable turns it off. SetEnabled(false) exists for
+// tests, which run a sweep both ways and compare (the root package's
+// TestMemoOffReproducesMemoOn).
 package simmemo
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -44,7 +48,7 @@ import (
 	"gopim/internal/singleflight"
 )
 
-// enabled gates every cache in the package. Default on: the memo layer
+// disabled gates every cache in the package. Default on: the memo layer
 // never changes output bytes, only wall time. Stored inverted so the
 // zero value means "on" without an init hook.
 var disabled atomic.Bool
@@ -52,56 +56,11 @@ var disabled atomic.Bool
 // Enabled reports whether memoization is active.
 func Enabled() bool { return !disabled.Load() }
 
-// SetEnabled turns the memo layer on or off globally (the -sim-memo
-// knob). Turning it off makes every Do call compute inline and record
-// nothing, restoring pre-memo behaviour exactly.
+// SetEnabled turns the memo layer on or off globally. It is a test
+// hook: with the layer off every Do call computes inline and records
+// nothing, which is the reference the memo-transparency tests compare
+// the memoized run against.
 func SetEnabled(on bool) { disabled.Store(!on) }
-
-// mFlagsInvalid counts rejected -sim-memo/GOPIM_SIM_MEMO values.
-// Wall-clock: whether the environment was malformed is a property of
-// the invocation, not the simulation (same reasoning as
-// parallel.env_workers_invalid).
-var mFlagsInvalid = obs.NewCounter("simmemo.flags_invalid", obs.Wall,
-	"invalid -sim-memo/GOPIM_SIM_MEMO values rejected (warn + fallback to on)")
-
-// EnvVar is the environment fallback consulted when the -sim-memo flag
-// is left empty, mirroring GOPIM_WORKERS.
-const EnvVar = "GOPIM_SIM_MEMO"
-
-// Configure applies the -sim-memo flag value, falling back to the
-// GOPIM_SIM_MEMO environment variable when the flag is empty. Invalid
-// values warn through the obs warn path, bump simmemo.flags_invalid,
-// and leave the default (on) — never an error, matching the
-// GOPIM_WORKERS contract.
-func Configure(flagVal string) {
-	src := "-sim-memo"
-	v := flagVal
-	if v == "" {
-		v = os.Getenv(EnvVar)
-		src = EnvVar
-		if v == "" {
-			return
-		}
-	}
-	on, ok := parseBool(v)
-	if !ok {
-		mFlagsInvalid.Inc()
-		obs.Warnf("simmemo", "ignoring invalid %s=%q (want on|off); memoization stays on", src, v)
-		return
-	}
-	SetEnabled(on)
-}
-
-// parseBool accepts the on/off vocabulary the CLI documents.
-func parseBool(v string) (on, ok bool) {
-	switch v {
-	case "on", "true", "1", "yes":
-		return true, true
-	case "off", "false", "0", "no":
-		return false, true
-	}
-	return false, false
-}
 
 // Cache is one named memo domain: a singleflight LRU plus its Sim-clock
 // hit/miss counters. Construct with NewCache at package init so counter

@@ -1,9 +1,6 @@
 package simmemo
 
 import (
-	"bytes"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -124,56 +121,5 @@ func TestDoCoalescesConcurrentCallers(t *testing.T) {
 	}
 	if c.misses.Value() != 1 {
 		t.Fatalf("misses = %d, want 1 (single computation per key)", c.misses.Value())
-	}
-}
-
-// TestConfigure pins the GOPIM_WORKERS-style knob contract: valid
-// values apply, invalid values warn + count + keep the default, and
-// the env var backs the empty flag.
-func TestConfigure(t *testing.T) {
-	defer SetEnabled(true)
-
-	cases := []struct {
-		flag, env string
-		want      bool
-		warns     bool
-	}{
-		{"off", "", false, false},
-		{"on", "", true, false},
-		{"0", "", false, false},
-		{"", "no", false, false},
-		{"", "yes", true, false},
-		{"sideways", "", true, true}, // invalid flag: stays on
-		{"", "maybe", true, true},    // invalid env: stays on
-		{"off", "on", false, false},  // flag wins over env
-		{"", "", true, false},        // nothing set: default on
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("flag=%q env=%q", tc.flag, tc.env), func(t *testing.T) {
-			SetEnabled(true)
-			if tc.env == "" {
-				t.Setenv(EnvVar, "")
-			} else {
-				t.Setenv(EnvVar, tc.env)
-			}
-			var warnings bytes.Buffer
-			restore := obs.SetWarnOutput(&warnings)
-			defer restore()
-			before := mFlagsInvalid.Value()
-			Configure(tc.flag)
-			if Enabled() != tc.want {
-				t.Fatalf("Enabled() = %v, want %v", Enabled(), tc.want)
-			}
-			if tc.warns {
-				if mFlagsInvalid.Value() != before+1 {
-					t.Fatal("invalid value must bump simmemo.flags_invalid")
-				}
-				if !strings.Contains(warnings.String(), "sim-memo") && !strings.Contains(warnings.String(), "SIM_MEMO") {
-					t.Fatalf("expected a warning naming the knob, got %q", warnings.String())
-				}
-			} else if mFlagsInvalid.Value() != before {
-				t.Fatalf("valid value must not bump the invalid counter")
-			}
-		})
 	}
 }

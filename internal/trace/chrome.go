@@ -16,13 +16,7 @@ import (
 // dedicated simulated-time pid so the two clocks never mix in one
 // process track.
 func (s *Schedule) ChromeTraceEvents(names []string) []obs.TraceEvent {
-	// Lane base per stage: replicas of earlier stages stack first.
-	base := make([]int, len(s.Replicas))
-	lanes := 0
-	for i, r := range s.Replicas {
-		base[i] = lanes
-		lanes += r
-	}
+	base, lanes := s.laneBases()
 	// Earliest-free dispatch touches at most MicroBatches replicas of a
 	// stage, while the allocation can run to thousands; name only the
 	// lanes that carry events so the viewer isn't flooded with empty
@@ -61,7 +55,7 @@ func (s *Schedule) ChromeTraceEvents(names []string) []obs.TraceEvent {
 }
 
 // laneBases returns the first viewer lane (tid) of each stage and the
-// total lane count, matching the stacking ChromeTraceEvents uses.
+// total lane count: replicas of earlier stages stack first.
 func (s *Schedule) laneBases() ([]int, int) {
 	base := make([]int, len(s.Replicas))
 	lanes := 0
