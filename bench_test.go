@@ -20,8 +20,8 @@ import (
 
 // benchExperiment times one cold run of experiment id per iteration:
 // resetting the registry empties every simmemo domain, so no iteration
-// is answered from an earlier one's memo. The shared-predictor cache
-// is not reset, as in the CLI, where one process trains it once.
+// is answered from an earlier one's memo, the shared predictor's
+// included.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
@@ -151,10 +151,9 @@ func BenchmarkProfileGeneration(b *testing.B) {
 
 // BenchmarkAllExperimentsFast is `gopim all -fast`: the full evaluation
 // sweep fanned out across the pool. Each iteration starts cold — the
-// registry reset empties every simmemo domain, so a later iteration or
-// worker count is not served from an earlier one's memo — except for
-// the shared predictor, which is trained only on its first use, as the
-// CLI does.
+// registry reset empties every simmemo domain, the shared predictor
+// included, so a later iteration or worker count is not served from an
+// earlier one's memo.
 func BenchmarkAllExperimentsFast(b *testing.B) {
 	ids := Experiments()
 	withWorkerCounts(b, func(b *testing.B) {

@@ -306,11 +306,8 @@ func (w Workload) Theta() float64 {
 // dataset and seed. The returned model is shared: treat it as
 // read-only.
 func DegModelFor(d graphgen.Dataset, seed int64) *graphgen.DegreeModel {
-	if !simmemo.Enabled() {
-		return d.SynthDegreeModel(seed)
-	}
 	key := fmt.Sprintf("%+v|%d", d, seed)
-	return simmemo.Do(degCache, key, func() *graphgen.DegreeModel {
+	return simmemo.Do(degCache, key, nil, func(*obs.Tape) *graphgen.DegreeModel {
 		return d.SynthDegreeModel(seed)
 	})
 }
@@ -373,14 +370,6 @@ func (r Report) AvgIdleFrac() float64 {
 // replays after. 512 entries dwarfs `gopim all`'s distinct-cell count.
 var runCache = simmemo.NewCache("accelrun", 512)
 
-// runMemo is the cached outcome of one run: the report plus the one
-// input recordFault cannot recompute from it (the stages' per-micro-
-// batch write-row sum).
-type runMemo struct {
-	rep       Report
-	writeRows float64
-}
-
 // Run simulates one accelerator model on a workload: build stages
 // under the model's mapping policy, allocate replicas under its
 // policy, schedule the pipeline, and account energy.
@@ -389,29 +378,21 @@ type runMemo struct {
 // caller) are memoized on the full input tuple; callers passing a
 // custom Deg (serve's custom graph stats) always simulate fresh, since
 // the model's content is not part of any key. Hit or miss, the metric
-// effect is identical: pipeline metrics replay via RecordSim and the
-// fault/report records are recomputed from the report itself, so Sim
-// snapshots are byte-identical with the memo on or off. Reports from
-// cache share slices — treat Report fields as read-only.
+// effect is identical: the memo replays the fault counters runCore
+// recorded, and the pipeline and report metrics are recorded here
+// from the report itself, so Sim snapshots are byte-identical with the
+// memo on or off. Reports from cache share slices — treat Report
+// fields as read-only.
 func Run(kind Kind, w Workload) Report {
-	memoizable := w.Deg == nil && simmemo.Enabled()
+	memoizable := w.Deg == nil
 	w.defaults()
 	fm := w.faultModel()
-	var out *runMemo
+	key := ""
 	if memoizable {
-		out = simmemo.Do(runCache, runKey(kind, w, fm), func() *runMemo {
-			rep, writeRows := runCore(kind, w, fm)
-			return &runMemo{rep: rep, writeRows: writeRows}
-		})
-	} else {
-		rep, writeRows := runCore(kind, w, fm)
-		out = &runMemo{rep: rep, writeRows: writeRows}
+		key = runKey(kind, w, fm)
 	}
-	rep := out.rep
+	rep := simmemo.Do(runCache, key, nil, func(t *obs.Tape) Report { return runCore(kind, w, fm, t) })
 	pipeline.RecordSim(len(rep.StageTimesNS), rep.MicroBatches, rep.MakespanNS)
-	if fm.Enabled() {
-		recordFault(fm, rep, out.writeRows, w.Chip)
-	}
 	recordReport(rep)
 	return rep
 }
@@ -434,9 +415,8 @@ func runKey(kind Kind, w Workload, fm *fault.Model) string {
 }
 
 // runCore is the simulation proper: the planning core plus energy
-// accounting. It records nothing: Run replays the metric effect
-// identically for fresh and cached outcomes.
-func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
+// accounting. Its only metrics are the fault counters, recorded on t.
+func runCore(kind Kind, w Workload, fm *fault.Model, t *obs.Tape) Report {
 	retryFactor, retired := applyFault(&w, fm)
 	cfg := stageConfig(kind, w, fm)
 	p := plan(kind, w, cfg, 0, retired)
@@ -476,7 +456,10 @@ func runCore(kind Kind, w Workload, fm *fault.Model) (Report, float64) {
 		CrossbarsRetired:  retired,
 		AllocDegraded:     p.Alloc.Degraded,
 	}
-	return rep, writeRows
+	if fm.Enabled() {
+		recordFault(t, fm, rep, writeRows, w.Chip)
+	}
+	return rep
 }
 
 // faultModel is the fault model the workload runs under: Fault, else
@@ -670,21 +653,20 @@ func ISUPlan(w Workload) *mapping.UpdatePlan {
 	return stageConfig(GoPIM, w, w.faultModel()).Plan
 }
 
-// recordFault publishes the fault-injection counters for one run.
+// recordFault records the fault-injection counters for one run on t.
 // Only called with injection active, so all four metrics stay at zero
 // — and out of snapshots — on fault-free runs. writeRows is the
-// stages' per-micro-batch write-row sum (carried through the run memo
-// so replays charge the same retries).
-func recordFault(fm *fault.Model, rep Report, writeRows float64, chip reram.Chip) {
-	mFaultyCells.Add(fm.ExpectedStuckCells(rep.CrossbarsUsed, chip.CellsPerCrossbar()))
+// stages' per-micro-batch write-row sum.
+func recordFault(t *obs.Tape, fm *fault.Model, rep Report, writeRows float64, chip reram.Chip) {
+	t.Add(mFaultyCells, fm.ExpectedStuckCells(rep.CrossbarsUsed, chip.CellsPerCrossbar()))
 	// Extra program-verify iterations: each of the epoch's row writes
 	// runs (factor−1)·WriteVerifyCycles additional pulses.
 	writeRows *= float64(rep.MicroBatches)
-	mWriteRetries.Add(int64(math.Round(writeRows *
-		(rep.WriteRetryFactor - 1) * float64(chip.WriteVerifyCycles))))
-	mRetired.Add(int64(rep.CrossbarsRetired))
+	t.Add(mWriteRetries, int64(math.Round(writeRows*
+		(rep.WriteRetryFactor-1)*float64(chip.WriteVerifyCycles))))
+	t.Add(mRetired, int64(rep.CrossbarsRetired))
 	if rep.AllocDegraded {
-		mAllocDegraded.Inc()
+		t.Inc(mAllocDegraded)
 	}
 }
 

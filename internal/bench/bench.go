@@ -51,8 +51,9 @@ type Config struct {
 	// Fast shrinks the experiment workloads (experiments.Options.Fast).
 	Fast bool
 	// Warmup runs per configuration are executed but not recorded; the
-	// default 1 warms caches (the shared predictor cache in
-	// particular) so every measured repeat sees the same state.
+	// default 1 warms what a registry reset leaves in place (the Go
+	// heap and other first-touch costs) so every measured repeat sees
+	// the same state.
 	Warmup int
 	// Repeats is the number of measured runs per configuration
 	// (default 3). Wall stats aggregate over them; the Sim snapshot is

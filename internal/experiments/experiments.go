@@ -176,10 +176,8 @@ func RunAll(ids []string, opt Options) ([]*Result, error) {
 	return RunAllWithHooks(ids, opt, RunHooks{})
 }
 
-// RunHooks observes the experiment fan-out. Hooks ride alongside
-// Options rather than inside it because Options is a cache key (the
-// shared-predictor map) and must stay comparable. Both hooks may be
-// called concurrently from worker goroutines; nil hooks are skipped.
+// RunHooks observes the experiment fan-out. Both hooks may be called
+// concurrently from worker goroutines; nil hooks are skipped.
 type RunHooks struct {
 	// OnStart fires as a harness begins executing.
 	OnStart func(id string)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gopim/internal/graphgen"
+	"gopim/internal/obs"
 	"gopim/internal/simmemo"
 )
 
@@ -21,7 +22,7 @@ var instanceCache = simmemo.NewCache("instance", 128)
 // needs to reuse training runs on it.
 func instanceFor(d graphgen.Dataset, seed int64, maxV int) (*graphgen.Instance, string) {
 	key := fmt.Sprintf("%+v|%d|%d", d, seed, maxV)
-	inst := simmemo.Do(instanceCache, key, func() *graphgen.Instance {
+	inst := simmemo.Do(instanceCache, key, nil, func(*obs.Tape) *graphgen.Instance {
 		return d.Synthesize(seed, maxV)
 	})
 	return inst, key

@@ -162,7 +162,7 @@ func tab7(opt Options) (*Result, error) {
 		Paper:  "ML within 4.3% of profiling on every dataset (e.g. ddi 3454.31 vs 3469.17)",
 		Header: []string{"dataset", "ML", "profiling", "gap"},
 	}
-	pred := trainSharedPredictor(opt)
+	pred := SharedPredictor(opt)
 	for _, d := range evalDatasets(opt) {
 		w := accel.Workload{Dataset: d, Seed: opt.Seed}
 		serial := accel.Run(accel.Serial, w)

@@ -4,22 +4,26 @@ import (
 	"sync"
 	"testing"
 
+	"gopim/internal/obs"
 	"gopim/internal/parallel"
 )
 
-// TestSharedPredictorCacheDeterministicCounts pins the predictor
-// cache's determinism contract after the single-flight conversion:
-// whatever the worker count and however the callers interleave,
-// exactly one miss is counted per distinct Options key and every other
-// lookup is a hit — so experiments.predictor_cache_hits/misses stay
-// byte-identical across 1/2/8-worker runs. It also checks that every
-// caller for a key gets the same trained model (no duplicated
-// training).
+// TestSharedPredictorCacheDeterministicCounts pins the shared
+// predictor's determinism contract: whatever the worker count and
+// however the callers interleave, exactly one miss is counted per
+// distinct Options key and every other lookup is a hit — so
+// simmemo.predictor_hits/misses stay byte-identical across
+// 1/2/8-worker runs. It also checks that every caller for a key gets
+// the same trained model (no duplicated training).
 func TestSharedPredictorCacheDeterministicCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains MLP predictors")
 	}
 	defer parallel.SetWorkers(0)
+	// The predictor memo domain's own counters (registered by
+	// simmemo.NewCache; NewCounter returns the existing ones).
+	mHits := obs.NewCounter("simmemo.predictor_hits", obs.Sim, "")
+	mMisses := obs.NewCounter("simmemo.predictor_misses", obs.Sim, "")
 
 	// Distinct seeds far from other tests' keys so this test's misses
 	// are its own even if another test already warmed the cache.
@@ -38,7 +42,7 @@ func TestSharedPredictorCacheDeterministicCounts(t *testing.T) {
 			round[i] = Options{Seed: k.Seed + int64(workers)*1000, Fast: true}
 		}
 
-		hits0, misses0 := mPredCacheHits.Value(), mPredCacheMisses.Value()
+		hits0, misses0 := mHits.Value(), mMisses.Value()
 		var wg sync.WaitGroup
 		models := make([]any, len(round)*callersPerKey)
 		for i := range models {
@@ -46,13 +50,13 @@ func TestSharedPredictorCacheDeterministicCounts(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				models[i] = trainSharedPredictor(round[i%len(round)])
+				models[i] = SharedPredictor(round[i%len(round)])
 			}()
 		}
 		wg.Wait()
 
-		misses := mPredCacheMisses.Value() - misses0
-		hits := mPredCacheHits.Value() - hits0
+		misses := mMisses.Value() - misses0
+		hits := mHits.Value() - hits0
 		wantMisses := int64(len(round))
 		wantHits := int64(len(round)*callersPerKey) - wantMisses
 		if misses != wantMisses || hits != wantHits {

@@ -5,24 +5,9 @@ import (
 
 	"gopim/internal/accel"
 	"gopim/internal/graphgen"
-	"gopim/internal/obs"
 	"gopim/internal/predictor"
 	"gopim/internal/reram"
-	"gopim/internal/singleflight"
 	"gopim/internal/stage"
-)
-
-// Cache metrics for the shared time predictor. Both counts are
-// deterministic despite the concurrent fan-out: the single-flight
-// cache runs exactly one training per Options key — every concurrent
-// caller for that key coalesces onto it and counts as a hit — so the
-// totals depend only on which experiments run, never on scheduling or
-// worker count.
-var (
-	mPredCacheHits = obs.NewCounter("experiments.predictor_cache_hits", obs.Sim,
-		"shared-predictor lookups answered from the cache")
-	mPredCacheMisses = obs.NewCounter("experiments.predictor_cache_misses", obs.Sim,
-		"shared-predictor lookups that trained a new model")
 )
 
 func init() {
@@ -118,37 +103,12 @@ func fig9(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// sharedPredictors caches one trained time predictor per (mode, seed)
-// so that tab7, the CLI's "all" run and the serve daemon don't retrain
-// repeatedly. Misses coalesce per key: concurrent callers for the same
-// Options share one training run, while different keys train in
-// parallel — the old design held a single mutex across training, so
-// independent keys serialized behind whichever training ran first.
-var sharedPredictors = singleflight.New[Options, *predictor.TimePredictor](0)
-
-// trainSharedPredictor trains (or reuses) the MLP time predictor on
-// the profile sweep. The trained predictor is read-only and safe for
-// concurrent Predict calls.
-func trainSharedPredictor(opt Options) *predictor.TimePredictor {
-	p, hit := sharedPredictors.Do(opt, func() *predictor.TimePredictor {
-		mPredCacheMisses.Inc()
-		sp := obs.StartSpan("predictor.train")
-		defer sp.End()
-		p := predictor.NewTimePredictor()
-		p.Train(predictor.Generate(profileSpec(opt)))
-		return p
-	})
-	if hit {
-		mPredCacheHits.Inc()
-	}
-	return p
-}
-
-// SharedPredictor exposes the per-Options predictor cache to other
-// packages (the serve daemon plans requests against the same shared
-// immutable model the experiments use).
+// SharedPredictor returns the MLP time predictor trained on opt's
+// profile sweep, one per sweep (predictor.Shared): tab7, the CLI's
+// "all" run and the serve daemon plan against the same shared,
+// read-only model.
 func SharedPredictor(opt Options) *predictor.TimePredictor {
-	return trainSharedPredictor(opt)
+	return predictor.Shared(profileSpec(opt))
 }
 
 // predictTimesFor produces the predictor's stage-time estimates for an

@@ -97,30 +97,6 @@ type Config struct {
 	Fault *fault.Model
 }
 
-// simCounts accumulates every Sim-clock increment of one training run
-// so the run can be memoized: a memo hit applies the stored counts and
-// leaves the registry exactly as re-running the training would have.
-// (The per-epoch timer and heap gauges are Wall-clock and deliberately
-// not captured — wall telemetry reflects what actually executed.)
-type simCounts struct {
-	trainRuns, epochs        int64
-	rowsRewritten, rowsTotal int64
-	stuckElems               int64
-}
-
-// apply flushes the counts into the Sim registry. Called exactly once
-// per Train/TrainMemo call — after a fresh run and on every memo hit —
-// so counter totals are identical with the memo on or off.
-func (c *simCounts) apply() {
-	mTrainRuns.Add(c.trainRuns)
-	mEpochs.Add(c.epochs)
-	mRowsRewritten.Add(c.rowsRewritten)
-	mRowsTotal.Add(c.rowsTotal)
-	if c.stuckElems != 0 {
-		mStuckElems.Add(c.stuckElems)
-	}
-}
-
 // Result reports a training run.
 type Result struct {
 	// Accuracy is test accuracy for node tasks and the paired
@@ -215,8 +191,9 @@ type workspace struct {
 	stuckBPC   int // bits per physical cell
 	stuckCells int // cells per stored value
 
-	// counts accumulates the run's Sim increments for memo replay.
-	counts simCounts
+	// tape receives the run's Sim counter increments (nil: straight
+	// into the registry); TrainMemo's memo replays it on hits.
+	tape *obs.Tape
 
 	fw forwardState
 }
@@ -272,18 +249,7 @@ func newWorkspace(adj, adjT *sparsemat.CSR, n int, dims []int) *workspace {
 
 // Train runs GCN training on a synthetic instance and returns the
 // final test metric.
-func Train(inst *graphgen.Instance, cfg Config) Result {
-	res, counts := trainCounted(inst, cfg)
-	counts.apply()
-	return res
-}
-
-// trainOutcome is what the training memo stores: the result plus the
-// Sim-counter deltas needed to replay a hit.
-type trainOutcome struct {
-	res    Result
-	counts simCounts
-}
+func Train(inst *graphgen.Instance, cfg Config) Result { return train(inst, cfg, nil) }
 
 // trainCache memoizes whole training runs keyed on (instance, config).
 // 512 entries holds every distinct training configuration `gopim all`
@@ -295,19 +261,14 @@ var trainCache = simmemo.NewCache("train", 512)
 // byte-identical — synthesis is deterministic in (Dataset, seed,
 // maxVertices), so a fingerprint of those suffices). Repeat calls with
 // an equal (instKey, cfg) pair reuse the previous Result and replay
-// its Sim-counter deltas, so snapshots are byte-identical with the
-// memo on or off. An empty instKey, or the memo layer being disabled,
-// falls back to a plain Train.
+// its Sim counter increments, so snapshots are byte-identical with the
+// memo on or off. An empty instKey trains uncached.
 func TrainMemo(instKey string, inst *graphgen.Instance, cfg Config) Result {
-	if instKey == "" || !simmemo.Enabled() {
-		return Train(inst, cfg)
+	key := ""
+	if instKey != "" {
+		key = instKey + "|" + cfg.fingerprint()
 	}
-	out := simmemo.Do(trainCache, instKey+"|"+cfg.fingerprint(), func() *trainOutcome {
-		res, counts := trainCounted(inst, cfg)
-		return &trainOutcome{res: res, counts: *counts}
-	})
-	out.counts.apply()
-	return out.res
+	return simmemo.Do(trainCache, key, nil, func(t *obs.Tape) Result { return train(inst, cfg, t) })
 }
 
 // fingerprint renders every Result-influencing Config field (the memo
@@ -339,11 +300,10 @@ func (cfg Config) fingerprint() string {
 	return b.String()
 }
 
-// trainCounted is the training loop proper. It touches the Sim-metric
-// registry only through ws.counts, which the caller applies — that
-// indirection is what makes whole runs memoizable without skewing a
+// train is the training loop proper. Its Sim counter increments go on
+// t, which is what makes whole runs memoizable without skewing a
 // single counter.
-func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
+func train(inst *graphgen.Instance, cfg Config, t *obs.Tape) Result {
 	if cfg.Epochs < 1 {
 		panic(fmt.Sprintf("gcn: epochs %d must be ≥ 1", cfg.Epochs))
 	}
@@ -383,6 +343,7 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 	}
 	opt := newAdam(lr, weights)
 	ws := newWorkspace(adj, adjT, inst.Features.Rows, dims)
+	ws.tape = t
 
 	// Fault injection: stuck-at masks for everything the run writes to
 	// the array. Weight masks are applied here after each epoch's
@@ -416,19 +377,19 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 				stuckTotal += int64(ws.stuck[l].Stuck)
 			}
 		}
-		ws.counts.stuckElems += stuckTotal
+		t.Add(mStuckElems, stuckTotal)
 	}
 
 	// written[l] is the combined feature matrix as present on the
 	// layer's aggregation crossbars; rows refresh per the plan.
 	written := make([]*tensor.Matrix, d.Layers)
 
-	ws.counts.trainRuns++
+	t.Inc(mTrainRuns)
 	losses := make([]float64, 0, cfg.Epochs)
 	var updatedRows, totalRows float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		t0 := obs.NowIfEnabled()
-		ws.counts.epochs++
+		t.Inc(mEpochs)
 		if quantBits >= 2 {
 			// ReRAM write-time quantisation: the crossbars only ever
 			// hold fixed-point weights.
@@ -470,7 +431,7 @@ func trainCounted(inst *graphgen.Instance, cfg Config) (Result, *simCounts) {
 		mHeapAlloc.Set(float64(ms.HeapAlloc))
 		mGCCount.Set(float64(ms.NumGC))
 	}
-	return res, &ws.counts
+	return res
 }
 
 // forwardState caches one forward pass for backprop. Its matrices
@@ -528,7 +489,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 			msk = nil
 		}
 
-		ws.counts.rowsTotal += int64(c.Rows)
+		ws.tape.Add(mRowsTotal, int64(c.Rows))
 		if plan != nil {
 			// ISU: copy fresh rows for vertices due this epoch; stale
 			// rows stay as last written.
@@ -538,7 +499,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 				}
 				written[l] = c.Clone() // first epoch writes everything
 				updSum++
-				ws.counts.rowsRewritten += int64(c.Rows)
+				ws.tape.Add(mRowsRewritten, int64(c.Rows))
 			} else {
 				updated := 0
 				for v := 0; v < c.Rows; v++ {
@@ -551,7 +512,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 					}
 				}
 				updSum += float64(updated) / float64(c.Rows)
-				ws.counts.rowsRewritten += int64(updated)
+				ws.tape.Add(mRowsRewritten, int64(updated))
 				c.CopyFrom(written[l])
 			}
 		} else {
@@ -559,7 +520,7 @@ func (ws *workspace) forwardQuant(x *tensor.Matrix, weights []*tensor.Matrix,
 				applyStuckAll(c, msk, sch, ws.stuckBPC, ws.stuckCells)
 			}
 			updSum++
-			ws.counts.rowsRewritten += int64(c.Rows)
+			ws.tape.Add(mRowsRewritten, int64(c.Rows))
 		}
 		fw.combined[l] = c
 

@@ -314,12 +314,7 @@ func forward(adj *sparsemat.CSR, x *tensor.Matrix, weights []*tensor.Matrix,
 	written []*tensor.Matrix, plan *mapping.UpdatePlan, epoch int,
 	dropout float64, rng *rand.Rand) *forwardState {
 	ws := newWorkspace(adj, nil, x.Rows, layerDims(x, weights))
-	fw := ws.forwardQuant(x, weights, written, plan, epoch, dropout, rng, 0)
-	// Transient workspaces flush their row counters immediately, as an
-	// unmemoized training step would.
-	ws.counts.apply()
-	ws.counts = simCounts{}
-	return fw
+	return ws.forwardQuant(x, weights, written, plan, epoch, dropout, rng, 0)
 }
 
 // layerDims reconstructs the width vector from an input matrix and the

@@ -71,14 +71,17 @@ func logDenorm(v, lo, hi float64) float64 {
 }
 
 // Train fits one model per stage kind on the samples.
-func (p *TimePredictor) Train(samples []Sample) {
+func (p *TimePredictor) Train(samples []Sample) { p.train(samples, nil) }
+
+// train is Train with its Sim counter increments recorded on t.
+func (p *TimePredictor) train(samples []Sample, t *obs.Tape) {
 	if len(samples) == 0 {
 		panic("predictor: no training samples")
 	}
 	t0 := obs.NowIfEnabled()
 	defer mTrainTime.ObserveSince(t0)
-	mTrainCalls.Inc()
-	mTrainSamples.Add(int64(len(samples)))
+	t.Inc(mTrainCalls)
+	t.Add(mTrainSamples, int64(len(samples)))
 	if p.NewModel == nil {
 		p.NewModel = func() Regressor { return NewMLP() }
 	}
@@ -201,9 +204,7 @@ func (p *TimePredictor) MeanRelativeError(test []Sample) float64 {
 // ModelRMSE trains a fresh predictor with the given model family on
 // train and reports RMSE on test — one bar of paper Fig. 9(a).
 func ModelRMSE(newModel func() Regressor, train, test []Sample) float64 {
-	p := &TimePredictor{NewModel: newModel}
-	p.Train(train)
-	return p.RMSE(test)
+	return ModelRMSECached("", newModel, train, test)
 }
 
 // rmseCache memoizes ModelRMSECached bars. The model constructor is a
@@ -211,30 +212,17 @@ func ModelRMSE(newModel func() Regressor, train, test []Sample) float64 {
 // model variant along with whatever determines train/test.
 var rmseCache = simmemo.NewCache("rmse", 256)
 
-// rmseMemo carries the score plus the training-set size needed to
-// replay Train's Sim counters on a cache hit.
-type rmseMemo struct {
-	rmse         float64
-	trainSamples int
-}
-
 // ModelRMSECached is ModelRMSE memoized under a caller-provided key
 // that must uniquely determine (newModel, train, test) — typically the
 // profile-spec fingerprint plus the model variant name. An empty key
-// opts out. A hit replays the train-call and sample counters, so Sim
-// snapshots match the uncached path exactly.
+// opts out. A hit replays the training counters, so Sim snapshots
+// match the uncached path exactly.
 func ModelRMSECached(key string, newModel func() Regressor, train, test []Sample) float64 {
-	if key == "" {
-		return ModelRMSE(newModel, train, test)
-	}
-	out, hit := simmemo.DoOutcome(rmseCache, key, func() *rmseMemo {
-		return &rmseMemo{rmse: ModelRMSE(newModel, train, test), trainSamples: len(train)}
+	return simmemo.Do(rmseCache, key, nil, func(t *obs.Tape) float64 {
+		p := &TimePredictor{NewModel: newModel}
+		p.train(train, t)
+		return p.RMSE(test)
 	})
-	if hit {
-		mTrainCalls.Inc()
-		mTrainSamples.Add(int64(out.trainSamples))
-	}
-	return out.rmse
 }
 
 // VariantKey returns the memo-key suffix for one sweep variant: the

@@ -94,13 +94,6 @@ func unitSeed(base int64, i int) int64 {
 // SplitTrainTest builds fresh slices).
 var profileCache = simmemo.NewCache("profile", 64)
 
-// profileMemo carries the sweep result plus the unit count needed to
-// replay Generate's Sim counters on a cache hit.
-type profileMemo struct {
-	units   int
-	samples []Sample
-}
-
 // Generate produces the profile dataset by sweeping the spec's axes
 // through the timing simulator. Units — one per (dataset, scale) pair,
 // covering that pair's full hidden-width × micro-batch sweep — run in
@@ -109,20 +102,19 @@ type profileMemo struct {
 //
 // Results are memoized by spec; the returned slice is shared across
 // same-spec calls and must not be mutated.
-func Generate(spec ProfileSpec) []Sample {
+func Generate(spec ProfileSpec) []Sample { return generate(spec, nil) }
+
+// generate is Generate with its Sim counter increments recorded on t.
+func generate(spec ProfileSpec, t *obs.Tape) []Sample {
 	spec.defaults()
-	out := simmemo.Do(profileCache, fmt.Sprintf("%+v", spec), func() *profileMemo {
-		units, samples := generateCore(spec)
-		return &profileMemo{units: units, samples: samples}
+	return simmemo.Do(profileCache, fmt.Sprintf("%+v", spec), t, func(t *obs.Tape) []Sample {
+		return generateCore(spec, t)
 	})
-	mProfileUnits.Add(int64(out.units))
-	mProfileSamples.Add(int64(len(out.samples)))
-	return out.samples
 }
 
 // generateCore is the memoized body of Generate: a pure function of the
-// defaulted spec, with the counter records hoisted to the caller.
-func generateCore(spec ProfileSpec) (int, []Sample) {
+// defaulted spec.
+func generateCore(spec ProfileSpec, t *obs.Tape) []Sample {
 	type unit struct {
 		ds   graphgen.Dataset
 		n    int
@@ -173,5 +165,27 @@ func generateCore(spec ProfileSpec) (int, []Sample) {
 	for _, s := range perUnit {
 		samples = append(samples, s...)
 	}
-	return len(units), samples
+	t.Add(mProfileUnits, int64(len(units)))
+	t.Add(mProfileSamples, int64(len(samples)))
+	return samples
+}
+
+// sharedCache memoizes trained time predictors by profile spec, so
+// tab7, the CLI's "all" run and the serve daemon train one model per
+// spec. It holds as many specs as the profile cache.
+var sharedCache = simmemo.NewCache("predictor", 64)
+
+// Shared returns the MLP time predictor trained on spec's profile
+// sweep, one per spec. A hit replays the profile and training counters
+// of the run that trained it. The predictor is shared: it is read-only
+// and safe for concurrent Predict calls.
+func Shared(spec ProfileSpec) *TimePredictor {
+	spec.defaults()
+	return simmemo.Do(sharedCache, fmt.Sprintf("%+v", spec), nil, func(t *obs.Tape) *TimePredictor {
+		sp := obs.StartSpan("predictor.train")
+		defer sp.End()
+		p := NewTimePredictor()
+		p.train(generate(spec, t), t)
+		return p
+	})
 }

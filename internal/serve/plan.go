@@ -377,7 +377,7 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 	}
 	if k.usePred {
 		// Shared immutable model, one per (profile mode, seed), via the
-		// single-flight cache: concurrent first requests coalesce onto
+		// predictor memo domain: concurrent first requests coalesce onto
 		// one training run. Predictions use the full-update stage
 		// structure, as profiled (see experiments.predictTimesFor).
 		pred := experiments.SharedPredictor(experiments.Options{

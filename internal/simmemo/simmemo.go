@@ -18,18 +18,19 @@
 // counts scheduling-dependent (the same caveat the serve response
 // cache documents).
 //
-// The second half of the contract is on the callers: a memoized
-// computation must leave the Sim-metric registry exactly as the
-// un-memoized computation would have. Computations whose counters are
-// pure functions of (input, result) — trace.Simulate, pipeline — just
-// re-run the recording lines on a hit; computations with interleaved
-// increments (gcn.Train, predictor.Generate) accumulate their counts
-// into a replay struct stored beside the result and re-apply it on
-// every hit. Either way, workload-semantics Sim counters (gcn.*,
-// pipeline.*, trace.*, accel.*) are byte-identical with the memo on
-// or off, at any worker count. The exceptions are simmemo.*'s own
-// hit/miss counters and the parallel.* pool-attribution counters:
-// those meter executed work, which is exactly what a memo hit elides.
+// The second half of the contract is replay: a memoized computation
+// records its Sim counter increments on the obs.Tape that Do hands it,
+// never into the registry directly. Do stores the tape beside the value
+// and replays it on every call — miss, hit, and with the layer off — so
+// the workload-semantics Sim counters (gcn.*, predictor.*, accel.*)
+// are byte-identical with the memo on or off, at any worker count. A
+// memoized computation that calls Do itself passes its own tape down,
+// so a nested domain's counters ride along in the outer one's replay.
+// Metrics that are pure functions of the returned value (pipeline.*,
+// the accel.* distributions) are recorded by the caller after Do
+// returns. The exceptions are simmemo.*'s own hit/miss counters and
+// the parallel.* pool-attribution counters: those meter executed work,
+// which is exactly what a memo hit elides.
 //
 // Values handed back on a hit are shared, not copied: cached results
 // must be treated as immutable by every caller.
@@ -53,13 +54,10 @@ import (
 // zero value means "on" without an init hook.
 var disabled atomic.Bool
 
-// Enabled reports whether memoization is active.
-func Enabled() bool { return !disabled.Load() }
-
 // SetEnabled turns the memo layer on or off globally. It is a test
-// hook: with the layer off every Do call computes inline and records
-// nothing, which is the reference the memo-transparency tests compare
-// the memoized run against.
+// hook: with the layer off every Do call computes inline and counts no
+// hit or miss, which is the reference the memo-transparency tests
+// compare the memoized run against.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
 // Cache is one named memo domain: a singleflight LRU plus its Sim-clock
@@ -105,29 +103,40 @@ func (c *Cache) Hits() int64 { return c.hits.Value() }
 func (c *Cache) Misses() int64 { return c.misses.Value() }
 
 // Do returns the value for key, computing it with fn on first use and
-// coalescing concurrent same-key calls. With the layer disabled it
-// runs fn inline and touches no counters. The returned value is shared
-// across all callers of the key: treat it as immutable.
-func Do[T any](c *Cache, key string, fn func() T) T {
-	v, _ := DoOutcome(c, key, fn)
-	return v
+// coalescing concurrent same-key calls. fn records its Sim counter
+// increments on the tape it is given; Do stores that tape beside the
+// value and replays it into t (the registry when t is nil) on every
+// call, so the counters move as if fn had run each time. An empty key,
+// or the layer being off, computes uncached through the same path and
+// touches no hit/miss counter. The returned value is shared across all
+// callers of the key: treat it as immutable.
+func Do[T any](c *Cache, key string, t *obs.Tape, fn func(*obs.Tape) T) T {
+	compute := func() any {
+		e := &entry[T]{}
+		e.v = fn(&e.tape)
+		return e
+	}
+	var e *entry[T]
+	if key == "" || disabled.Load() {
+		e = compute().(*entry[T])
+	} else {
+		v, hit := c.sf.Do(key, compute)
+		if hit {
+			c.hits.Inc()
+		} else {
+			c.misses.Inc()
+		}
+		e = v.(*entry[T])
+	}
+	e.tape.Replay(t)
+	return e.v
 }
 
-// DoOutcome is Do plus a hit report: hit is true when the value came
-// from the cache (cached or coalesced) rather than from this call's fn.
-// Callers whose memoized computation bumps Sim counters internally use
-// it to replay those counts from the stored value on a hit.
-func DoOutcome[T any](c *Cache, key string, fn func() T) (v T, hit bool) {
-	if !Enabled() {
-		return fn(), false
-	}
-	vv, out := c.sf.DoOutcome(key, func() any { return fn() })
-	if out == singleflight.Computed {
-		c.misses.Inc()
-	} else {
-		c.hits.Inc()
-	}
-	return vv.(T), out != singleflight.Computed
+// entry is what a cache stores: the value and the tape of Sim counter
+// increments its computation made.
+type entry[T any] struct {
+	v    T
+	tape obs.Tape
 }
 
 // The memo caches clear whenever the default registry resets: hit/miss

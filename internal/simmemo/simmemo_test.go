@@ -14,7 +14,7 @@ func TestDoComputesOncePerKey(t *testing.T) {
 	c := NewCache("test_once", 8)
 	var calls int
 	for i := 0; i < 3; i++ {
-		v := Do(c, "k", func() int { calls++; return 42 })
+		v := Do(c, "k", nil, func(*obs.Tape) int { calls++; return 42 })
 		if v != 42 {
 			t.Fatalf("Do = %d, want 42", v)
 		}
@@ -27,30 +27,83 @@ func TestDoComputesOncePerKey(t *testing.T) {
 	}
 }
 
-// TestDoOutcomeReportsHit pins the hit flag counter-replay callers
-// depend on: false exactly when this call's fn produced the value.
-func TestDoOutcomeReportsHit(t *testing.T) {
-	c := NewCache("test_outcome", 8)
-	if _, hit := DoOutcome(c, "k", func() int { return 1 }); hit {
-		t.Fatal("first call must not be a hit")
+// TestDoReplaysTapeOnEveryCall pins the replay contract: fn runs once
+// per key, yet the counter it records moves on every call — miss, hit,
+// keyless and with the layer off — and lands in the caller's tape when
+// one is given.
+func TestDoReplaysTapeOnEveryCall(t *testing.T) {
+	c := NewCache("test_replay", 8)
+	ctr := obs.NewRegistry().NewCounter("test.replayed", obs.Sim, "")
+	var calls int
+	fn := func(tp *obs.Tape) int {
+		calls++
+		tp.Add(ctr, 5)
+		return 1
 	}
-	if _, hit := DoOutcome(c, "k", func() int { return 2 }); !hit {
-		t.Fatal("second call must be a hit")
+	for i := 0; i < 3; i++ {
+		Do(c, "k", nil, fn)
 	}
-	if v := Do(c, "k", func() int { return 3 }); v != 1 {
-		t.Fatalf("cached value = %d, want the first computation's 1", v)
+	if calls != 1 || ctr.Value() != 15 {
+		t.Fatalf("fn ran %d times, counter %d; want 1 run, 15 (5 per call)", calls, ctr.Value())
+	}
+	Do(c, "", nil, fn)
+	SetEnabled(false)
+	Do(c, "k", nil, fn)
+	SetEnabled(true)
+	if calls != 3 || ctr.Value() != 25 {
+		t.Fatalf("keyless and memo-off: fn ran %d times, counter %d; want 3, 25", calls, ctr.Value())
+	}
+	var outer obs.Tape
+	Do(c, "k", &outer, fn)
+	if ctr.Value() != 25 {
+		t.Fatalf("a call with a tape must record there, not in the registry (counter %d)", ctr.Value())
+	}
+	outer.Replay(nil)
+	if ctr.Value() != 30 {
+		t.Fatalf("replaying the outer tape: counter %d, want 30", ctr.Value())
+	}
+}
+
+// TestNestedDoReplaysIntoOuterTape: a memoized computation that calls
+// Do itself passes its tape down, so the inner domain's counters are
+// stored with the outer value and replayed on outer hits, where the
+// inner fn never runs.
+func TestNestedDoReplaysIntoOuterTape(t *testing.T) {
+	outer, inner := NewCache("test_nest_outer", 8), NewCache("test_nest_inner", 8)
+	reg := obs.NewRegistry()
+	outerCtr := reg.NewCounter("test.outer", obs.Sim, "")
+	innerCtr := reg.NewCounter("test.inner", obs.Sim, "")
+	var innerCalls int
+	innerFn := func(tp *obs.Tape) int { innerCalls++; tp.Add(innerCtr, 10); return 2 }
+	outerFn := func(tp *obs.Tape) int {
+		tp.Inc(outerCtr)
+		return Do(inner, "in", tp, innerFn) + 1
+	}
+	for i := 0; i < 2; i++ {
+		if v := Do(outer, "out", nil, outerFn); v != 3 {
+			t.Fatalf("outer Do = %d, want 3", v)
+		}
+	}
+	Do(inner, "in", nil, innerFn)
+	if innerCalls != 1 {
+		t.Fatalf("inner fn ran %d times, want 1", innerCalls)
+	}
+	if outerCtr.Value() != 2 || innerCtr.Value() != 30 {
+		t.Fatalf("outer=%d inner=%d, want 2 and 30 (the outer hit replays the inner count)",
+			outerCtr.Value(), innerCtr.Value())
 	}
 }
 
 // TestDisabledBypassesEverything: with the layer off, every call
-// computes inline and no counter moves — pre-memo behaviour exactly.
+// computes inline and no hit/miss counter moves — pre-memo behaviour
+// exactly.
 func TestDisabledBypassesEverything(t *testing.T) {
 	c := NewCache("test_disabled", 8)
 	SetEnabled(false)
 	defer SetEnabled(true)
 	var calls int
 	for i := 0; i < 2; i++ {
-		if v := Do(c, "k", func() int { calls++; return calls }); v != calls {
+		if v := Do(c, "k", nil, func(*obs.Tape) int { calls++; return calls }); v != calls {
 			t.Fatalf("disabled Do must return this call's fn result, got %d", v)
 		}
 	}
@@ -66,9 +119,9 @@ func TestDisabledBypassesEverything(t *testing.T) {
 func TestResetAllClearsEntries(t *testing.T) {
 	c := NewCache("test_resetall", 8)
 	var calls int
-	Do(c, "k", func() int { calls++; return 0 })
+	Do(c, "k", nil, func(*obs.Tape) int { calls++; return 0 })
 	ResetAll()
-	Do(c, "k", func() int { calls++; return 0 })
+	Do(c, "k", nil, func(*obs.Tape) int { calls++; return 0 })
 	if calls != 2 {
 		t.Fatalf("fn ran %d times, want 2 (ResetAll must clear entries)", calls)
 	}
@@ -81,9 +134,9 @@ func TestResetAllClearsEntries(t *testing.T) {
 func TestRegistryResetClearsCaches(t *testing.T) {
 	c := NewCache("test_obsreset", 8)
 	var calls int
-	Do(c, "k", func() int { calls++; return 0 })
+	Do(c, "k", nil, func(*obs.Tape) int { calls++; return 0 })
 	obs.Default().Reset()
-	Do(c, "k", func() int { calls++; return 0 })
+	Do(c, "k", nil, func(*obs.Tape) int { calls++; return 0 })
 	if calls != 2 {
 		t.Fatalf("fn ran %d times, want 2 (registry Reset must clear caches)", calls)
 	}
@@ -93,9 +146,11 @@ func TestRegistryResetClearsCaches(t *testing.T) {
 }
 
 // TestDoCoalescesConcurrentCallers: racing same-key callers share one
-// computation, and hits+misses still sum to the call count.
+// computation, hits+misses still sum to the call count, and every
+// caller replays the one stored tape.
 func TestDoCoalescesConcurrentCallers(t *testing.T) {
 	c := NewCache("test_coalesce", 8)
+	ctr := obs.NewRegistry().NewCounter("test.coalesced", obs.Sim, "")
 	const callers = 16
 	var calls int
 	var mu sync.Mutex
@@ -104,10 +159,11 @@ func TestDoCoalescesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Do(c, "k", func() int {
+			Do(c, "k", nil, func(tp *obs.Tape) int {
 				mu.Lock()
 				calls++
 				mu.Unlock()
+				tp.Add(ctr, 3)
 				return 7
 			})
 		}()
@@ -121,5 +177,8 @@ func TestDoCoalescesConcurrentCallers(t *testing.T) {
 	}
 	if c.misses.Value() != 1 {
 		t.Fatalf("misses = %d, want 1 (single computation per key)", c.misses.Value())
+	}
+	if ctr.Value() != 3*callers {
+		t.Fatalf("counter = %d, want %d (one replay per caller)", ctr.Value(), 3*callers)
 	}
 }

@@ -13,8 +13,8 @@
 // executions is exactly the number of distinct keys, independent of
 // scheduling or concurrency. Callers that count hits as
 // (calls − executions) therefore get scheduling-independent totals,
-// which is what lets the predictor-cache and serve-cache counters live
-// on the deterministic Sim clock.
+// which is what lets the simmemo and serve-cache counters live on the
+// deterministic Sim clock.
 package singleflight
 
 import (

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gopim/internal/obs"
 	"gopim/internal/simmemo"
 )
 
@@ -70,10 +71,11 @@ type Input struct {
 // It records no metrics: its callers (critical-path extraction and the
 // ±1-replica what-ifs) re-simulate schedules many times per run.
 func Simulate(in Input) *Schedule {
-	if !simmemo.Enabled() || len(in.TimesNS)*in.MicroBatches > memoMaxEvents {
-		return simulate(in)
+	key := ""
+	if len(in.TimesNS)*in.MicroBatches <= memoMaxEvents {
+		key = in.fingerprint()
 	}
-	return simmemo.Do(schedCache, in.fingerprint(), func() *Schedule { return simulate(in) })
+	return simmemo.Do(schedCache, key, nil, func(*obs.Tape) *Schedule { return simulate(in) })
 }
 
 // schedCache memoizes event-level schedules by exact input tuple. The
