@@ -278,8 +278,14 @@ type Workload struct {
 // degCache memoizes synthesized degree models by (dataset, seed):
 // every model kind simulated on the same dataset re-derives the same
 // power-law weights, and the downstream consumers (stage.Build,
-// mapping, alloc) only ever read the model.
-var degCache = simmemo.NewCache("degmodel", 128)
+// mapping, alloc) only ever read the model. A model holds 8 bytes per
+// vertex (products: 19.6 MB), so the domain is also bounded by bytes:
+// `gopim all` keeps 27 MB of models, and a daemon whose clients choose
+// the seed cannot pin more than degModelBytes plus one model.
+var degCache = simmemo.NewSizedCache("degmodel", 128, degModelBytes,
+	func(m *graphgen.DegreeModel) int64 { return 8 * int64(len(m.DegreesByIndex)) })
+
+const degModelBytes = 256 << 20
 
 func (w *Workload) defaults() {
 	if w.MicroBatch == 0 {
@@ -374,10 +380,11 @@ var runCache = simmemo.NewCache("accelrun", 512)
 // under the model's mapping policy, allocate replicas under its
 // policy, schedule the pipeline, and account energy.
 //
-// Runs whose degree model is synthesized (Deg nil — every experiments
-// caller) are memoized on the full input tuple; callers passing a
-// custom Deg (serve's custom graph stats) always simulate fresh, since
-// the model's content is not part of any key. Hit or miss, the metric
+// Runs whose degree model is synthesized (Deg nil: the experiments
+// grids and serve's catalog requests) are memoized on the full input
+// tuple. Callers passing their own Deg always simulate fresh, since the
+// model's content is not part of any key: serve's custom graph
+// requests and perfbench's plan workload. Hit or miss, the metric
 // effect is identical: the memo replays the fault counters runCore
 // recorded, and the pipeline and report metrics are recorded here
 // from the report itself, so Sim snapshots are byte-identical with the

@@ -353,3 +353,18 @@ func TestPipelayerOrdering(t *testing.T) {
 		t.Fatal("kind/name wrong")
 	}
 }
+
+// The degree-model memo charges each model its 8 bytes per vertex, so
+// its byte bound (degModelBytes) holds whatever datasets and seeds a
+// caller cycles through.
+func TestDegModelMemoCountsModelBytes(t *testing.T) {
+	d := graphgen.Dataset{Name: "memo-bytes", PaperVertices: 5000, PaperAvgDeg: 8}
+	before := degCache.Size()
+	m := DegModelFor(d, 3)
+	if got, want := degCache.Size()-before, int64(8*d.PaperVertices); got != want || len(m.DegreesByIndex) != d.PaperVertices {
+		t.Fatalf("memo grew by %d bytes for a %d-vertex model, want %d", got, len(m.DegreesByIndex), want)
+	}
+	if DegModelFor(d, 3) != m || degCache.Size()-before != int64(8*d.PaperVertices) {
+		t.Fatal("a repeated lookup did not reuse the model")
+	}
+}

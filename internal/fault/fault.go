@@ -82,6 +82,9 @@ func (c Config) Validate() error {
 // experiment fan-out shares one model across workers.
 type Model struct {
 	cfg Config
+	// rate is EffectiveRate, fixed by cfg: every per-crossbar query
+	// reads it instead of re-evaluating the wear model.
+	rate float64
 
 	mu      sync.Mutex
 	retired map[int]float64 // cells-per-crossbar → sampled retired fraction
@@ -99,7 +102,11 @@ func New(cfg Config) (*Model, error) {
 	if cfg.RetireThreshold == 0 {
 		cfg.RetireThreshold = 2 * cfg.Rate
 	}
-	return &Model{cfg: cfg, retired: map[int]float64{}}, nil
+	rate := cfg.Rate
+	if cfg.WearWritesPerCell > 0 {
+		rate = 1 - (1-rate)*(1-WearStuckFraction(cfg.WearWritesPerCell))
+	}
+	return &Model{cfg: cfg, rate: rate, retired: map[int]float64{}}, nil
 }
 
 // MustNew is New for configurations known valid at the call site.
@@ -132,11 +139,7 @@ func (m *Model) EffectiveRate() float64 {
 	if m == nil {
 		return 0
 	}
-	r := m.cfg.Rate
-	if m.cfg.WearWritesPerCell > 0 {
-		r = 1 - (1-r)*(1-WearStuckFraction(m.cfg.WearWritesPerCell))
-	}
-	return r
+	return m.rate
 }
 
 // RetryFactor is the expected number of program-verify iterations for

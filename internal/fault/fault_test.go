@@ -164,6 +164,41 @@ func TestWearStuckFraction(t *testing.T) {
 	}
 }
 
+// EffectiveRate is fixed when the model is built; it must equal the
+// closed form 1 − (1−Rate)·(1−wear) evaluated on the spot, bit for bit.
+func TestEffectiveRateMatchesClosedForm(t *testing.T) {
+	closedForm := func(c Config) float64 {
+		r := c.Rate
+		if c.WearWritesPerCell > 0 {
+			r = 1 - (1-r)*(1-WearStuckFraction(c.WearWritesPerCell))
+		}
+		return r
+	}
+	var nilModel *Model
+	if got := nilModel.EffectiveRate(); got != 0 {
+		t.Errorf("nil model effective rate %v, want 0", got)
+	}
+	var zero Model
+	if got := zero.EffectiveRate(); got != 0 {
+		t.Errorf("zero-value model effective rate %v, want 0", got)
+	}
+	limit := endurance.ReRAMWriteLimit
+	for _, cfg := range []Config{
+		{},
+		{Rate: 1e-3},
+		{Rate: 1},
+		{WearWritesPerCell: limit / 3},
+		{WearWritesPerCell: limit * 2},
+		{Rate: 0.01, WearWritesPerCell: limit / 7},
+		{Rate: 0.2, WearWritesPerCell: limit},
+	} {
+		got, want := MustNew(cfg).EffectiveRate(), closedForm(cfg)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v: effective rate %v, closed form %v", cfg, got, want)
+		}
+	}
+}
+
 func TestStuckMaskDeterministicAndStable(t *testing.T) {
 	m := MustNew(Config{Rate: 0.01, Seed: 11})
 	a := m.StuckMask("w0", 50, 40, 8)

@@ -42,3 +42,31 @@ func BenchmarkUpdatedRowsPerGroup(b *testing.B) {
 		l.UpdatedRowsPerGroup(p, i%20)
 	}
 }
+
+// BenchmarkApplyDelta prices one churn epoch's incremental re-mapping
+// at arxiv scale: the synthesized arxiv degrees with 0.5% of its edges
+// each adding one to both endpoints' degrees.
+func BenchmarkApplyDelta(b *testing.B) {
+	d, err := graphgen.ByName("arxiv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	degs := d.SynthDegreeModel(1).DegreesByIndex
+	l := InterleavedLayout(degs, 64)
+	rng := rand.New(rand.NewSource(2))
+	next := append([]float64(nil), degs...)
+	var changed []int
+	for i := 0; i < d.PaperEdges/200; i++ {
+		u, v := rng.Intn(len(next)), rng.Intn(len(next))
+		next[u]++
+		next[v]++
+		changed = append(changed, u, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, stats := l.ApplyDelta(next, changed, nil); stats.Full {
+			b.Fatal("delta fell back to a full remap")
+		}
+	}
+}

@@ -56,37 +56,31 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 	// ascending vertex id), changed vertices re-sort by rankByDegree's
 	// (−degree, id) order, and a single merge under that same order
 	// rebuilds the total ranking.
-	isChanged := make(map[int]bool, len(changed))
+	isChanged := make([]bool, n)
+	moved := make([]int, 0, len(changed))
 	for _, v := range changed {
 		if v < 0 || v >= n {
 			return l.fullRemap(newDegs, dead)
 		}
-		isChanged[v] = true
-	}
-	kept := make([]int, 0, n-len(isChanged))
-	for _, v := range l.byDeg {
 		if !isChanged[v] {
-			kept = append(kept, v)
+			isChanged[v] = true
+			moved = append(moved, v)
 		}
-	}
-	moved := make([]int, 0, len(isChanged))
-	for v := range isChanged {
-		moved = append(moved, v)
 	}
 	order := degreeOrder(newDegs)
 	slices.SortFunc(moved, order)
 	newByDeg := make([]int, 0, n)
-	i, j := 0, 0
-	for i < len(kept) && j < len(moved) {
-		if order(kept[i], moved[j]) < 0 {
-			newByDeg = append(newByDeg, kept[i])
-			i++
-		} else {
+	j := 0
+	for _, v := range l.byDeg {
+		if isChanged[v] {
+			continue
+		}
+		for j < len(moved) && order(v, moved[j]) >= 0 {
 			newByDeg = append(newByDeg, moved[j])
 			j++
 		}
+		newByDeg = append(newByDeg, v)
 	}
-	newByDeg = append(newByDeg, kept[i:]...)
 	newByDeg = append(newByDeg, moved[j:]...)
 
 	// The affected rank window: outside it the rank → slot striping is
@@ -116,7 +110,7 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 		return l.fullRemap(newDegs, dead)
 	}
 	groups := numGroups(n, l.GroupSize)
-	touched := map[int]bool{}
+	touched := make([]bool, groups)
 	for k := lo; k <= hi; k++ {
 		v := newByDeg[k]
 		slot := (k%groups)*l.GroupSize + k/groups
@@ -125,9 +119,11 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 		}
 		out.Order[slot] = v
 		stats.StripesMoved++
-		touched[slot/l.GroupSize] = true
+		if g := slot / l.GroupSize; !touched[g] {
+			touched[g] = true
+			stats.GroupsTouched++
+		}
 	}
-	stats.GroupsTouched = len(touched)
 	out.applyPhys(dead)
 	return out, stats
 }
@@ -143,14 +139,16 @@ func (l *Layout) fullRemap(newDegs []float64, dead []bool) (*Layout, DeltaStats)
 		out = InterleavedLayout(newDegs, l.GroupSize)
 	}
 	stats := DeltaStats{Full: true}
-	touched := map[int]bool{}
+	touched := make([]bool, out.NumGroups())
 	for p, v := range out.Order {
 		if p >= len(l.Order) || l.Order[p] != v {
 			stats.StripesMoved++
-			touched[p/l.GroupSize] = true
+			if g := p / l.GroupSize; !touched[g] {
+				touched[g] = true
+				stats.GroupsTouched++
+			}
 		}
 	}
-	stats.GroupsTouched = len(touched)
 	return out, stats
 }
 

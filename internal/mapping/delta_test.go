@@ -234,9 +234,11 @@ func TestHealthyPhysGroupsFullyDeadGroup(t *testing.T) {
 // and burst the largest mutation per step (large bursts reach the
 // full-remap fallback). deadMask retires group g when bit g%64 is set
 // (0 = a healthy chip, dead == nil), and waveMask retires more groups
-// halfway through the chain. After every step the layout must equal a
-// from-scratch InterleavedLayout/InterleavedLayoutHealthy of the
-// mutated degrees and its order must be a permutation.
+// halfway through the chain. Every changed list repeats some of its ids
+// (the contract tolerates duplicates). After every step the layout must
+// equal a from-scratch InterleavedLayout/InterleavedLayoutHealthy of
+// the mutated degrees, its order must be a permutation, and DeltaStats
+// must equal a recount of the slots whose occupant changed.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(7), uint16(64), uint8(8), uint64(0), uint64(0), uint8(50), uint8(3))
 	f.Add(int64(7), uint16(61), uint8(8), uint64(0x5555), uint64(0), uint8(50), uint8(3))
@@ -283,6 +285,10 @@ func FuzzApplyDelta(f *testing.F) {
 				retire(waveMask)
 			}
 			changed := mutate(rng, degs, 1+rng.Intn(1+int(burst)))
+			for range rng.Intn(1 + len(changed)) {
+				changed = append(changed, changed[rng.Intn(len(changed))])
+			}
+			prev := cur
 			var stats DeltaStats
 			cur, stats = cur.ApplyDelta(degs, changed, dead)
 			if want := scratch(); !layoutsEqual(cur, want) {
@@ -292,6 +298,28 @@ func FuzzApplyDelta(f *testing.F) {
 			if !isPermutation(cur.Order) {
 				t.Fatalf("step %d: order not a permutation: %v", step, cur.Order)
 			}
+			if want := recountStats(prev, cur); stats.StripesMoved != want.StripesMoved ||
+				stats.GroupsTouched != want.GroupsTouched {
+				t.Fatalf("step %d (full=%v): stats moved %d / groups %d, recount %d / %d",
+					step, stats.Full, stats.StripesMoved, stats.GroupsTouched,
+					want.StripesMoved, want.GroupsTouched)
+			}
 		}
 	})
+}
+
+// recountStats derives StripesMoved and GroupsTouched from two layouts
+// of the same size: the slots whose occupant changed, and the distinct
+// groups holding them.
+func recountStats(prev, next *Layout) DeltaStats {
+	var s DeltaStats
+	groups := map[int]bool{}
+	for p, v := range next.Order {
+		if prev.Order[p] != v {
+			s.StripesMoved++
+			groups[p/next.GroupSize] = true
+		}
+	}
+	s.GroupsTouched = len(groups)
+	return s
 }

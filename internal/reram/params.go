@@ -249,11 +249,37 @@ func (c Chip) EffectiveBlocks(active, total float64) float64 {
 
 // ExpectedActiveBlocks estimates how many distinct blocks of
 // CrossbarRows vertices the deg neighbours of a vertex touch when
-// neighbour ids are spread uniformly: B·(1 − (1 − 1/B)^deg).
+// neighbour ids are spread uniformly: B·(1 − (1 − 1/B)^deg). It is the
+// one-call reference form; loops over a graph's vertices use
+// Occupancy(n).Expected, which gives the same bits.
 func (c Chip) ExpectedActiveBlocks(deg float64, n int) float64 {
 	b := float64(c.BlocksForVertices(n))
 	if b == 0 || deg <= 0 {
 		return 0
 	}
 	return b * (1 - math.Exp(deg*math.Log1p(-1/b)))
+}
+
+// BlockOccupancy is ExpectedActiveBlocks for one graph size with the
+// per-size work done once: the block count B and log(1 − 1/B).
+type BlockOccupancy struct {
+	blocks, logMiss float64
+}
+
+// Occupancy prepares ExpectedActiveBlocks for n-vertex adjacency rows.
+func (c Chip) Occupancy(n int) BlockOccupancy {
+	b := float64(c.BlocksForVertices(n))
+	if b == 0 {
+		return BlockOccupancy{}
+	}
+	return BlockOccupancy{blocks: b, logMiss: math.Log1p(-1 / b)}
+}
+
+// Expected is ExpectedActiveBlocks(deg, n) for the occupancy's n, bit
+// for bit.
+func (o BlockOccupancy) Expected(deg float64) float64 {
+	if o.blocks == 0 || deg <= 0 {
+		return 0
+	}
+	return o.blocks * (1 - math.Exp(deg*o.logMiss))
 }

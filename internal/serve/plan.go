@@ -370,10 +370,16 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 	d := k.datasetOf()
 	w := accel.Workload{
 		Dataset:       d,
-		Deg:           d.SynthDegreeModel(k.seed),
 		Seed:          k.seed,
 		MicroBatch:    k.microBatch,
 		ThetaOverride: k.theta,
+	}
+	// A catalog dataset leaves Deg nil: accel fills it from the memoized
+	// degree model, so misses that differ only in budget or model share
+	// it and the simulate block's run. Custom statistics almost never
+	// repeat, so their model is built per miss and freed with it.
+	if k.dataset == "" {
+		w.Deg = d.SynthDegreeModel(k.seed)
 	}
 	if k.usePred {
 		// Shared immutable model, one per (profile mode, seed), via the
@@ -383,10 +389,14 @@ func computePlanStaged(k planKey, begin func(name string) func()) *PlanResponse 
 		pred := experiments.SharedPredictor(experiments.Options{
 			Seed: k.seed, Fast: !k.fullProfile,
 		})
+		deg := w.Deg
+		if deg == nil {
+			deg = accel.DegModelFor(d, k.seed)
+		}
 		w.PredictedTimes = pred.PredictTimes(stage.Config{
 			Chip:       reram.DefaultChip(),
 			Dataset:    d,
-			Deg:        w.Deg,
+			Deg:        deg,
 			MicroBatch: k.microBatch,
 		})
 	}

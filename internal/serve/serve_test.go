@@ -19,6 +19,7 @@ import (
 	"gopim/internal/accel"
 	"gopim/internal/fault"
 	"gopim/internal/graphgen"
+	"gopim/internal/obs"
 	"gopim/internal/parallel"
 )
 
@@ -251,6 +252,52 @@ func TestPlanCacheHitMissEviction(t *testing.T) {
 	// Two evictions: C pushed A out, then recomputing A pushed B out.
 	if evicted := mEvictions.Value() - evict0; evicted != 2 {
 		t.Errorf("cache_evictions delta = %d, want 2", evicted)
+	}
+}
+
+// Two plan misses on a catalog dataset that differ only in budget
+// share the dataset's degree model and the simulate block's
+// accelerator run: the second miss synthesizes no degree model and
+// simulates nothing. Custom graph statistics stay out of both memos,
+// so a client cannot fill them with models nobody asks for again.
+func TestPlanMissesReuseDegreeModelAndRun(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	counter := func(name string) *obs.Counter {
+		return obs.Default().NewCounter(name, obs.Sim, "")
+	}
+	degHits, degMisses := counter("simmemo.degmodel_hits"), counter("simmemo.degmodel_misses")
+	runHits, runMisses := counter("simmemo.accelrun_hits"), counter("simmemo.accelrun_misses")
+	memo := []*obs.Counter{degHits, degMisses, runHits, runMisses}
+	// miss posts body, which must miss the plan cache, and returns how
+	// far it moved each memo counter.
+	miss := func(body string) (degHits, degMisses, runHits, runMisses int64) {
+		moved := make([]int64, len(memo))
+		for i, c := range memo {
+			moved[i] = -c.Value()
+		}
+		resp, b := postPlan(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, b)
+		}
+		if got := resp.Header.Get("X-Gopim-Cache"); got != "miss" {
+			t.Fatalf("%s: cache header %q, want miss", body, got)
+		}
+		for i, c := range memo {
+			moved[i] += c.Value()
+		}
+		return moved[0], moved[1], moved[2], moved[3]
+	}
+	miss(`{"dataset":"ddi","seed":41,"budget":512,"simulate":true}`)
+	dh, dm, rh, rm := miss(`{"dataset":"ddi","seed":41,"budget":1024,"simulate":true}`)
+	if dh < 1 || dm != 0 || rh != 1 || rm != 0 {
+		t.Errorf("second catalog miss: degmodel hits %d misses %d, accelrun hits %d misses %d; want ≥1 0 1 0", dh, dm, rh, rm)
+	}
+	const graph = `"graph":{"vertices":20000,"avg_degree":8,"feature_dim":64}`
+	for _, budget := range []int{512, 1024} {
+		body := fmt.Sprintf(`{%s,"seed":41,"budget":%d,"simulate":true}`, graph, budget)
+		if dh, dm, rh, rm := miss(body); dh != 0 || dm != 0 || rh != 0 || rm != 0 {
+			t.Errorf("custom graph miss (budget %d) touched the memos: degmodel %d/%d, accelrun %d/%d", budget, dh, dm, rh, rm)
+		}
 	}
 }
 

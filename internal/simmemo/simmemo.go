@@ -81,9 +81,23 @@ var (
 // per-run working set or hit counts lose their worker-independence —
 // see the package contract.
 func NewCache(name string, max int) *Cache {
+	return register(name, singleflight.New[string, any](max))
+}
+
+// NewSizedCache is NewCache for a domain whose values are large: it
+// also holds at most maxSize of them as measured by size, plus the
+// newest value (see singleflight.NewSized). Like max, maxSize must
+// exceed the largest per-run working set.
+func NewSizedCache[T any](name string, max int, maxSize int64, size func(T) int64) *Cache {
+	return register(name, singleflight.NewSized[string](max, maxSize, func(v any) int64 {
+		return size(v.(*entry[T]).v)
+	}))
+}
+
+func register(name string, sf *singleflight.Cache[string, any]) *Cache {
 	c := &Cache{
 		name: name,
-		sf:   singleflight.New[string, any](max),
+		sf:   sf,
 		hits: obs.NewCounter("simmemo."+name+"_hits", obs.Sim,
 			"memoized "+name+" reuses (cached + coalesced); worker-count-independent"),
 		misses: obs.NewCounter("simmemo."+name+"_misses", obs.Sim,
@@ -101,6 +115,10 @@ func (c *Cache) Hits() int64 { return c.hits.Value() }
 
 // Misses returns the cache's accumulated computation count.
 func (c *Cache) Misses() int64 { return c.misses.Value() }
+
+// Size returns the summed size of the cached values (0 for a cache
+// built with NewCache).
+func (c *Cache) Size() int64 { return c.sf.Size() }
 
 // Do returns the value for key, computing it with fn on first use and
 // coalescing concurrent same-key calls. fn records its Sim counter

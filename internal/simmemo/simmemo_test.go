@@ -1,6 +1,7 @@
 package simmemo
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -124,6 +125,27 @@ func TestResetAllClearsEntries(t *testing.T) {
 	Do(c, "k", nil, func(*obs.Tape) int { calls++; return 0 })
 	if calls != 2 {
 		t.Fatalf("fn ran %d times, want 2 (ResetAll must clear entries)", calls)
+	}
+}
+
+// TestSizedCacheBoundsValues fills a sized domain with more values
+// than its bound holds: the summed size never exceeds the bound, and an
+// evicted key computes again as a miss.
+func TestSizedCacheBoundsValues(t *testing.T) {
+	c := NewSizedCache("test_sized", 0, 3000, func(v []float64) int64 { return 8 * int64(len(v)) })
+	for i := range 10 {
+		Do(c, fmt.Sprint(i), nil, func(*obs.Tape) []float64 { return make([]float64, 100) })
+		if got := c.Size(); got > 3000 {
+			t.Fatalf("after %d values Size() = %d, want ≤ 3000", i+1, got)
+		}
+	}
+	if got := c.Size(); got != 2400 {
+		t.Fatalf("Size() = %d, want 2400 (three 800-byte values)", got)
+	}
+	misses := c.Misses()
+	Do(c, "0", nil, func(*obs.Tape) []float64 { return make([]float64, 100) })
+	if c.Misses() != misses+1 {
+		t.Fatal("an evicted key did not compute again")
 	}
 }
 

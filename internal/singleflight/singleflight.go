@@ -1,5 +1,6 @@
 // Package singleflight provides a generic keyed result cache with
-// per-key miss coalescing and optional LRU eviction.
+// per-key miss coalescing and optional LRU eviction, by entry count
+// and, for caches built with NewSized, by the summed size of the values.
 //
 // Concurrent Do calls for the same key share one computation: exactly
 // one caller runs the function while the rest wait for its result.
@@ -32,6 +33,7 @@ type entry[V any] struct {
 	complete bool
 	elem     *list.Element
 	waiters  int
+	size     int64 // size(val) once complete; 0 without a size function
 }
 
 // Cache is a keyed single-flight result cache. The zero value is not
@@ -43,6 +45,11 @@ type Cache[K comparable, V any] struct {
 	// order tracks completed entries, most recently used at the front.
 	// In-flight entries are pinned (not on the list, never evicted).
 	order *list.List
+	// maxSize bounds total, the summed size of the completed entries
+	// (0 = unbounded); size measures one value.
+	maxSize int64
+	size    func(V) int64
+	total   int64
 
 	// OnEvict, when non-nil, observes each LRU eviction. It runs with
 	// the cache's lock held: it must be fast and must not call back
@@ -58,6 +65,17 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 		entries: map[K]*entry[V]{},
 		order:   list.New(),
 	}
+}
+
+// NewSized returns a cache that also bounds the summed size of its
+// completed entries: after each insertion it evicts least recently used
+// entries until the total is at most maxSize, but never the entry just
+// inserted, so the cache holds at most maxSize plus one value. size
+// must be a pure function of the value.
+func NewSized[K comparable, V any](max int, maxSize int64, size func(V) int64) *Cache[K, V] {
+	c := New[K, V](max)
+	c.maxSize, c.size = maxSize, size
+	return c
 }
 
 // Get returns the completed cached value for k, if any, refreshing its
@@ -173,21 +191,25 @@ func (c *Cache[K, V]) run(k K, e *entry[V], fn func() V) V {
 		close(e.done)
 	}()
 	v := fn()
+	if c.size != nil {
+		e.size = c.size(v)
+	}
 	c.mu.Lock()
 	e.val = v
 	e.complete = true
 	e.elem = c.order.PushFront(k)
-	if c.max > 0 {
-		for c.order.Len() > c.max {
-			back := c.order.Back()
-			evk := back.Value.(K)
-			c.order.Remove(back)
-			if ev, ok := c.entries[evk]; ok {
-				if c.OnEvict != nil {
-					c.OnEvict(evk, ev.val)
-				}
-				delete(c.entries, evk)
+	c.total += e.size
+	for (c.max > 0 && c.order.Len() > c.max) ||
+		(c.maxSize > 0 && c.total > c.maxSize && c.order.Len() > 1) {
+		back := c.order.Back()
+		evk := back.Value.(K)
+		c.order.Remove(back)
+		if ev, ok := c.entries[evk]; ok {
+			if c.OnEvict != nil {
+				c.OnEvict(evk, ev.val)
 			}
+			c.total -= ev.size
+			delete(c.entries, evk)
 		}
 	}
 	c.mu.Unlock()
@@ -199,6 +221,14 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// Size returns the summed size of the completed entries (0 for a cache
+// built with New).
+func (c *Cache[K, V]) Size() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
 }
 
 // Reset drops every completed entry, returning the cache to its
@@ -216,4 +246,5 @@ func (c *Cache[K, V]) Reset() {
 		}
 	}
 	c.order.Init()
+	c.total = 0
 }

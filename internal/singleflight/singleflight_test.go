@@ -2,6 +2,7 @@ package singleflight
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,6 +148,42 @@ func TestLRUEviction(t *testing.T) {
 	var reran bool
 	if _, hit := c.Do(2, func() int { reran = true; return 2 }); hit || !reran {
 		t.Fatal("re-Do of evicted key did not recompute")
+	}
+}
+
+// TestSizedEviction fills a size-bounded cache whose values are their
+// own sizes: least recently used entries go until the total fits, the
+// newest entry stays even when it alone exceeds the bound, and Reset
+// zeroes the total.
+func TestSizedEviction(t *testing.T) {
+	c := NewSized[string, int64](0, 10, func(v int64) int64 { return v })
+	var evicted []string
+	c.OnEvict = func(k string, _ int64) { evicted = append(evicted, k) }
+	put := func(k string, size int64) { c.Do(k, func() int64 { return size }) }
+	put("a", 4)
+	put("b", 4)
+	put("a", 4) // refresh a → LRU order is b, a
+	if got := c.Size(); got != 8 {
+		t.Fatalf("Size() = %d, want 8", got)
+	}
+	put("c", 4) // 12 > 10: evicts b
+	if got := c.Size(); got != 8 || !slices.Equal(evicted, []string{"b"}) {
+		t.Fatalf("Size() = %d, evicted %v; want 8, [b]", got, evicted)
+	}
+	put("big", 25) // evicts a and c, keeps itself
+	if got := c.Size(); got != 25 || c.Len() != 1 || !slices.Equal(evicted, []string{"b", "a", "c"}) {
+		t.Fatalf("Size() = %d, Len() = %d, evicted %v; want 25, 1, [b a c]", got, c.Len(), evicted)
+	}
+	if _, ok := c.Get("big"); !ok {
+		t.Fatal("the newest entry was evicted")
+	}
+	put("d", 1) // 26 > 10: evicts big
+	if got := c.Size(); got != 1 {
+		t.Fatalf("Size() = %d, want 1", got)
+	}
+	c.Reset()
+	if got := c.Size(); got != 0 {
+		t.Fatalf("Size() after Reset = %d, want 0", got)
 	}
 }
 

@@ -245,22 +245,19 @@ func updateDue(cfg Config, featDim int) (totalDue, maxDomainDue float64) {
 		return float64(n), full
 	}
 
-	plan := cfg.Plan
-	layout := cfg.Layout
-	// Aggregate important counts over PE-sized runs of layout slots.
-	numDomains := (n + vppe - 1) / vppe
-	impPerDomain := make([]int, numDomains)
-	sizePerDomain := make([]int, numDomains)
-	for slot, v := range layout.Order {
-		d := slot / vppe
-		sizePerDomain[d]++
-		if plan.Important[v] {
-			impPerDomain[d]++
+	// Each PE-sized run of layout slots is one write domain.
+	important := cfg.Plan.Important
+	staleShare := 1 / float64(cfg.Plan.StalePeriod)
+	order := cfg.Layout.Order
+	for start := 0; start < len(order); start += vppe {
+		domain := order[start:min(start+vppe, len(order))]
+		imp := 0
+		for _, v := range domain {
+			if important[v] {
+				imp++
+			}
 		}
-	}
-	staleShare := 1 / float64(plan.StalePeriod)
-	for d := 0; d < numDomains; d++ {
-		due := float64(impPerDomain[d]) + float64(sizePerDomain[d]-impPerDomain[d])*staleShare
+		due := float64(imp) + float64(len(domain)-imp)*staleShare
 		if due > maxDomainDue {
 			maxDomainDue = due
 		}
@@ -273,18 +270,18 @@ func updateDue(cfg Config, featDim int) (totalDue, maxDomainDue float64) {
 // of 64-vertex adjacency blocks containing at least one neighbour,
 // after edge pruning.
 func avgActiveBlocks(cfg Config) float64 {
-	c := cfg.Chip
 	n := cfg.Deg.N
+	if n == 0 {
+		return 0
+	}
 	keep := 1 - cfg.PruneEdgeFraction
 	if keep < 0 {
 		keep = 0
 	}
+	occ := cfg.Chip.Occupancy(n)
 	var sum float64
 	for _, d := range cfg.Deg.DegreesByIndex {
-		sum += c.ExpectedActiveBlocks(d*keep, n)
-	}
-	if n == 0 {
-		return 0
+		sum += occ.Expected(d * keep)
 	}
 	return sum / float64(n)
 }
