@@ -426,7 +426,7 @@ func runKey(kind Kind, w Workload, fm *fault.Model) string {
 func runCore(kind Kind, w Workload, fm *fault.Model, t *obs.Tape) Report {
 	retryFactor, retired := applyFault(&w, fm)
 	cfg := stageConfig(kind, w, fm)
-	p := plan(kind, w, cfg, 0, retired)
+	p := plan(kind, w, cfg, stage.Build(cfg), 0, retired)
 	updateFraction := 1.0
 	if cfg.Plan != nil {
 		updateFraction = cfg.Plan.AvgUpdateFraction()
@@ -549,14 +549,13 @@ type Plan struct {
 }
 
 // plan is the planning core shared by Run, churn epochs and PlanGoPIM:
-// build the stages, size the replica pool, allocate under the model's
-// policy and schedule the epoch under its pipelining mode. A zero
-// budget is the chip's crossbars beyond the original mappings;
-// fault-retired crossbars come out of that pool via the Request's
-// RetiredCrossbars, so the policies clamp gracefully. It records
-// nothing.
-func plan(kind Kind, w Workload, cfg stage.Config, budget, retired int) Plan {
-	stages := stage.Build(cfg)
+// given the stages built from cfg, size the replica pool, allocate
+// under the model's policy and schedule the epoch under its pipelining
+// mode. A zero budget is the chip's crossbars beyond the original
+// mappings; fault-retired crossbars come out of that pool via the
+// Request's RetiredCrossbars, so the policies clamp gracefully. It
+// records nothing.
+func plan(kind Kind, w Workload, cfg stage.Config, stages []stage.Stage, budget, retired int) Plan {
 	numMB := (cfg.Deg.N + cfg.MicroBatch - 1) / cfg.MicroBatch
 	if numMB < 1 {
 		numMB = 1
@@ -649,7 +648,8 @@ func PlanGoPIM(w Workload, budget int) Plan {
 	w.defaults()
 	fm := w.faultModel()
 	_, retired := applyFault(&w, fm)
-	return plan(GoPIM, w, stageConfig(GoPIM, w, fm), budget, retired)
+	cfg := stageConfig(GoPIM, w, fm)
+	return plan(GoPIM, w, cfg, stage.Build(cfg), budget, retired)
 }
 
 // ISUPlan is the selective-updating plan GoPIM runs w under, built on

@@ -88,6 +88,14 @@ type ChurnResult struct {
 // (seed, epoch), so results — and the churn.* Sim counters — are
 // byte-identical at any worker count.
 func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
+	return runChurn(w, cc, epochs, nil)
+}
+
+// runChurn is RunChurn with an observer called after each epoch's
+// degree update with the mutated degrees and the carried active-block
+// terms (tests check the carried terms against a fresh pass).
+func runChurn(w Workload, cc churn.Config, epochs int,
+	observe func(degs []float64, active *stage.ActiveBlocks)) (ChurnResult, error) {
 	if epochs < 1 {
 		return ChurnResult{}, fmt.Errorf("accel: churn epochs %d must be ≥ 1", epochs)
 	}
@@ -110,6 +118,9 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	layout, upd := isu.Layout, isu.Plan
 	rows := w.Chip.CrossbarRows
 	cells := w.Chip.CellsPerCrossbar()
+	// The AG stages' active-block mean, carried across epochs: each
+	// epoch re-prices only the vertices whose degree changed.
+	active := stage.NewActiveBlocks(stage.Config{Chip: w.Chip, Deg: graphgen.NewDegreeModel(degs)})
 
 	res := ChurnResult{Dataset: w.Dataset.Name, Policy: cc.Policy}
 	prevRetired := 0
@@ -123,6 +134,10 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 		mChurnEdgesRemoved.Add(int64(delta.EdgesRemoved))
 		res.EdgesAdded += delta.EdgesAdded
 		res.EdgesRemoved += delta.EdgesRemoved
+		active.Update(degs, delta.Changed)
+		if observe != nil {
+			observe(degs, active)
+		}
 
 		// Endurance coupling: the hottest rows (important set, rewritten
 		// every epoch) have absorbed (e+1)·DaysPerEpoch days of the
@@ -171,7 +186,7 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 			res.Refreshes++
 		}
 
-		ep := simulateChurnEpoch(w, epochFM, degs, layout, upd)
+		ep := simulateChurnEpoch(w, epochFM, degs, active, layout, upd)
 		ep.Epoch = e
 		ep.EdgesAdded = delta.EdgesAdded
 		ep.EdgesRemoved = delta.EdgesRemoved
@@ -192,22 +207,24 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 
 // simulateChurnEpoch prices one post-mutation epoch through the GoPIM
 // planning core, with the delta-maintained layout and update plan in
-// place of a fresh ISU layout, against the wear-shrunk pool, and on the
-// true stage times (a churn run ignores PredictedTimes). Like the core
-// it records nothing: churn runs publish only the churn.* counters,
-// not per-epoch accel.* series.
-func simulateChurnEpoch(w Workload, fm *fault.Model, degs []float64,
+// place of a fresh ISU layout and the carried active-block terms in
+// place of a fresh pass over the degrees, against the wear-shrunk pool,
+// and on the true stage times (a churn run ignores PredictedTimes).
+// Like the core it records nothing: churn runs publish only the
+// churn.* counters, not per-epoch accel.* series.
+func simulateChurnEpoch(w Workload, fm *fault.Model, degs []float64, active *stage.ActiveBlocks,
 	layout *mapping.Layout, upd *mapping.UpdatePlan) ChurnEpoch {
 	_, retired := applyFault(&w, fm)
 	w.PredictedTimes = nil
-	p := plan(GoPIM, w, stage.Config{
+	cfg := stage.Config{
 		Chip:       w.Chip,
 		Dataset:    w.Dataset,
 		Deg:        graphgen.NewDegreeModel(degs),
 		MicroBatch: w.MicroBatch,
 		Layout:     layout,
 		Plan:       upd,
-	}, 0, retired)
+	}
+	p := plan(GoPIM, w, cfg, active.Build(cfg), 0, retired)
 	return ChurnEpoch{Degraded: p.Alloc.Degraded, MakespanNS: p.Schedule.MakespanNS}
 }
 

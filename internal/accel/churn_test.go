@@ -2,13 +2,18 @@ package accel
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gopim/internal/churn"
 	"gopim/internal/fault"
+	"gopim/internal/graphgen"
 	"gopim/internal/obs"
 	"gopim/internal/parallel"
+	"gopim/internal/reram"
+	"gopim/internal/stage"
 )
 
 // churnConfig is the standard test scenario: 2% edge churn with wear
@@ -163,5 +168,70 @@ func TestRunChurnRejectsBadInput(t *testing.T) {
 	}
 	if _, err := RunChurn(w, churn.Config{Rate: 2}, 1); err == nil {
 		t.Fatal("rate 2 must error")
+	}
+}
+
+// avgActiveBlocksRef is the AG stages' active-block mean written the
+// plain way: one Chip.ExpectedActiveBlocks call per vertex.
+func avgActiveBlocksRef(chip reram.Chip, degs []float64) float64 {
+	var sum float64
+	for _, d := range degs {
+		sum += chip.ExpectedActiveBlocks(d, len(degs))
+	}
+	if len(degs) == 0 {
+		return 0
+	}
+	return sum / float64(len(degs))
+}
+
+// TestChurnCarriedActiveBlocks: after every epoch of a wear run, the
+// active-block terms the loop carries must give the fresh pass's mean
+// bit for bit, and stages built on them must equal stage.Build's.
+func TestChurnCarriedActiveBlocks(t *testing.T) {
+	const epochs = 6
+	w := ddiWorkload(t)
+	w.defaults()
+	seen := 0
+	_, err := runChurn(w, churnConfig(epochs), epochs, func(degs []float64, active *stage.ActiveBlocks) {
+		seen++
+		if got, want := active.Mean(), avgActiveBlocksRef(w.Chip, degs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("epoch %d: carried mean %v, reference %v", seen-1, got, want)
+		}
+		cfg := stage.Config{Chip: w.Chip, Dataset: w.Dataset, Deg: graphgen.NewDegreeModel(degs), MicroBatch: w.MicroBatch}
+		if got, want := active.Build(cfg), stage.Build(cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("epoch %d: stages on the carried terms differ from stage.Build", seen-1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != epochs {
+		t.Fatalf("observer ran %d times, want %d", seen, epochs)
+	}
+}
+
+// BenchmarkRunChurn prices the first epochs of perfbench's churn run:
+// arxiv at 0.5% edge churn with the threshold policy and wear
+// calibrated for a 40-epoch run. At 4 epochs the run's set-up (the
+// initial interleaved layout and active-block terms) is about a third
+// of each op.
+func BenchmarkRunChurn(b *testing.B) {
+	d, err := graphgen.ByName("arxiv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := Workload{Dataset: d, Seed: 1, Deg: DegModelFor(d, 1)}
+	cc := churn.Config{
+		Rate:         0.005,
+		Seed:         1,
+		Policy:       churn.Threshold,
+		DaysPerEpoch: ChurnDaysForRetirement(40, 1.2),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunChurn(w, cc, 4); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

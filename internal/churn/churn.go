@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gopim/internal/graphgen"
@@ -131,9 +132,14 @@ type Delta struct {
 
 // Stream draws per-epoch mutation deltas over a degree sequence — the
 // model-level view accel's timing loop runs on, where a vertex's
-// degree is the quantity of interest and edges are implicit.
+// degree is the quantity of interest and edges are implicit. Mutate
+// reuses the stream's buffers, so one stream serves one driver loop.
 type Stream struct {
 	cfg Config
+	// Per-epoch scratch, kept across epochs: the two endpoint pickers
+	// and the epoch-start degrees.
+	insert, remove picker
+	orig           []float64
 }
 
 // NewStream validates the configuration and builds a stream.
@@ -157,9 +163,10 @@ func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 		return d
 	}
 	rng := rand.New(rand.NewSource(streamSeed(s.cfg.Seed, tagEpoch, int64(epoch))))
-	orig := append([]float64(nil), degs...)
-	insert := newPicker(degs, 1) // degree+1 weighted
-	remove := newPicker(degs, 0) // degree weighted
+	s.orig = append(s.orig[:0], degs...)
+	insert, remove := &s.insert, &s.remove
+	insert.reset(degs, 1) // degree+1 weighted
+	remove.reset(degs, 0) // degree weighted
 
 	var totalDeg float64
 	for _, g := range degs {
@@ -186,8 +193,8 @@ func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 		}
 	}
 
-	for v := range degs {
-		if degs[v] != orig[v] {
+	for v, g := range s.orig {
+		if degs[v] != g {
 			d.Changed = append(d.Changed, v)
 		}
 	}
@@ -251,7 +258,8 @@ func (gs *GraphState) Mutate(cfg Config, epoch int) Delta {
 	}
 	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, tagGraph, int64(epoch))))
 	degF := gs.Degrees()
-	insert := newPicker(degF, 1)
+	var insert picker
+	insert.reset(degF, 1)
 	orig := append([]int(nil), gs.degs...)
 	ops := int(math.Round(cfg.Rate * float64(len(gs.edges))))
 	for op := 0; op < ops; op++ {
@@ -296,14 +304,29 @@ func (gs *GraphState) Mutate(cfg Config, epoch int) Delta {
 }
 
 // picker samples vertex ids proportional to degree+bias via a prefix
-// sum frozen at construction (epoch-start weights).
+// sum frozen at construction (epoch-start weights). A pick returns what
+// sort.SearchFloat64s(prefix, x) would, the first id whose cumulative
+// weight reaches x, without the binary search: the guide table splits
+// [0, total] into one equal bucket per guideStride ids and records the
+// first id in or past each bucket, so a pick starts next to its answer
+// and walks about a cache line of prefix.
 type picker struct {
 	prefix []float64 // cumulative weights
+	guide  []int32   // guide[b]: first id whose prefix lies in bucket ≥ b
 	total  float64
+	scale  float64 // buckets per unit of weight
 }
 
-func newPicker(degs []float64, bias float64) *picker {
-	p := &picker{prefix: make([]float64, len(degs))}
+// guideStride is the mean number of ids per guide bucket: eight
+// prefix entries fill one 64-byte cache line, and a table a quarter of
+// a byte per id stays cache-resident.
+const guideStride = 8
+
+// reset rebuilds the picker for degs, reusing its buffers.
+func (p *picker) reset(degs []float64, bias float64) {
+	n := len(degs)
+	p.prefix = slices.Grow(p.prefix[:0], n)[:n]
+	prefix := p.prefix
 	sum := 0.0
 	for i, g := range degs {
 		w := g + bias
@@ -311,10 +334,43 @@ func newPicker(degs []float64, bias float64) *picker {
 			w = 0
 		}
 		sum += w
-		p.prefix[i] = sum
+		prefix[i] = sum
 	}
 	p.total = sum
-	return p
+	if sum <= 0 {
+		return
+	}
+	m := max(1, n/guideStride)
+	p.guide = slices.Grow(p.guide[:0], m)[:m]
+	// guide[b] is the first id whose prefix falls in bucket b or later.
+	// Buckets ascend with the ids, so writing each id into its bucket
+	// from the last id down leaves every bucket's first id, and a
+	// backward running minimum hands an empty bucket its successor's.
+	// Both passes are branch-free stores.
+	scale := float64(m) / sum
+	p.scale = scale
+	guide := p.guide
+	for b := range guide {
+		guide[b] = int32(n)
+	}
+	for i := n - 1; i >= 0; i-- {
+		guide[bucket(prefix[i], scale, m)] = int32(i)
+	}
+	next := int32(n)
+	for b := m - 1; b >= 0; b-- {
+		next = min(next, guide[b])
+		guide[b] = next
+	}
+}
+
+// bucket returns the guide bucket of a cumulative weight in [0, total]
+// among m buckets of 1/scale weight each.
+func bucket(x, scale float64, m int) int {
+	b := int(x * scale)
+	if uint(b) >= uint(m) {
+		b = m - 1
+	}
+	return b
 }
 
 // pick returns a weighted vertex id, or -1 when all weights are zero.
@@ -322,8 +378,20 @@ func (p *picker) pick(rng *rand.Rand) int {
 	if p.total <= 0 {
 		return -1
 	}
-	x := rng.Float64() * p.total
-	return sort.SearchFloat64s(p.prefix, x)
+	return p.search(rng.Float64() * p.total)
+}
+
+// search returns sort.SearchFloat64s(p.prefix, x) for x in [0, total].
+func (p *picker) search(x float64) int {
+	// The answer's prefix is at least x and bucket is monotone (a
+	// rounded product, truncated and clamped), so the answer's bucket
+	// is at least x's and guide[bucket(x)] is at or before the answer;
+	// walking forward passes only ids in x's bucket.
+	i := int(p.guide[bucket(x, p.scale, len(p.guide))])
+	for i < len(p.prefix) && p.prefix[i] < x {
+		i++
+	}
+	return i
 }
 
 // Stream tags keep the degree-model and explicit-graph views on

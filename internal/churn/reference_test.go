@@ -1,0 +1,200 @@
+package churn
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"gopim/internal/graphgen"
+)
+
+// refPicker is the picker written the plain way: a prefix sum and a
+// binary search per pick.
+type refPicker struct {
+	prefix []float64
+	total  float64
+}
+
+func newRefPicker(degs []float64, bias float64) *refPicker {
+	p := &refPicker{prefix: make([]float64, len(degs))}
+	sum := 0.0
+	for i, g := range degs {
+		w := g + bias
+		if w < 0 {
+			w = 0
+		}
+		sum += w
+		p.prefix[i] = sum
+	}
+	p.total = sum
+	return p
+}
+
+func (p *refPicker) pick(rng *rand.Rand) int {
+	if p.total <= 0 {
+		return -1
+	}
+	x := rng.Float64() * p.total
+	return sort.SearchFloat64s(p.prefix, x)
+}
+
+// mutateRef is Stream.Mutate written the plain way: fresh pickers and a
+// fresh copy of the epoch-start degrees every epoch.
+func mutateRef(cfg Config, degs []float64, epoch int) Delta {
+	var d Delta
+	if !cfg.Enabled() || len(degs) == 0 {
+		return d
+	}
+	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, tagEpoch, int64(epoch))))
+	orig := append([]float64(nil), degs...)
+	insert := newRefPicker(degs, 1)
+	remove := newRefPicker(degs, 0)
+	var totalDeg float64
+	for _, g := range degs {
+		totalDeg += g
+	}
+	ops := int(math.Round(cfg.Rate * totalDeg / 2))
+	for op := 0; op < ops; op++ {
+		if rng.Float64() < 0.5 {
+			u, v := insert.pick(rng), insert.pick(rng)
+			if u == v {
+				continue
+			}
+			degs[u]++
+			degs[v]++
+			d.EdgesAdded++
+		} else {
+			u, v := remove.pick(rng), remove.pick(rng)
+			if u < 0 || v < 0 || u == v || degs[u] < 1 || degs[v] < 1 {
+				continue
+			}
+			degs[u]--
+			degs[v]--
+			d.EdgesRemoved++
+		}
+	}
+	for v := range degs {
+		if degs[v] != orig[v] {
+			d.Changed = append(d.Changed, v)
+		}
+	}
+	return d
+}
+
+// checkPicker compares search against sort.SearchFloat64s at 0, the
+// total, every prefix value and its float neighbours inside [0, total],
+// and random points.
+func checkPicker(t *testing.T, degs []float64, bias float64, rng *rand.Rand) {
+	t.Helper()
+	var p picker
+	p.reset(degs, bias)
+	ref := newRefPicker(degs, bias)
+	if !slices.Equal(p.prefix, ref.prefix) || p.total != ref.total {
+		t.Fatalf("bias %v: prefix sums differ from the reference", bias)
+	}
+	if p.total <= 0 {
+		if got := p.pick(rng); got != -1 {
+			t.Fatalf("all-zero weights: pick %d, want -1", got)
+		}
+		return
+	}
+	xs := []float64{0, p.total, math.Nextafter(p.total, 0)}
+	for _, c := range p.prefix {
+		xs = append(xs, c, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+	}
+	for range 200 {
+		xs = append(xs, rng.Float64()*p.total)
+	}
+	for _, x := range xs {
+		if x < 0 || x > p.total {
+			continue
+		}
+		if got, want := p.search(x), sort.SearchFloat64s(ref.prefix, x); got != want {
+			t.Fatalf("bias %v, n=%d: search(%v) = %d, SearchFloat64s = %d", bias, len(degs), x, got, want)
+		}
+	}
+}
+
+func TestPickerMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cases := map[string][]float64{
+		"one":      {5},
+		"zeros":    {0, 0, 0},
+		"ties":     {2, 2, 2, 2, 2, 2},
+		"zero-run": {0, 0, 3, 0, 0, 0, 1, 0, 0, 7, 0},
+		"hub":      {1000, 1, 1, 1, 1, 1, 1, 1},
+		"tail-hub": {1, 1, 1, 1, 1, 1, 1, 1000},
+		"negative": {-3, 2, -1, 4},
+		"fraction": {0.1, 0.2, 0.30000000000000004, 1e-300, 0.7},
+		"tiny":     {1e-320, 0, 1e-320},
+		"degseq":   degSeq(500, 8),
+	}
+	for name, degs := range cases {
+		for _, bias := range []float64{0, 1} {
+			t.Run(name, func(t *testing.T) { checkPicker(t, degs, bias, rng) })
+		}
+	}
+	// Reuse across shapes: a long picker reset to a shorter one must not
+	// read stale entries.
+	var p picker
+	p.reset(degSeq(300, 1), 1)
+	short := []float64{4, 0, 1}
+	p.reset(short, 0)
+	for x := 0.0; x <= 5; x += 0.5 {
+		if got, want := p.search(x), sort.SearchFloat64s(newRefPicker(short, 0).prefix, x); got != want {
+			t.Fatalf("reused picker: search(%v) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// FuzzPickerMatchesSearch runs checkPicker over fuzzed weight shapes:
+// seed drives the weights, n (1–1000) the length, zeroEvery (0 = none)
+// how often a weight is forced to zero, and spread how skewed the
+// weights are (0 = all equal, a tie on every prefix step).
+func FuzzPickerMatchesSearch(f *testing.F) {
+	f.Add(int64(1), uint16(10), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(300), uint8(3), uint8(40))
+	f.Add(int64(3), uint16(1000), uint8(1), uint8(9))
+	f.Add(int64(4), uint16(64), uint8(2), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, zeroEvery, spread uint8) {
+		n := 1 + int(n16)%1000
+		rng := rand.New(rand.NewSource(seed))
+		degs := make([]float64, n)
+		for i := range degs {
+			degs[i] = 1
+			if spread > 0 {
+				degs[i] = math.Floor(math.Pow(rng.Float64(), -float64(spread)/32))
+			}
+			if zeroEvery > 0 && rng.Intn(int(zeroEvery)+1) == 0 {
+				degs[i] = 0
+			}
+		}
+		checkPicker(t, degs, 0, rng)
+		checkPicker(t, degs, 1, rng)
+	})
+}
+
+func TestMutateMatchesReference(t *testing.T) {
+	arxiv, err := graphgen.ByName("arxiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, degs := range map[string][]float64{
+		"small": degSeq(400, 4),
+		"arxiv": arxiv.SynthDegreeModel(1).DegreesByIndex,
+	} {
+		cfg := Config{Rate: 0.01, Seed: 5}
+		got, want := slices.Clone(degs), slices.Clone(degs)
+		s := newStream(t, cfg)
+		for e := 0; e < 10; e++ {
+			dg, dw := s.Mutate(got, e), mutateRef(cfg, want, e)
+			if !reflect.DeepEqual(dg, dw) || !slices.Equal(got, want) {
+				t.Fatalf("%s epoch %d: Mutate diverged from the reference (delta %d/%d changed)",
+					name, e, len(dg.Changed), len(dw.Changed))
+			}
+		}
+	}
+}

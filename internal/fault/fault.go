@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +88,8 @@ type Model struct {
 	rate float64
 
 	mu      sync.Mutex
-	retired map[int]float64 // cells-per-crossbar → sampled retired fraction
+	retired map[int]float64  // cells-per-crossbar → sampled retired fraction
+	laws    map[int]*poisson // cells-per-crossbar → stuck-cell law
 }
 
 // New builds a model, validating the configuration. VerifyMax 0 takes
@@ -106,7 +108,7 @@ func New(cfg Config) (*Model, error) {
 	if cfg.WearWritesPerCell > 0 {
 		rate = 1 - (1-rate)*(1-WearStuckFraction(cfg.WearWritesPerCell))
 	}
-	return &Model{cfg: cfg, rate: rate, retired: map[int]float64{}}, nil
+	return &Model{cfg: cfg, rate: rate, retired: map[int]float64{}, laws: map[int]*poisson{}}, nil
 }
 
 // MustNew is New for configurations known valid at the call site.
@@ -177,17 +179,28 @@ const retireSample = 4096
 // on the crossbar's own splitmix uniform, so the verdict for a given
 // id never depends on which ids were queried before it.
 func (m *Model) StuckCells(id int64, cells int) int {
-	rate := m.EffectiveRate()
-	if rate == 0 || cells <= 0 {
+	if m.EffectiveRate() == 0 || cells <= 0 {
 		return 0
 	}
-	u := uniform(m.cfg.Seed, id)
-	lambda := float64(cells) * rate
-	n := poissonInv(u, lambda)
-	if n > cells {
-		n = cells
+	return m.stuckCells(m.law(cells), id, cells)
+}
+
+// stuckCells is StuckCells with crossbar's Poisson law in hand.
+func (m *Model) stuckCells(p *poisson, id int64, cells int) int {
+	return min(p.inv(uniform(m.cfg.Seed, id)), cells)
+}
+
+// law returns the stuck-cell law of crossbars with the given cell
+// count, Poisson(cells×rate), built once per model and cell count.
+func (m *Model) law(cells int) *poisson {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p, ok := m.laws[cells]
+	if !ok {
+		p = newPoisson(float64(cells) * m.rate)
+		m.laws[cells] = p
 	}
-	return n
+	return p
 }
 
 // CrossbarRetired reports whether crossbar id's stuck-cell density
@@ -196,7 +209,12 @@ func (m *Model) CrossbarRetired(id int64, cells int) bool {
 	if !m.Enabled() || cells <= 0 {
 		return false
 	}
-	return float64(m.StuckCells(id, cells)) > m.cfg.RetireThreshold*float64(cells)
+	return m.retiredWith(m.law(cells), id, cells)
+}
+
+// retiredWith is CrossbarRetired with the crossbar's law in hand.
+func (m *Model) retiredWith(p *poisson, id int64, cells int) bool {
+	return float64(m.stuckCells(p, id, cells)) > m.cfg.RetireThreshold*float64(cells)
 }
 
 // RetiredFraction estimates the fraction of crossbars the retirement
@@ -206,6 +224,7 @@ func (m *Model) RetiredFraction(cells int) float64 {
 	if !m.Enabled() || cells <= 0 {
 		return 0
 	}
+	p := m.law(cells)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if f, ok := m.retired[cells]; ok {
@@ -213,7 +232,7 @@ func (m *Model) RetiredFraction(cells int) float64 {
 	}
 	hit := 0
 	for i := 0; i < retireSample; i++ {
-		if float64(m.StuckCells(int64(i), cells)) > m.cfg.RetireThreshold*float64(cells) {
+		if m.retiredWith(p, int64(i), cells) {
 			hit++
 		}
 	}
@@ -244,8 +263,9 @@ func (m *Model) DeadGroups(needed, cells int) []bool {
 	limit := 4*needed + retireSample
 	dead := make([]bool, 0, needed)
 	healthy := 0
+	p := m.law(cells)
 	for id := 0; healthy < needed && id < limit; id++ {
-		d := m.CrossbarRetired(int64(id), cells)
+		d := m.retiredWith(p, int64(id), cells)
 		dead = append(dead, d)
 		if !d {
 			healthy++
@@ -357,29 +377,57 @@ func uniform(seed, id int64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// poissonInv is the inverse CDF of Poisson(λ) at u, by direct CDF
-// accumulation for small λ and a normal approximation beyond λ=256
-// (exact accumulation underflows and slows there; the verdicts only
-// feed density thresholds, so tail shape matters more than exactness).
-func poissonInv(u, lambda float64) int {
-	if lambda <= 0 {
+// poissonCap bounds the CDF accumulation: a u the accumulated sum never
+// exceeds (it saturates below 1 in floating point) yields this count.
+const poissonCap = 1 << 20
+
+// poisson is the inverse CDF of Poisson(λ), by direct CDF accumulation
+// for small λ and a normal approximation beyond λ=256 (exact
+// accumulation underflows and slows there; the verdicts only feed
+// density thresholds, so tail shape matters more than exactness).
+//
+// The per-λ work is done once: cdf holds the accumulation's running
+// sums in its order, cdf[k] = Σ_{i≤k} p_i with p_0 = e^−λ and
+// p_k = p_{k−1}·(λ/k), up to the term that underflows to zero (after
+// it the sum never moves) or the cap. The normal branch keeps √λ.
+type poisson struct {
+	lambda, sqrtLambda float64
+	cdf                []float64
+}
+
+func newPoisson(lambda float64) *poisson {
+	p := &poisson{lambda: lambda}
+	switch {
+	case lambda <= 0:
+	case lambda > 256:
+		p.sqrtLambda = math.Sqrt(lambda)
+	default:
+		term := math.Exp(-lambda)
+		sum := term
+		p.cdf = append(p.cdf, sum)
+		for n := 1; term != 0 && n < poissonCap; n++ {
+			term *= lambda / float64(n)
+			sum += term
+			p.cdf = append(p.cdf, sum)
+		}
+	}
+	return p
+}
+
+// inv returns the smallest n with u < cdf[n] (poissonCap if u is at or
+// above every partial sum), or the rounded normal quantile beyond
+// λ=256.
+func (p *poisson) inv(u float64) int {
+	if p.lambda <= 0 {
 		return 0
 	}
-	if lambda > 256 {
+	if p.lambda > 256 {
 		z := math.Sqrt2 * math.Erfinv(2*u-1)
-		n := int(math.Round(lambda + math.Sqrt(lambda)*z))
-		if n < 0 {
-			n = 0
-		}
-		return n
+		return max(0, int(math.Round(p.lambda+p.sqrtLambda*z)))
 	}
-	p := math.Exp(-lambda)
-	cdf := p
-	n := 0
-	for u >= cdf && n < 1<<20 {
-		n++
-		p *= lambda / float64(n)
-		cdf += p
+	n := sort.Search(len(p.cdf), func(k int) bool { return u < p.cdf[k] })
+	if n == len(p.cdf) {
+		return poissonCap
 	}
 	return n
 }

@@ -1,9 +1,6 @@
 package mapping
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // DeltaStats reports what an incremental re-mapping actually did.
 type DeltaStats struct {
@@ -57,27 +54,45 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 	// (−degree, id) order, and a single merge under that same order
 	// rebuilds the total ranking.
 	isChanged := make([]bool, n)
-	moved := make([]int, 0, len(changed))
+	count := 0
 	for _, v := range changed {
 		if v < 0 || v >= n {
 			return l.fullRemap(newDegs, dead)
 		}
 		if !isChanged[v] {
 			isChanged[v] = true
+			count++
+		}
+	}
+	// The changed set in ascending id order, then ranked by the stable
+	// radix on its degrees: equal degrees keep ascending id, as in the
+	// full ranking.
+	moved := make([]int, 0, count)
+	for v, c := range isChanged {
+		if c {
 			moved = append(moved, v)
 		}
 	}
-	order := degreeOrder(newDegs)
-	slices.SortFunc(moved, order)
+	sortByDegree(moved, newDegs)
 	newByDeg := make([]int, 0, n)
-	j := 0
+	// moved[j] is the first moved vertex not yet merged, nextDeg its
+	// degree. It precedes an unchanged v when its degree is higher, or
+	// equal with a smaller id (−0 and +0 compare equal).
+	j, nextDeg := 0, 0.0
+	if count > 0 {
+		nextDeg = newDegs[moved[0]]
+	}
 	for _, v := range l.byDeg {
 		if isChanged[v] {
 			continue
 		}
-		for j < len(moved) && order(v, moved[j]) >= 0 {
+		d := newDegs[v]
+		for j < count && (nextDeg > d || nextDeg == d && moved[j] < v) {
 			newByDeg = append(newByDeg, moved[j])
 			j++
+			if j < count {
+				nextDeg = newDegs[moved[j]]
+			}
 		}
 		newByDeg = append(newByDeg, v)
 	}
@@ -109,19 +124,26 @@ func (l *Layout) ApplyDelta(newDegs []float64, changed []int, dead []bool) (*Lay
 	if hi >= spillRank(n, l.GroupSize) {
 		return l.fullRemap(newDegs, dead)
 	}
+	// Rank k stripes to group k%groups at position k/groups, slot
+	// group·GroupSize + position; below the spill rank the position is
+	// inside the group. Walk the window stepping group and slot.
 	groups := numGroups(n, l.GroupSize)
 	touched := make([]bool, groups)
-	for k := lo; k <= hi; k++ {
-		v := newByDeg[k]
-		slot := (k%groups)*l.GroupSize + k/groups
-		if out.Order[slot] == v {
-			continue
+	g, slot := lo%groups, (lo%groups)*l.GroupSize+lo/groups
+	for _, v := range newByDeg[lo : hi+1] {
+		if out.Order[slot] != v {
+			out.Order[slot] = v
+			stats.StripesMoved++
+			if !touched[g] {
+				touched[g] = true
+				stats.GroupsTouched++
+			}
 		}
-		out.Order[slot] = v
-		stats.StripesMoved++
-		if g := slot / l.GroupSize; !touched[g] {
-			touched[g] = true
-			stats.GroupsTouched++
+		g++
+		slot += l.GroupSize
+		if g == groups {
+			g = 0
+			slot -= groups*l.GroupSize - 1
 		}
 	}
 	out.applyPhys(dead)

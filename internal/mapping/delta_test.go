@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -234,30 +235,50 @@ func TestHealthyPhysGroupsFullyDeadGroup(t *testing.T) {
 // and burst the largest mutation per step (large bursts reach the
 // full-remap fallback). deadMask retires group g when bit g%64 is set
 // (0 = a healthy chip, dead == nil), and waveMask retires more groups
-// halfway through the chain. Every changed list repeats some of its ids
+// halfway through the chain. levels (0 = 40) is the number of distinct
+// starting degrees, and negZero stores the zero degrees at odd ids as
+// −0 after every step. Every changed list repeats some of its ids
 // (the contract tolerates duplicates). After every step the layout must
 // equal a from-scratch InterleavedLayout/InterleavedLayoutHealthy of
 // the mutated degrees, its order must be a permutation, and DeltaStats
 // must equal a recount of the slots whose occupant changed.
 func FuzzApplyDelta(f *testing.F) {
-	f.Add(int64(7), uint16(64), uint8(8), uint64(0), uint64(0), uint8(50), uint8(3))
-	f.Add(int64(7), uint16(61), uint8(8), uint64(0x5555), uint64(0), uint8(50), uint8(3))
-	f.Add(int64(3), uint16(5), uint8(4), uint64(0), uint64(1), uint8(10), uint8(0))
-	f.Add(int64(11), uint16(300), uint8(3), uint64(0x9), uint64(0xf0), uint8(40), uint8(200))
-	f.Add(int64(5), uint16(1), uint8(1), uint64(1), uint64(0), uint8(5), uint8(1))
+	f.Add(int64(7), uint16(64), uint8(8), uint64(0), uint64(0), uint8(50), uint8(3), uint8(0), false)
+	f.Add(int64(7), uint16(61), uint8(8), uint64(0x5555), uint64(0), uint8(50), uint8(3), uint8(0), false)
+	f.Add(int64(3), uint16(5), uint8(4), uint64(0), uint64(1), uint8(10), uint8(0), uint8(0), false)
+	f.Add(int64(11), uint16(300), uint8(3), uint64(0x9), uint64(0xf0), uint8(40), uint8(200), uint8(0), false)
+	f.Add(int64(5), uint16(1), uint8(1), uint64(1), uint64(0), uint8(5), uint8(1), uint8(0), false)
 	// Small bursts after a retirement wave: incremental steps must pick
 	// up the new routing.
-	f.Add(int64(13), uint16(64), uint8(8), uint64(0), uint64(0x30), uint8(40), uint8(2))
-	f.Add(int64(17), uint16(61), uint8(8), uint64(0x5), uint64(0x30), uint8(40), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, gs8 uint8, deadMask, waveMask uint64, steps8, burst uint8) {
+	f.Add(int64(13), uint16(64), uint8(8), uint64(0), uint64(0x30), uint8(40), uint8(2), uint8(0), false)
+	f.Add(int64(17), uint16(61), uint8(8), uint64(0x5), uint64(0x30), uint8(40), uint8(2), uint8(0), false)
+	// Few degree levels: changed and unchanged vertices tie on degree,
+	// so the merge's id tie-break decides most ranks; with negZero the
+	// zero degrees at odd ids are −0, which must rank as +0.
+	f.Add(int64(19), uint16(200), uint8(8), uint64(0), uint64(0), uint8(30), uint8(20), uint8(2), false)
+	f.Add(int64(23), uint16(61), uint8(8), uint64(0), uint64(0x3), uint8(30), uint8(6), uint8(3), true)
+	f.Add(int64(29), uint16(128), uint8(4), uint64(0), uint64(0), uint8(12), uint8(40), uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, gs8 uint8, deadMask, waveMask uint64, steps8, burst, levels uint8, negZero bool) {
 		n := max(1, int(n16)%401)
 		gs := max(1, int(gs8)%17)
 		steps := int(steps8) % 64
+		span := 40
+		if levels > 0 {
+			span = int(levels)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		degs := make([]float64, n)
 		for i := range degs {
-			degs[i] = float64(rng.Intn(40))
+			degs[i] = float64(rng.Intn(span))
 		}
+		signZeros := func() {
+			for i := 1; negZero && i < n; i += 2 {
+				if degs[i] == 0 {
+					degs[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		signZeros()
 		var dead []bool
 		retire := func(mask uint64) {
 			if mask == 0 {
@@ -285,6 +306,7 @@ func FuzzApplyDelta(f *testing.F) {
 				retire(waveMask)
 			}
 			changed := mutate(rng, degs, 1+rng.Intn(1+int(burst)))
+			signZeros()
 			for range rng.Intn(1 + len(changed)) {
 				changed = append(changed, changed[rng.Intn(len(changed))])
 			}

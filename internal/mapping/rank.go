@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"cmp"
 	"math"
 	"sync"
 )
@@ -15,24 +14,33 @@ var rankPool = sync.Pool{New: func() any { return new([]int) }}
 // layout and the ISU plan are derived from. −0 and +0 compare equal.
 // The degrees must not contain NaN, which has no place in a total
 // order; every degree source in this module is finite.
+func rankByDegree(degrees []float64) []int {
+	rank := make([]int, len(degrees))
+	for i := range rank {
+		rank[i] = i
+	}
+	sortByDegree(rank, degrees)
+	return rank
+}
+
+// sortByDegree stably sorts the ids by descending degrees[id]: ids in
+// ascending order come out in rankByDegree's order, restricted to them.
 //
 // It is a stable LSD radix sort on an order-preserving uint64 image of
 // each degree, one 8-bit digit per pass, skipping any pass where every
-// key shares the digit. Starting from the identity permutation, the
-// stable passes leave equal keys in ascending id order, so the result
-// equals sort.SliceStable with degrees[a] > degrees[b]. Each pass
-// re-derives the keys from the degrees rather than carrying them, so
-// the only scratch is one pooled buffer of n ids.
-func rankByDegree(degrees []float64) []int {
-	n := len(degrees)
-	rank := make([]int, n)
+// key shares the digit. The stable passes leave equal keys in their
+// input order, so the result equals sort.SliceStable with
+// degrees[a] > degrees[b]. Each pass re-derives the keys from the
+// degrees rather than carrying them, so the only scratch is one pooled
+// buffer of len(ids) ids.
+func sortByDegree(ids []int, degrees []float64) {
+	n := len(ids)
 	if n == 0 {
-		return rank
+		return
 	}
 	var counts [8][256]int
-	for i, d := range degrees {
-		rank[i] = i
-		k := descKey(d)
+	for _, v := range ids {
+		k := descKey(degrees[v])
 		for p := range counts {
 			counts[p][byte(k>>(8*p))]++
 		}
@@ -42,8 +50,8 @@ func rankByDegree(degrees []float64) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
 	}
-	src, dst := rank, (*buf)[:n]
-	k0 := descKey(degrees[0])
+	src, dst := ids, (*buf)[:n]
+	k0 := descKey(degrees[ids[0]])
 	for p := range counts {
 		c := &counts[p]
 		shift := 8 * p
@@ -62,10 +70,9 @@ func rankByDegree(degrees []float64) []int {
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &rank[0] {
-		copy(rank, src)
+	if &src[0] != &ids[0] {
+		copy(ids, src)
 	}
-	return rank
 }
 
 // descKey maps a non-NaN degree to a uint64 whose ascending order is
@@ -82,19 +89,4 @@ func descKey(d float64) uint64 {
 		return b
 	}
 	return ^(b | 1<<63)
-}
-
-// degreeOrder returns the comparator of rankByDegree's order on vertex
-// ids: descending degree, then ascending id. It is for sorting and
-// merging subsets of vertices consistently with a full ranking.
-func degreeOrder(degrees []float64) func(a, b int) int {
-	return func(a, b int) int {
-		if da, db := degrees[a], degrees[b]; da != db {
-			if da > db {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
-	}
 }

@@ -133,3 +133,27 @@ func TestUpdateDueMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+func TestActiveBlocksMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	chip := reram.DefaultChip()
+	for _, n := range []int{0, 1, 37, 4267} {
+		for _, prune := range []float64{0, 0.5, 1.5} {
+			degs := testDegrees(rng, n)
+			cfg := Config{Chip: chip, Deg: graphgen.NewDegreeModel(degs), PruneEdgeFraction: prune}
+			a := NewActiveBlocks(cfg)
+			for step := 0; step < 5; step++ {
+				if got, want := a.Mean(), avgActiveBlocksRef(cfg); !sameBits(got, want) {
+					t.Fatalf("n=%d prune=%v step %d: carried mean %v, reference %v", n, prune, step, got, want)
+				}
+				var changed []int
+				for i := 0; i < n/10+1 && n > 0; i++ {
+					v := rng.Intn(n)
+					degs[v] = math.Max(0, degs[v]+float64(rng.Intn(5)-2))
+					changed = append(changed, v)
+				}
+				a.Update(degs, changed)
+			}
+		}
+	}
+}

@@ -149,6 +149,13 @@ func LayerDims(d graphgen.Dataset, l int) (in, out int) {
 // Build constructs the 4L stages in pipeline order:
 // CO1, AG1, …, COL, AGL, LCL, GCL, …, LC1, GC1 (paper Fig. 2).
 func Build(cfg Config) []Stage {
+	validate(cfg)
+	// The expected active-block count is a property of the graph alone;
+	// compute it once for all AG stages.
+	return build(cfg, avgActiveBlocks(cfg))
+}
+
+func validate(cfg Config) {
 	if err := cfg.Chip.Validate(); err != nil {
 		panic(err)
 	}
@@ -158,10 +165,10 @@ func Build(cfg Config) []Stage {
 	if cfg.Deg == nil {
 		panic("stage: nil degree model")
 	}
+}
+
+func build(cfg Config, active float64) []Stage {
 	L := cfg.Dataset.Layers
-	// The expected active-block count is a property of the graph alone;
-	// compute it once for all AG stages.
-	active := avgActiveBlocks(cfg)
 	stages := make([]Stage, 0, 4*L)
 	for l := 1; l <= L; l++ {
 		stages = append(stages, buildCO(cfg, l), buildAG(cfg, l, active))
@@ -274,16 +281,75 @@ func avgActiveBlocks(cfg Config) float64 {
 	if n == 0 {
 		return 0
 	}
-	keep := 1 - cfg.PruneEdgeFraction
-	if keep < 0 {
-		keep = 0
-	}
-	occ := cfg.Chip.Occupancy(n)
+	occ, keep := cfg.Chip.Occupancy(n), keepFraction(cfg)
 	var sum float64
 	for _, d := range cfg.Deg.DegreesByIndex {
 		sum += occ.Expected(d * keep)
 	}
 	return sum / float64(n)
+}
+
+// keepFraction is the share of edges edge pruning leaves.
+func keepFraction(cfg Config) float64 {
+	return max(0, 1-cfg.PruneEdgeFraction)
+}
+
+// ActiveBlocks carries avgActiveBlocks' per-vertex terms across degree
+// updates of one graph. An unchanged vertex's term repeats bit for bit,
+// so an update recomputes only the changed vertices' terms, and the
+// mean sums all n terms in index order as avgActiveBlocks does: the
+// same bits for a fraction of the Exp calls. It costs one n-entry
+// slice, which only a caller that carries it across updates should
+// pay; Build keeps computing the mean in one pass.
+type ActiveBlocks struct {
+	occ   reram.BlockOccupancy
+	keep  float64
+	terms []float64
+}
+
+// NewActiveBlocks computes every vertex's term for cfg's graph.
+func NewActiveBlocks(cfg Config) *ActiveBlocks {
+	a := &ActiveBlocks{
+		occ:   cfg.Chip.Occupancy(cfg.Deg.N),
+		keep:  keepFraction(cfg),
+		terms: make([]float64, cfg.Deg.N),
+	}
+	for v, d := range cfg.Deg.DegreesByIndex {
+		a.terms[v] = a.occ.Expected(d * a.keep)
+	}
+	return a
+}
+
+// Update recomputes the terms of the changed vertices from degs, the
+// full current degree sequence.
+func (a *ActiveBlocks) Update(degs []float64, changed []int) {
+	for _, v := range changed {
+		a.terms[v] = a.occ.Expected(degs[v] * a.keep)
+	}
+}
+
+// Mean is avgActiveBlocks of the degrees the terms were last updated
+// to, bit for bit.
+func (a *ActiveBlocks) Mean() float64 {
+	if len(a.terms) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, t := range a.terms {
+		sum += t
+	}
+	return sum / float64(len(a.terms))
+}
+
+// Build is stage.Build on the carried mean. cfg must describe the
+// graph, chip geometry and pruning the terms were built and updated
+// for.
+func (a *ActiveBlocks) Build(cfg Config) []Stage {
+	validate(cfg)
+	if cfg.Deg.N != len(a.terms) {
+		panic(fmt.Sprintf("stage: %d-vertex config for %d carried terms", cfg.Deg.N, len(a.terms)))
+	}
+	return build(cfg, a.Mean())
 }
 
 func buildAG(cfg Config, l int, activeBlocks float64) Stage {
