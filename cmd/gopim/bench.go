@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"gopim"
@@ -20,16 +19,13 @@ import (
 func benchCmd(args []string, seed int64, fast bool, format experiments.Format) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	label := fs.String("label", "local", "bench label; output goes to BENCH_<label>.json")
-	warmup := fs.Int("warmup", 1, "unrecorded warmup runs per configuration")
-	repeats := fs.Int("repeats", 3, "measured runs per configuration")
-	workersList := fs.String("bench-workers", "1,2", "comma-separated worker counts the suite runs at")
 	expList := fs.String("experiments", "", "comma-separated experiment ids (default: the fig4-fig7 smoke set)")
 	dsList := fs.String("datasets", "", "comma-separated sim-matrix datasets (default: ddi,Cora)")
 	full := fs.Bool("full", false, "full suite: every experiment id and every catalog dataset")
 	dir := fs.String("dir", ".", "directory for the BENCH file")
 	attrib := fs.Bool("attrib", false, "also print the stage-level attribution report")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gopim [flags] bench [-label L] [-repeats N] [-attrib] [BENCH_x.json]")
+		fmt.Fprintln(os.Stderr, "usage: gopim [flags] bench [-label L] [-attrib] [BENCH_x.json]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -48,15 +44,10 @@ func benchCmd(args []string, seed int64, fast bool, format experiments.Format) e
 	}
 
 	cfg := bench.Config{
-		Label:  *label,
-		Seed:   seed,
-		Fast:   fast || !*full, // the smoke suite is always fast-scale
-		Warmup: *warmup, Repeats: *repeats,
-		Args: os.Args[1:],
-	}
-	var err error
-	if cfg.Workers, err = parseWorkersList(*workersList); err != nil {
-		return err
+		Label: *label,
+		Seed:  seed,
+		Fast:  fast || !*full, // the smoke suite is always fast-scale
+		Args:  os.Args[1:],
 	}
 	if *expList != "" {
 		cfg.Experiments = splitCSV(*expList)
@@ -77,16 +68,9 @@ func benchCmd(args []string, seed int64, fast bool, format experiments.Format) e
 	if err := f.WriteFile(path); err != nil {
 		return err
 	}
-	fmt.Printf("bench %s: seed=%d fast=%v warmup=%d repeats=%d -> %s\n",
-		f.Label, f.Suite.Seed, f.Suite.Fast, f.Suite.Warmup, f.Suite.Repeats, path)
+	fmt.Printf("bench %s: seed=%d fast=%v -> %s\n", f.Label, f.Suite.Seed, f.Suite.Fast, path)
 	for _, c := range f.Configs {
-		stable := ""
-		if !c.SimStable {
-			stable = "   UNSTABLE sim snapshot"
-		}
-		fmt.Printf("  %-16s wall min/med/max %8.1f/%8.1f/%8.1f ms   %d sim metric values%s\n",
-			c.Name, c.WallMS.MinMS, c.WallMS.MedianMS, c.WallMS.MaxMS,
-			len(c.SimMetrics), stable)
+		fmt.Printf("  %-12s %d sim metric values\n", c.Name, len(c.SimMetrics))
 	}
 	if *attrib {
 		return renderAttribution(f, format)
@@ -110,15 +94,14 @@ func renderAttribution(f *bench.File, format experiments.Format) error {
 }
 
 // diffCmd compares two BENCH files or raw -metrics snapshots
-// (`gopim diff old new`) and returns the strict regression count the
-// caller turns into the exit status.
-func diffCmd(args []string, format experiments.Format) (regressions int, err error) {
+// (`gopim diff old new`) and returns the strict failure count (Sim
+// values that moved, appeared or vanished) the caller turns into the
+// exit status.
+func diffCmd(args []string, format experiments.Format) (failures int, err error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	rel := fs.Float64("rel", 0, "relative threshold for sim-clock metrics (strict)")
-	relWall := fs.Float64("rel-wall", 0.25, "relative threshold for wall-clock stats (report-only)")
 	showAll := fs.Bool("all", false, "include unchanged metrics in the report")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gopim [flags] diff [-rel R] [-all] <old.json> <new.json>")
+		fmt.Fprintln(os.Stderr, "usage: gopim [flags] diff [-all] <old.json> <new.json>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -135,28 +118,12 @@ func diffCmd(args []string, format experiments.Format) (regressions int, err err
 	if err != nil {
 		return 0, err
 	}
-	rep := bench.Diff(oldF, newF, bench.Thresholds{Sim: *rel, Wall: *relWall})
+	rep := bench.Diff(oldF, newF)
 	if err := rep.Result(*showAll).RenderAs(os.Stdout, format); err != nil {
 		return 0, err
 	}
 	fmt.Println(rep.Summary())
-	return rep.Regressions(), nil
-}
-
-// parseWorkersList parses "1,2,8" into worker counts.
-func parseWorkersList(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitCSV(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bench: -bench-workers wants positive integers, got %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: -bench-workers is empty")
-	}
-	return out, nil
+	return rep.Failures(), nil
 }
 
 // splitCSV splits a comma-separated list, trimming blanks.

@@ -201,12 +201,12 @@ func main() {
 			fatal(err.Error())
 		}
 	case "diff":
-		regressions, err := diffCmd(args[1:], outFormat)
+		failures, err := diffCmd(args[1:], outFormat)
 		if err != nil {
 			fatal(err.Error())
 		}
-		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "gopim: %d sim-clock metric(s) regressed\n", regressions)
+		if failures > 0 {
+			fmt.Fprintf(os.Stderr, "gopim: %d sim-clock metric value(s) regressed, appeared or vanished\n", failures)
 			exitCode = 1
 		}
 	default:
@@ -247,10 +247,10 @@ usage:
   gopim [flags] compare <dataset>
   gopim [flags] theta <dataset>
   gopim [flags] endurance <dataset>
-  gopim [flags] bench [-label L] [-repeats N] [-attrib]
+  gopim [flags] bench [-label L] [-attrib]
   gopim [flags] explain [-mb N] [-json] [-no-sensitivity] [-gantt] <dataset> [model]
   gopim [flags] churn [-epochs N] [-wear-days D] <dataset>
-  gopim [flags] diff [-rel R] <old.json> <new.json>
+  gopim [flags] diff [-all] <old.json> <new.json>
   gopim [flags] serve [-addr A] [-serve-workers N] [-queue N] [-cache N]
 
 flags:

@@ -287,13 +287,19 @@ var degCache = simmemo.NewSizedCache("degmodel", 128, degModelBytes,
 
 const degModelBytes = 256 << 20
 
-func (w *Workload) defaults() {
+// defaultShape fills a zero micro-batch size and chip.
+func (w *Workload) defaultShape() {
 	if w.MicroBatch == 0 {
 		w.MicroBatch = 64
 	}
 	if w.Chip.Tiles == 0 {
 		w.Chip = reram.DefaultChip()
 	}
+}
+
+// defaults fills every zero field, the degree model included.
+func (w *Workload) defaults() {
+	w.defaultShape()
 	if w.Deg == nil {
 		w.Deg = DegModelFor(w.Dataset, w.Seed)
 	}
@@ -392,13 +398,18 @@ var runCache = simmemo.NewCache("accelrun", 512)
 // fields as read-only.
 func Run(kind Kind, w Workload) Report {
 	memoizable := w.Deg == nil
-	w.defaults()
+	w.defaultShape()
 	fm := w.faultModel()
 	key := ""
 	if memoizable {
 		key = runKey(kind, w, fm)
 	}
-	rep := simmemo.Do(runCache, key, nil, func(t *obs.Tape) Report { return runCore(kind, w, fm, t) })
+	rep := simmemo.Do(runCache, key, nil, func(t *obs.Tape) Report {
+		// Only the simulation reads the degree model, so a hit never
+		// fetches it.
+		w.defaults()
+		return runCore(kind, w, fm, t)
+	})
 	pipeline.RecordSim(len(rep.StageTimesNS), rep.MicroBatches, rep.MakespanNS)
 	recordReport(rep)
 	return rep

@@ -273,7 +273,7 @@ func maxEntry(m map[string]float64) (string, float64) {
 
 // AttributionConfig picks the configuration to attribute from a BENCH
 // file: the one whose snapshot carries the most accel series (the
-// sim-matrix at the lowest worker count, in practice).
+// sim-matrix, in practice).
 func AttributionConfig(f *File) (ConfigResult, error) {
 	best := -1
 	bestN := 0

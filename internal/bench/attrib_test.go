@@ -124,16 +124,16 @@ func TestAttributionConfigPicksRichest(t *testing.T) {
 	f := &File{
 		Schema: Schema, Label: "x",
 		Configs: []ConfigResult{
-			{Name: "experiments/w1", SimMetrics: []MetricValue{sim("pipeline.simulations", "count", "1")}},
-			{Name: "sim-matrix/w1", SimMetrics: attribMetrics()},
+			{Name: "experiments", SimMetrics: []MetricValue{sim("pipeline.simulations", "count", "1")}},
+			{Name: "sim-matrix", SimMetrics: attribMetrics()},
 		},
 	}
 	c, err := AttributionConfig(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name != "sim-matrix/w1" {
-		t.Errorf("picked %q, want sim-matrix/w1", c.Name)
+	if c.Name != "sim-matrix" {
+		t.Errorf("picked %q, want sim-matrix", c.Name)
 	}
 	if _, err := AttributionConfig(&File{Label: "empty"}); err == nil {
 		t.Error("empty file accepted")

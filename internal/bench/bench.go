@@ -1,16 +1,11 @@
-// Package bench is GoPIM's performance-regression harness. It runs a
+// Package bench is GoPIM's Sim-clock regression gate. It runs a
 // standard workload suite — a {dataset, model} simulation matrix plus a
-// set of experiment harnesses, each at several worker counts — with
-// warmup and repeat controls, and captures two kinds of signal per
-// configuration:
-//
-//   - wall-clock timing statistics (min/median/max across repeats),
-//     which describe this machine on this day and are compared
-//     report-only; and
-//   - the full Sim-clock metric snapshot from the obs registry, which
-//     is a pure function of the suite and seed (byte-identical at any
-//     worker count) and therefore diffs strictly across runs, machines
-//     and commits.
+// set of experiment harnesses — once per group and captures each
+// group's full Sim-clock metric snapshot from the obs registry. That
+// snapshot is a pure function of the suite and seed (byte-identical at
+// any worker count), so it diffs strictly across runs, machines and
+// commits. Wall time is not gated here: perfbench (perfbench/run.sh)
+// measures it in cold child processes, in alternating pairs.
 //
 // Run writes a versioned BENCH_<label>.json; Diff (diff.go) compares
 // two such files (or raw -metrics JSON snapshots) metric-by-metric and
@@ -24,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -38,8 +32,9 @@ import (
 
 // Schema is the BENCH file format version; bump it on any breaking
 // change to File so diffs fail loudly instead of misreading old files.
-// Version 2 added per-repeat heap-allocation stats (AllocObjs/AllocMB).
-const Schema = 2
+// Version 3 dropped the wall and allocation stats and the per-worker
+// configurations.
+const Schema = 3
 
 // Config tunes one bench-suite run. The zero value of every field
 // selects the smoke-scale default, so Config{} is the CI suite.
@@ -50,20 +45,6 @@ type Config struct {
 	Seed int64
 	// Fast shrinks the experiment workloads (experiments.Options.Fast).
 	Fast bool
-	// Warmup runs per configuration are executed but not recorded; the
-	// default 1 warms what a registry reset leaves in place (the Go
-	// heap and other first-touch costs) so every measured repeat sees
-	// the same state.
-	Warmup int
-	// Repeats is the number of measured runs per configuration
-	// (default 3). Wall stats aggregate over them; the Sim snapshot is
-	// captured from the last repeat and checked for stability across
-	// all of them.
-	Repeats int
-	// Workers lists the worker counts the suite runs at (default
-	// {1, 2} — machine-independent, so config names match across
-	// hosts).
-	Workers []int
 	// Experiments lists experiment harness ids (default: the fig4–fig7
 	// smoke set the determinism tests pin).
 	Experiments []string
@@ -86,15 +67,6 @@ func (c *Config) defaults() {
 	if c.Label == "" {
 		c.Label = "local"
 	}
-	if c.Warmup < 0 {
-		c.Warmup = 0
-	}
-	if c.Repeats < 1 {
-		c.Repeats = 3
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2}
-	}
 	if len(c.Experiments) == 0 {
 		c.Experiments = SmokeExperiments()
 	}
@@ -111,9 +83,6 @@ func (c *Config) defaults() {
 type Suite struct {
 	Seed        int64    `json:"seed"`
 	Fast        bool     `json:"fast"`
-	Warmup      int      `json:"warmup"`
-	Repeats     int      `json:"repeats"`
-	Workers     []int    `json:"workers"`
 	Experiments []string `json:"experiments"`
 	Datasets    []string `json:"datasets"`
 	Models      []string `json:"models"`
@@ -130,43 +99,13 @@ type MetricValue struct {
 	Value string `json:"value"`
 }
 
-// Stats are wall-clock milliseconds aggregated across repeats.
-type Stats struct {
-	MinMS    float64 `json:"min_ms"`
-	MedianMS float64 `json:"median_ms"`
-	MaxMS    float64 `json:"max_ms"`
-}
-
-// statsOf aggregates sorted samples (destructively sorts its input).
-func statsOf(ms []float64) Stats {
-	sort.Float64s(ms)
-	return Stats{
-		MinMS:    ms[0],
-		MedianMS: ms[len(ms)/2],
-		MaxMS:    ms[len(ms)-1],
-	}
-}
-
-// ConfigResult is one configuration's outcome.
+// ConfigResult is one workload group's outcome.
 type ConfigResult struct {
-	// Name identifies the configuration ("sim-matrix/w2"); diffs match
+	// Name identifies the group ("sim-matrix"); diffs match
 	// configurations by this name.
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	// WallMS aggregates the measured repeats (report-only in diffs).
-	WallMS Stats `json:"wall_ms"`
-	// AllocObjs and AllocMB are the median heap-allocation count and
-	// megabytes per measured repeat (runtime.MemStats deltas). Like
-	// wall time they describe this process, not the model, so diffs
-	// compare them report-only — but a jump flags an allocation
-	// regression in the hot paths the suite exercises.
-	AllocObjs float64 `json:"alloc_objs"`
-	AllocMB   float64 `json:"alloc_mb"`
-	// SimStable is false when the Sim snapshot drifted between repeats
-	// of this very run — a determinism bug worth investigating.
-	SimStable bool `json:"sim_stable"`
-	// SimMetrics is the flattened Sim-clock snapshot of the last
-	// repeat (strictly diffable).
+	Name string `json:"name"`
+	// SimMetrics is the group's flattened Sim-clock snapshot (strictly
+	// diffable).
 	SimMetrics []MetricValue `json:"sim_metrics"`
 }
 
@@ -219,26 +158,14 @@ func flattenSim(reg *obs.Registry) []MetricValue {
 	return out
 }
 
-func sameMetrics(a, b []MetricValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes the suite and returns the BENCH file content.
 //
 // Run owns process-global state for its duration: it enables obs
-// recording, resets the default registry between repeats (so each
-// snapshot covers exactly one pass), and drives parallel.SetWorkers
-// through the configured counts, restoring the default (0) and the
-// previous obs enablement on return. Don't run it concurrently with
-// other instrumented work.
+// recording and resets the default registry before each group, so each
+// snapshot covers exactly one cold pass, restoring the previous obs
+// enablement on return. The suite runs at the ambient worker count
+// (parallel.SetWorkers); the snapshots do not depend on it. Don't run
+// it concurrently with other instrumented work.
 func Run(cfg Config) (*File, error) {
 	cfg.defaults()
 
@@ -268,7 +195,6 @@ func Run(cfg Config) (*File, error) {
 	wasEnabled := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(wasEnabled)
-	defer parallel.SetWorkers(0)
 
 	models := make([]string, len(cfg.Models))
 	for i, m := range cfg.Models {
@@ -278,14 +204,13 @@ func Run(cfg Config) (*File, error) {
 		Schema: Schema,
 		Label:  cfg.Label,
 		Suite: Suite{
-			Seed: cfg.Seed, Fast: cfg.Fast,
-			Warmup: cfg.Warmup, Repeats: cfg.Repeats,
-			Workers: cfg.Workers, Experiments: cfg.Experiments,
+			Seed: cfg.Seed, Fast: cfg.Fast, Experiments: cfg.Experiments,
 			Datasets: cfg.Datasets, Models: models,
 		},
 		Manifest: obs.NewManifest(cfg.Args),
 	}
 	f.Manifest.Seed = cfg.Seed
+	f.Manifest.Workers = parallel.Workers()
 	f.Manifest.Fast = cfg.Fast
 	f.Manifest.Format = "bench"
 
@@ -312,84 +237,25 @@ func Run(cfg Config) (*File, error) {
 		return err
 	}
 
-	groups := []benchGroup{{"sim-matrix", simMatrix}, {"experiments", expSuite}}
-
-	for _, w := range cfg.Workers {
-		for _, group := range groups {
-			res, err := runConfig(fmt.Sprintf("%s/w%d", group.name, w),
-				w, cfg.Warmup, cfg.Repeats, group.body)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s/w%d: %w", group.name, w, err)
-			}
-			f.Manifest.Record(res.Name, time.Duration(res.WallMS.MedianMS*1e6), nil)
-			f.Configs = append(f.Configs, res)
+	for _, group := range []struct {
+		name string
+		body func() error
+	}{{"sim-matrix", simMatrix}, {"experiments", expSuite}} {
+		// Resetting the registry also clears the simmemo caches (its
+		// OnReset hook), so the snapshot — hit/miss counters included —
+		// covers exactly one cold pass of this group.
+		obs.Default().Reset()
+		t0 := time.Now()
+		if err := group.body(); err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", group.name, err)
 		}
+		f.Manifest.Record(group.name, time.Since(t0), nil)
+		f.Configs = append(f.Configs, ConfigResult{
+			Name: group.name, SimMetrics: flattenSim(obs.Default()),
+		})
 	}
 	f.Manifest.Finish()
 	return f, nil
-}
-
-// benchGroup is one named workload body the suite loop measures per
-// worker count.
-type benchGroup struct {
-	name string
-	body func() error
-}
-
-// runConfig measures one configuration: warmup passes, then repeats
-// with the registry reset before each so every Sim snapshot covers
-// exactly one pass.
-func runConfig(name string, workers, warmup, repeats int, body func() error) (ConfigResult, error) {
-	parallel.SetWorkers(workers)
-	for i := 0; i < warmup; i++ {
-		if err := body(); err != nil {
-			return ConfigResult{}, err
-		}
-	}
-	wallMS := make([]float64, repeats)
-	allocObjs := make([]float64, repeats)
-	allocMB := make([]float64, repeats)
-	var snap []MetricValue
-	stable := true
-	var msBefore, msAfter runtime.MemStats
-	for r := 0; r < repeats; r++ {
-		// Resetting the registry also clears the simmemo caches (its
-		// OnReset hook), so each repeat's Sim snapshot — hit/miss
-		// counters included — covers exactly one cold pass.
-		obs.Default().Reset()
-		runtime.ReadMemStats(&msBefore)
-		t0 := time.Now()
-		if err := body(); err != nil {
-			return ConfigResult{}, err
-		}
-		wallMS[r] = float64(time.Since(t0)) / 1e6
-		runtime.ReadMemStats(&msAfter)
-		allocObjs[r] = float64(msAfter.Mallocs - msBefore.Mallocs)
-		allocMB[r] = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / (1 << 20)
-		cur := flattenSim(obs.Default())
-		if snap != nil && !sameMetrics(snap, cur) {
-			stable = false
-		}
-		snap = cur
-	}
-	if !stable {
-		obs.Warnf("bench", "%s: Sim snapshot drifted between repeats (non-deterministic metric?)", name)
-	}
-	return ConfigResult{
-		Name:       name,
-		Workers:    workers,
-		WallMS:     statsOf(wallMS),
-		AllocObjs:  medianOf(allocObjs),
-		AllocMB:    medianOf(allocMB),
-		SimStable:  stable,
-		SimMetrics: snap,
-	}, nil
-}
-
-// medianOf returns the median (destructively sorts its input).
-func medianOf(xs []float64) float64 {
-	sort.Float64s(xs)
-	return xs[len(xs)/2]
 }
 
 // WriteFile writes the BENCH file as indented JSON.
@@ -454,7 +320,7 @@ func loadRawSnapshot(path string, data []byte) (*File, error) {
 		Schema: Schema,
 		Label:  path,
 		Configs: []ConfigResult{{
-			Name: "snapshot", SimStable: true, SimMetrics: metrics,
+			Name: "snapshot", SimMetrics: metrics,
 		}},
 	}, nil
 }

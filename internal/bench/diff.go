@@ -39,7 +39,7 @@ const (
 // heuristic recognises; everything else is Neutral.
 var (
 	lowerBetter = []string{"makespan", "energy", "idle", "latency", "busy",
-		"_ns", "_pj", "rows_rewritten", "update_frac", "wall_ms", "wear", "denied",
+		"_ns", "_pj", "rows_rewritten", "update_frac", "wear", "denied",
 		"alloc", "gc_count"}
 	higherBetter = []string{"hits", "speedup", "throughput"}
 )
@@ -64,13 +64,10 @@ func directionOf(name, field string) Direction {
 	return Neutral
 }
 
-// Thresholds are relative-change tolerances per clock. Sim metrics are
-// deterministic, so the strict default is 0 (any drift classifies);
-// wall stats are noisy and report-only regardless.
-type Thresholds struct {
-	Sim  float64
-	Wall float64
-}
+// wallRel is the relative change under which a non-Sim metric of a raw
+// -metrics snapshot reads as unchanged. Those metrics are report-only;
+// Sim metrics compare exactly.
+const wallRel = 0.25
 
 // MetricDiff is one compared value.
 type MetricDiff struct {
@@ -82,8 +79,7 @@ type MetricDiff struct {
 	// ±Inf when old is zero and new is not.
 	RelDelta float64
 	Class    Class
-	// Strict diffs gate the exit status; wall-clock stats are not
-	// strict.
+	// Strict diffs (Sim-clock metrics) gate the exit status.
 	Strict bool
 }
 
@@ -91,8 +87,8 @@ type MetricDiff struct {
 type Report struct {
 	OldLabel string
 	NewLabel string
-	// Notes records apples-to-oranges warnings (suite mismatches,
-	// unstable snapshots).
+	// Notes records apples-to-oranges warnings (suite or config
+	// mismatches).
 	Notes []string
 	Diffs []MetricDiff
 }
@@ -141,34 +137,8 @@ func classify(oldV, newV string, dir Direction, rel float64) (Class, float64) {
 func metricKey(name, field string) string { return name + " " + field }
 
 // diffConfig compares one matched configuration pair.
-func diffConfig(name string, old, new ConfigResult, th Thresholds) []MetricDiff {
+func diffConfig(name string, old, new ConfigResult) []MetricDiff {
 	var out []MetricDiff
-	// Wall stats and allocation counts: report-only, always diffed so
-	// perf trends stay visible even though they never fail a build.
-	for _, w := range []struct {
-		field    string
-		old, new float64
-	}{
-		{"min_ms", old.WallMS.MinMS, new.WallMS.MinMS},
-		{"median_ms", old.WallMS.MedianMS, new.WallMS.MedianMS},
-		{"max_ms", old.WallMS.MaxMS, new.WallMS.MaxMS},
-		{"alloc_objs", old.AllocObjs, new.AllocObjs},
-		{"alloc_mb", old.AllocMB, new.AllocMB},
-	} {
-		if old.Name == "snapshot" || new.Name == "snapshot" {
-			break // raw snapshots carry no wall stats
-		}
-		cls, delta := classify(
-			strconv.FormatFloat(w.old, 'g', -1, 64),
-			strconv.FormatFloat(w.new, 'g', -1, 64),
-			LowerIsBetter, th.Wall)
-		out = append(out, MetricDiff{
-			Config: name, Key: metricKey("wall", w.field),
-			Old: fmt.Sprintf("%.2f", w.old), New: fmt.Sprintf("%.2f", w.new),
-			RelDelta: delta, Class: cls, Strict: false,
-		})
-	}
-
 	oldByKey := map[string]MetricValue{}
 	for _, m := range old.SimMetrics {
 		oldByKey[metricKey(m.Name, m.Field)] = m
@@ -191,9 +161,9 @@ func diffConfig(name string, old, new ConfigResult, th Thresholds) []MetricDiff 
 		o, haveOld := oldByKey[k]
 		n, haveNew := newByKey[k]
 		strict := (haveOld && o.Clock == "sim") || (haveNew && n.Clock == "sim")
-		rel := th.Sim
+		rel := 0.0
 		if !strict {
-			rel = th.Wall
+			rel = wallRel
 		}
 		d := MetricDiff{Config: name, Key: k, Strict: strict}
 		switch {
@@ -212,7 +182,7 @@ func diffConfig(name string, old, new ConfigResult, th Thresholds) []MetricDiff 
 }
 
 // Diff compares two loaded files configuration by configuration.
-func Diff(old, new *File, th Thresholds) *Report {
+func Diff(old, new *File) *Report {
 	r := &Report{OldLabel: old.Label, NewLabel: new.Label}
 	if !sameSuite(old.Suite, new.Suite) {
 		r.Notes = append(r.Notes,
@@ -259,11 +229,7 @@ func Diff(old, new *File, th Thresholds) *Report {
 				})
 			}
 		default:
-			if !o.SimStable || !n.SimStable {
-				r.Notes = append(r.Notes, fmt.Sprintf(
-					"config %q: Sim snapshot was unstable across repeats", name))
-			}
-			r.Diffs = append(r.Diffs, diffConfig(name, o, n, th)...)
+			r.Diffs = append(r.Diffs, diffConfig(name, o, n)...)
 		}
 	}
 	return r
@@ -298,18 +264,22 @@ func (r *Report) Count(c Class, strictOnly bool) int {
 	return n
 }
 
-// Regressions counts strict (sim-clock) regressions — the number the
-// CLI turns into a nonzero exit.
-func (r *Report) Regressions() int { return r.Count(Regressed, true) }
+// Failures counts the strict (Sim-clock) values that regressed,
+// appeared or vanished — the number the CLI turns into a nonzero exit.
+// A metric that disappears from the suite is as much a change in what
+// the simulator computes as one whose value moves.
+func (r *Report) Failures() int {
+	return r.Count(Regressed, true) + r.Count(Added, true) + r.Count(Removed, true)
+}
 
 // Summary is the one-line verdict printed under the table.
 func (r *Report) Summary() string {
 	return fmt.Sprintf(
-		"diff %s -> %s: %d compared; %d unchanged, %d improved, %d regressed (%d strict), %d added, %d removed",
+		"diff %s -> %s: %d compared; %d unchanged, %d improved, %d regressed (%d strict), %d added, %d removed; %d strict failures",
 		r.OldLabel, r.NewLabel, len(r.Diffs),
 		r.Count(Unchanged, false), r.Count(Improved, false),
-		r.Count(Regressed, false), r.Regressions(),
-		r.Count(Added, false), r.Count(Removed, false))
+		r.Count(Regressed, false), r.Count(Regressed, true),
+		r.Count(Added, false), r.Count(Removed, false), r.Failures())
 }
 
 // fmtDelta renders a relative change for the report table.

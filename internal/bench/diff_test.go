@@ -16,11 +16,7 @@ func twoFiles(oldMetrics, newMetrics []MetricValue) (*File, *File) {
 	mk := func(label string, ms []MetricValue) *File {
 		return &File{
 			Schema: Schema, Label: label,
-			Configs: []ConfigResult{{
-				Name: "sim-matrix/w1", Workers: 1, SimStable: true,
-				WallMS:     Stats{MinMS: 10, MedianMS: 11, MaxMS: 12},
-				SimMetrics: ms,
-			}},
+			Configs: []ConfigResult{{Name: "sim-matrix", SimMetrics: ms}},
 		}
 	}
 	return mk("old", oldMetrics), mk("new", newMetrics)
@@ -58,7 +54,7 @@ func TestDiffClassification(t *testing.T) {
 			sim("fresh.metric", "count", "1"),
 		},
 	)
-	r := Diff(old, new, Thresholds{})
+	r := Diff(old, new)
 	for key, want := range map[string]Class{
 		"accel.makespan_ns{dataset=ddi,model=GoPIM} max":   Regressed, // lower-is-better went up
 		"accel.makespan_ns{dataset=ddi,model=GoPIM} count": Regressed, // neutral drifted
@@ -74,8 +70,9 @@ func TestDiffClassification(t *testing.T) {
 	if !findDiff(t, r, "accel.makespan_ns{dataset=ddi,model=GoPIM} max").Strict {
 		t.Error("sim metric not strict")
 	}
-	if r.Regressions() == 0 {
-		t.Error("no strict regressions counted")
+	// Three strict regressions plus the vanished and the new metric.
+	if got := r.Failures(); got != 5 {
+		t.Errorf("Failures() = %d, want 5 (3 regressed, 1 removed, 1 added)", got)
 	}
 	// The 50% slowdown must carry its magnitude.
 	if d := findDiff(t, r, "accel.makespan_ns{dataset=ddi,model=GoPIM} max").RelDelta; math.Abs(d-0.5) > 1e-12 {
@@ -89,41 +86,14 @@ func TestDiffIdenticalFilesUnchanged(t *testing.T) {
 		sim("pipeline.simulations", "count", "12"),
 	}
 	old, new := twoFiles(ms, append([]MetricValue(nil), ms...))
-	r := Diff(old, new, Thresholds{})
-	if got := r.Regressions(); got != 0 {
-		t.Fatalf("identical files: %d regressions", got)
+	r := Diff(old, new)
+	if got := r.Failures(); got != 0 {
+		t.Fatalf("identical files: %d failures", got)
 	}
 	for _, d := range r.Diffs {
 		if d.Strict && d.Class != Unchanged {
 			t.Errorf("%s: %s, want unchanged", d.Key, d.Class)
 		}
-	}
-}
-
-func TestDiffThresholdMasksSmallChanges(t *testing.T) {
-	old, new := twoFiles(
-		[]MetricValue{sim("accel.makespan_ns", "max", "1000")},
-		[]MetricValue{sim("accel.makespan_ns", "max", "1040")},
-	)
-	if r := Diff(old, new, Thresholds{Sim: 0.05}); r.Regressions() != 0 {
-		t.Error("4% change not masked by 5% threshold")
-	}
-	if r := Diff(old, new, Thresholds{Sim: 0.01}); r.Regressions() != 1 {
-		t.Error("4% change not caught by 1% threshold")
-	}
-}
-
-// Wall stats diff but never gate: a machine twice as slow must still
-// exit zero.
-func TestDiffWallStatsReportOnly(t *testing.T) {
-	old, new := twoFiles(nil, nil)
-	new.Configs[0].WallMS = Stats{MinMS: 100, MedianMS: 110, MaxMS: 120}
-	r := Diff(old, new, Thresholds{Wall: 0.25})
-	if r.Regressions() != 0 {
-		t.Fatal("wall slowdown counted as strict regression")
-	}
-	if d := findDiff(t, r, "wall median_ms"); d.Class != Regressed || d.Strict {
-		t.Errorf("wall median diff = %+v, want report-only regressed", d)
 	}
 }
 
@@ -133,34 +103,45 @@ func TestDiffConfigMismatchReported(t *testing.T) {
 		[]MetricValue{sim("m", "count", "1")},
 	)
 	new.Configs = append(new.Configs, ConfigResult{
-		Name: "experiments/w8", SimStable: true,
-		SimMetrics: []MetricValue{sim("m2", "count", "5")},
+		Name:       "experiments",
+		SimMetrics: []MetricValue{sim("m2", "count", "5"), sim("m3", "max", "7")},
 	})
-	r := Diff(old, new, Thresholds{})
+	r := Diff(old, new)
 	if got := findDiff(t, r, "m2 count").Class; got != Added {
 		t.Errorf("new-config metric class = %s, want added", got)
 	}
 	found := false
 	for _, n := range r.Notes {
-		if strings.Contains(n, "experiments/w8") {
+		if strings.Contains(n, `"experiments"`) {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("config mismatch not noted: %v", r.Notes)
 	}
+	// A config in only one file fails the gate either way round, one
+	// failure per strict value it carries.
+	if got := r.Failures(); got != 2 {
+		t.Errorf("config only in new: %d failures, want 2", got)
+	}
+	if got := Diff(new, old).Failures(); got != 2 {
+		t.Errorf("config only in old: %d failures, want 2", got)
+	}
 }
 
 // A raw -metrics JSON snapshot (the registry WriteJSON array) must load
-// and diff against another snapshot.
+// and diff against another snapshot. Its Wall metrics are report-only,
+// and a move within wallRel reads as unchanged.
 func TestDiffRawSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, observe float64) string {
+	write := func(name string, observe, jitter, stall float64) string {
 		r := obs.NewRegistry()
 		r.NewCounter("raw.counter", obs.Sim, "").Add(3)
 		r.NewDistribution("raw.makespan_ns", obs.Sim, "").Observe(observe)
+		r.NewDistribution("raw.jitter_ns", obs.Wall, "").Observe(jitter)
+		r.NewDistribution("raw.stall_ns", obs.Wall, "").Observe(stall)
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf, obs.Sim); err != nil {
+		if err := r.WriteJSON(&buf, obs.Sim, obs.Wall); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, name)
@@ -169,8 +150,8 @@ func TestDiffRawSnapshots(t *testing.T) {
 		}
 		return path
 	}
-	oldPath := write("m1.json", 100)
-	newPath := write("m2.json", 150)
+	oldPath := write("m1.json", 100, 100, 100)
+	newPath := write("m2.json", 150, 110, 200)
 	oldF, err := Load(oldPath)
 	if err != nil {
 		t.Fatal(err)
@@ -179,15 +160,21 @@ func TestDiffRawSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Diff(oldF, newF, Thresholds{})
+	r := Diff(oldF, newF)
 	if got := findDiff(t, r, "raw.makespan_ns max").Class; got != Regressed {
 		t.Errorf("raw snapshot slowdown = %s, want regressed", got)
 	}
 	if got := findDiff(t, r, "raw.counter count").Class; got != Unchanged {
 		t.Errorf("raw counter = %s, want unchanged", got)
 	}
-	if r.Regressions() == 0 {
+	if r.Failures() == 0 {
 		t.Error("raw sim regression not strict")
+	}
+	if d := findDiff(t, r, "raw.jitter_ns max"); d.Class != Unchanged || d.Strict {
+		t.Errorf("10%% wall move = %+v, want report-only unchanged", d)
+	}
+	if d := findDiff(t, r, "raw.stall_ns max"); d.Class != Regressed || d.Strict {
+		t.Errorf("2x wall slowdown = %+v, want report-only regressed", d)
 	}
 }
 
@@ -196,7 +183,7 @@ func TestReportResultRendersAllFormats(t *testing.T) {
 		[]MetricValue{sim("accel.makespan_ns", "max", "1000")},
 		[]MetricValue{sim("accel.makespan_ns", "max", "2000")},
 	)
-	r := Diff(old, new, Thresholds{})
+	r := Diff(old, new)
 	res := r.Result(false)
 	for _, render := range []func() error{
 		func() error { var b bytes.Buffer; return res.Render(&b) },
