@@ -421,22 +421,40 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestQueueDeadline pins the 503 path: a request admitted to the queue
-// but unable to get a workspace before its deadline is shed.
+// but unable to get a workspace before its deadline is shed. The
+// deadline is the request's own context, which the test cancels once
+// the request holds its admission token while the only workspace is
+// wedged, so the order of events does not depend on a timer.
 func TestQueueDeadline(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 50 * time.Millisecond})
-	ts := httptest.NewServer(srv.handler)
-	defer ts.Close()
-
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ws := <-srv.pool // wedge the only workspace
 	defer func() { srv.pool <- ws }()
 
-	start := time.Now()
-	resp, body := postPlan(t, ts.URL, `{"dataset":"Cora","micro_batch":96}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan",
+		strings.NewReader(`{"dataset":"Cora","micro_batch":96}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	shed0 := mDeadline.Value()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.handler.ServeHTTP(rec, req)
+	}()
+	for len(srv.queued) != 1 {
+		select {
+		case <-done:
+			t.Fatalf("request finished before it was admitted: status %d: %s", rec.Code, rec.Body)
+		case <-time.After(time.Millisecond):
+		}
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("deadline shed took %v — the per-request deadline is not bounding queue waits", waited)
+	cancel()
+	<-done
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
+	}
+	if shed := mDeadline.Value() - shed0; shed != 1 {
+		t.Fatalf("serve.deadline_shed moved by %d, want 1", shed)
 	}
 }
 

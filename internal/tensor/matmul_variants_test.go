@@ -243,6 +243,14 @@ func FuzzGEMM(f *testing.F) {
 	for i, n := range []int{32, 33, 47, 63, 64, 17} {
 		f.Add(shape(37+2*i, 300, n, [][]byte{dense, oneZero}[i%2]...))
 	}
+	// Single-column plain products on the MLP output layer's shape,
+	// H(rows×256)·W(256×1), with about half of the entries ±0: row
+	// counts below, at and across the column kernel's 4-, 8-, 16- and
+	// 32-wide passes and the 8×8 transpose tiles.
+	halfZero := []byte{8, 0, 0x19, 3, 0x2a, 1, 0x3b, 2, 0x4c, 0, 0x5d, 3, 0x17, 0x6e, 0, 0x7f, 3, 0x28, 1}
+	for _, m := range []int{1, 3, 13, 16, 17, 33} {
+		f.Add(shape(m, 256, 1, halfZero...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -268,6 +276,13 @@ func FuzzGEMM(f *testing.F) {
 			}
 		}
 		want := naiveMatMul(a, b)
+		if n == 1 {
+			for i := range want.Data {
+				if dot := pairedDot(a.Row(i), b.Data); !bitEqual(dot, want.Data[i]) {
+					t.Fatalf("pairedDot %dx%d row %d = %v, naive %v", m, k, i, dot, want.Data[i])
+				}
+			}
+		}
 		at := transposed(a)
 		got := New(m, n)
 		for _, path := range KernelPaths() {
@@ -390,12 +405,48 @@ func TestGEMMDenseQuads(t *testing.T) {
 	}
 }
 
-// TestMatMulColumnVectorPath exercises the cols==1 dot fast path
-// against a reference product widened to two columns (whose first
-// column must match the vector product bit for bit, since per-element
-// accumulation is column-independent).
+// pairedDot is the plain single-column product this package ran
+// before the column kernel, kept as an oracle: Σₖ a[k]·b[k],
+// k-ascending, zero entries of a skipped without an FP op, each product
+// and add rounded on its own, consecutive nonzero k-steps paired only
+// to shorten the loop.
+func pairedDot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var acc float64
+	k := 0
+	for k < len(a) {
+		av0 := a[k]
+		if av0 == 0 {
+			k++
+			continue
+		}
+		k2 := k + 1
+		for k2 < len(a) && a[k2] == 0 {
+			k2++
+		}
+		if k2 < len(a) {
+			v := acc + float64(av0*b[k])
+			acc = v + float64(a[k2]*b[k2])
+			k = k2 + 1
+		} else {
+			acc += float64(av0 * b[k])
+			k = len(a)
+		}
+	}
+	return acc
+}
+
+// TestMatMulColumnVectorPath pins the single-column products, plain
+// and TN, on every kernel path and at 1 and 2 workers, to two
+// references: a product widened to two columns (whose first column
+// must match bit for bit, since per-element accumulation is
+// column-independent) and, for the plain product, pairedDot per row.
+// The row counts cross the column kernel's passes, its row blocks of
+// 32 and the transpose tiles; k = 4100 crosses a k-block of the
+// 1-row transpose scratch.
 func TestMatMulColumnVectorPath(t *testing.T) {
-	for _, sh := range []struct{ m, k int }{{1, 1}, {7, 3}, {16, 256}, {300, 130}} {
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, sh := range []struct{ m, k int }{{1, 1}, {7, 3}, {16, 256}, {33, 129}, {300, 130}, {1, 4100}} {
 		for _, zf := range []float64{0, 0.5, 0.95} {
 			rng := rand.New(rand.NewSource(int64(sh.m*1000 + sh.k)))
 			a := fuzzMatrix(rng, sh.m, sh.k, zf)
@@ -406,12 +457,26 @@ func TestMatMulColumnVectorPath(t *testing.T) {
 			for r := 0; r < sh.k; r++ {
 				b1.Data[r] = b2.At(r, 0)
 			}
-			got := New(sh.m, 1)
-			MatMulInto(got, a, b1)
-			for i := 0; i < sh.m; i++ {
-				if !bitEqual(got.Data[i], want2.At(i, 0)) {
-					t.Fatalf("colvec %dx%d zf=%.2f row %d: %v != %v",
-						sh.m, sh.k, zf, i, got.Data[i], want2.At(i, 0))
+			at := transposed(a)
+			got, gotTN := New(sh.m, 1), New(sh.m, 1)
+			for _, path := range KernelPaths() {
+				for _, workers := range []int{1, 2} {
+					parallel.SetWorkers(workers)
+					WithKernel(path, func() {
+						MatMulInto(got, a, b1)
+						MatMulTNInto(gotTN, at, b1)
+					})
+					for i := 0; i < sh.m; i++ {
+						want := want2.At(i, 0)
+						if !bitEqual(got.Data[i], want) || !bitEqual(gotTN.Data[i], want) {
+							t.Fatalf("colvec %dx%d zf=%.2f path=%v w=%d row %d: NN %v, TN %v, want %v",
+								sh.m, sh.k, zf, path, workers, i, got.Data[i], gotTN.Data[i], want)
+						}
+						if dot := pairedDot(a.Row(i), b1.Data); !bitEqual(got.Data[i], dot) {
+							t.Fatalf("colvec %dx%d zf=%.2f path=%v row %d: %v, pairedDot %v",
+								sh.m, sh.k, zf, path, i, got.Data[i], dot)
+						}
+					}
 				}
 			}
 		}
@@ -483,6 +548,10 @@ func benchMatrix(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix {
 	return m
 }
 
+// benchOperands is how many operands with independent zero patterns a
+// kernel benchmark rotates through (see BenchmarkBackwardKernels).
+const benchOperands = 8
+
 // Backward-pass shape benchmarks on the shapes the MLP predictor
 // (batch 16, 256 hidden) and GCN training (900 vertices, every catalog
 // dataset's 256 hidden channels) issue: the fused TN kernel against
@@ -523,38 +592,50 @@ func BenchmarkBackwardKernels(b *testing.B) {
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(1))
 		dst := New(sh.m, sh.n)
+		// Each op takes the next of benchOperands a operands (and TN b
+		// operands), each with its own zero pattern. With one operand the
+		// branch predictor learns the pattern within a few ops, and a
+		// kernel that branches on zeros reads several times faster than
+		// it runs in training, where every step brings new activations.
+		operands := func(rows, cols int, zf float64) []*Matrix {
+			ms := make([]*Matrix, benchOperands)
+			for i := range ms {
+				ms[i] = benchMatrix(rng, rows, cols, zf)
+			}
+			return ms
+		}
 		switch sh.kind {
 		case "nn":
-			a := benchMatrix(rng, sh.m, sh.k, sh.zf)
+			as := operands(sh.m, sh.k, sh.zf)
 			bm := benchMatrix(rng, sh.k, sh.n, 0)
 			b.Run(sh.name+"/plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulInto(dst, a, bm)
+					MatMulInto(dst, as[i%benchOperands], bm)
 				}
 			})
 		case "nt":
-			a := benchMatrix(rng, sh.m, sh.k, sh.zf)
+			as := operands(sh.m, sh.k, sh.zf)
 			bm := benchMatrix(rng, sh.n, sh.k, 0)
 			bt := New(sh.k, sh.n)
 			b.Run(sh.name+"/transpose+plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					TransposeInto(bt, bm)
-					MatMulInto(dst, a, bt)
+					MatMulInto(dst, as[i%benchOperands], bt)
 				}
 			})
 		case "tn":
-			a := benchMatrix(rng, sh.k, sh.m, sh.zf)
-			bm := benchMatrix(rng, sh.k, sh.n, sh.zf)
+			as := operands(sh.k, sh.m, sh.zf)
+			bs := operands(sh.k, sh.n, sh.zf)
 			at := New(sh.m, sh.k)
 			b.Run(sh.name+"/transpose+plain", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					TransposeInto(at, a)
-					MatMulInto(dst, at, bm)
+					TransposeInto(at, as[i%benchOperands])
+					MatMulInto(dst, at, bs[i%benchOperands])
 				}
 			})
 			b.Run(sh.name+"/fusedTN", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulTNInto(dst, a, bm)
+					MatMulTNInto(dst, as[i%benchOperands], bs[i%benchOperands])
 				}
 			})
 		}

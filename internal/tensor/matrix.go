@@ -130,16 +130,12 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// transposeTile is the edge of the square tiles TransposeInto copies
-// one at a time: a 16×16 float64 tile of src and of dst (2 KiB each)
-// stays in L1, so neither side is streamed with a cache-missing stride.
-const transposeTile = 16
-
 // TransposeInto computes dst = srcᵀ, reusing dst's storage. dst must
 // be src.Cols × src.Rows and must not alias src. It runs serially
 // regardless of size: transposes on the training hot path sit inside
 // already-parallel sections, and a copy is exact, so neither the tile
-// order nor the worker count can change a bit of the result.
+// order, the kernel path nor the worker count can change a bit of the
+// result.
 func TransposeInto(dst, src *Matrix) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
@@ -147,36 +143,12 @@ func TransposeInto(dst, src *Matrix) {
 	if aliases(dst, src) {
 		panic("tensor: TransposeInto dst must not alias src")
 	}
-	rows, cols := src.Rows, src.Cols
-	if rows == 1 || cols == 1 {
+	if src.Rows == 1 || src.Cols == 1 {
 		// A vector and its transpose share one row-major layout.
 		copy(dst.Data, src.Data)
 		return
 	}
-	for r0 := 0; r0 < rows; r0 += transposeTile {
-		r1 := min(r0+transposeTile, rows)
-		for c0 := 0; c0 < cols; c0 += transposeTile {
-			c1 := min(c0+transposeTile, cols)
-			r := r0
-			// Four source rows per pass, so each dst row gets four
-			// contiguous elements per store group.
-			for ; r+4 <= r1; r += 4 {
-				s0 := src.Data[r*cols+c0 : r*cols+c1]
-				s1 := src.Data[(r+1)*cols+c0 : (r+1)*cols+c1]
-				s2 := src.Data[(r+2)*cols+c0 : (r+2)*cols+c1]
-				s3 := src.Data[(r+3)*cols+c0 : (r+3)*cols+c1]
-				for c := range s0 {
-					d := dst.Data[(c0+c)*rows+r : (c0+c)*rows+r+4]
-					d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
-				}
-			}
-			for ; r < r1; r++ {
-				for c, v := range src.Data[r*cols+c0 : r*cols+c1] {
-					dst.Data[(c0+c)*rows+r] = v
-				}
-			}
-		}
-	}
+	transpose(dst.Data, src.Rows, src.Data, src.Cols, src.Rows, src.Cols)
 }
 
 // MatMul returns a*b. Panics if the inner dimensions disagree.
@@ -415,53 +387,37 @@ func SparseRowInto(c, vals []float64, offs []int32, b []float64) {
 }
 
 // gemmColumn is gemmRows for a single b column, where a 32-wide panel
-// would be mostly tail. The plain product takes a dot product per row;
-// the transposed one walks k outermost, adding column k of aᵀ (a's
-// contiguous row k) times b[k] into the dst segment where it is
-// nonzero, which is the same per-element sequence.
+// would be mostly tail. The column kernel walks k ascending and adds
+// column k of op(a) times b[k] into the dst segment where it is
+// nonzero, holding the segment in registers: each element receives the
+// same rounded adds, in the same order, as the panel kernel gives it.
+// The transposed product reads column k of aᵀ, a's contiguous row k,
+// in place. The plain one first transposes each row block of a into
+// the list scratch, one k-block at a time, so that its column k is
+// contiguous too.
 func gemmColumn(dst, a, b *Matrix, trans bool, lo, hi int) {
-	if !trans {
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = pairedDot(a.Row(i), b.Data)
-		}
+	clear(dst.Data[lo:hi])
+	if trans {
+		gemvColumns(a.Data[lo:], a.Cols, b.Data, dst.Data[lo:hi])
 		return
 	}
-	y := dst.Data[lo:hi]
-	clear(y)
-	for k, s := range b.Data {
-		maskedAxpy(s, a.Data[k*a.Cols+lo:k*a.Cols+hi], y)
-	}
-}
-
-// pairedDot returns Σₖ a[k]·b[k] accumulated exactly as the GEMM
-// kernel accumulates one output element: k-ascending, zero entries of
-// a skipped without an FP op, each product and add rounded on its own.
-// Consecutive nonzero k-steps are paired only to shorten the loop; two
-// separately rounded adds give the same bits in one pass or two.
-func pairedDot(a, b []float64) float64 {
-	b = b[:len(a)]
-	var acc float64
-	k := 0
-	for k < len(a) {
-		av0 := a[k]
-		if av0 == 0 {
-			k++
+	l := gemmListPool.Get().(*gemmLists)
+	defer gemmListPool.Put(l)
+	for i0 := lo; i0 < hi; i0 += gemmBlockI {
+		i1 := min(i0+gemmBlockI, hi)
+		rows := i1 - i0
+		if rows == 1 {
+			// One row is its own transpose: its column k is a[i0][k].
+			gemvColumns(a.Data[i0*a.Cols:], 1, b.Data, dst.Data[i0:i1])
 			continue
 		}
-		k2 := k + 1
-		for k2 < len(a) && a[k2] == 0 {
-			k2++
-		}
-		if k2 < len(a) {
-			v := acc + float64(av0*b[k])
-			acc = v + float64(a[k2]*b[k2])
-			k = k2 + 1
-		} else {
-			acc += float64(av0 * b[k])
-			k = len(a)
+		kb := len(l.vals) / rows
+		for k0 := 0; k0 < a.Cols; k0 += kb {
+			k1 := min(k0+kb, a.Cols)
+			transpose(l.vals[:], rows, a.Data[i0*a.Cols+k0:], a.Cols, rows, k1-k0)
+			gemvColumns(l.vals[:], rows, b.Data[k0:k1], dst.Data[i0:i1])
 		}
 	}
-	return acc
 }
 
 // SubInPlace computes m -= other element-wise.
@@ -499,27 +455,20 @@ func (m *Matrix) AddRowVector(v []float64) {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
 	}
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] += v[c]
-		}
+		addTo(m.Row(r), v)
 	}
 }
 
 // ColSumsInto accumulates the per-column sums of m into sums,
-// zeroing it first. len(sums) must equal Cols.
+// zeroing it first: each column is summed row-ascending from +0.
+// len(sums) must equal Cols.
 func (m *Matrix) ColSumsInto(sums []float64) {
 	if len(sums) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSumsInto length %d != cols %d", len(sums), m.Cols))
 	}
-	for c := range sums {
-		sums[c] = 0
-	}
+	clear(sums)
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			sums[c] += v
-		}
+		addTo(sums, m.Row(r))
 	}
 }
 

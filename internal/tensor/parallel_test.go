@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -108,19 +109,22 @@ func TestBlockedMatMulMatchesReference(t *testing.T) {
 }
 
 // TestTransposeInto pins the tiled Into transpose against the plain
-// gather refTranspose — on
-// shapes below, at and across the 16×16 tile edge, most of them not
-// multiples of it — and its shape/alias guards.
+// gather refTranspose on every kernel path — on shapes below, at and
+// across the 4×4 and 8×8 register tiles and the 16×16 Go tiles, most
+// of them not multiples of any — and its shape/alias guards.
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, sh := range [][2]int{{0, 5}, {1, 1}, {17, 29}, {16, 16}, {15, 33}, {1, 40}, {40, 1}, {130, 257}} {
+	for _, sh := range [][2]int{{0, 5}, {1, 1}, {17, 29}, {16, 16}, {15, 33}, {1, 40}, {40, 1},
+		{130, 257}, {4, 4}, {8, 8}, {9, 7}, {64, 64}, {65, 72}, {256, 256}} {
 		m := NewRandom(rng, sh[0], sh[1], 1)
-		dst := New(sh[1], sh[0])
-		TransposeInto(dst, m)
 		want := refTranspose(m)
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%d entry %d: %v vs %v", sh[0], sh[1], i, dst.Data[i], want.Data[i])
+		for _, path := range KernelPaths() {
+			dst := New(sh[1], sh[0])
+			WithKernel(path, func() { TransposeInto(dst, m) })
+			for i := range want.Data {
+				if dst.Data[i] != want.Data[i] {
+					t.Fatalf("%dx%d path=%v entry %d: %v vs %v", sh[0], sh[1], path, i, dst.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
@@ -158,6 +162,31 @@ func TestTransposeDeterministicAcrossWorkers(t *testing.T) {
 					t.Fatalf("workers=%d: transpose entry %d differs", w, i)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkTranspose times TransposeInto on every kernel path over the
+// 256×256 weight matrix whose transpose the MLP and GCN backward passes
+// rebuild every step, and the strided block transpose of one batch-16
+// row block of a 16×256 activation, which the plain single-column
+// product runs before its column kernel.
+func BenchmarkTranspose(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	w, wt := NewRandom(rng, 256, 256, 1), New(256, 256)
+	h, scratch := NewRandom(rng, 16, 256, 1), make([]float64, 16*256)
+	for _, path := range KernelPaths() {
+		WithKernel(path, func() {
+			b.Run(fmt.Sprintf("256x256/path=%v", path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					TransposeInto(wt, w)
+				}
+			})
+			b.Run(fmt.Sprintf("block-16x256/path=%v", path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					transpose(scratch, 16, h.Data, 256, 16, 256)
+				}
+			})
 		})
 	}
 }

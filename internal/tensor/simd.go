@@ -5,16 +5,16 @@ import (
 	"math"
 )
 
-// The training step's element-wise hot loops and the GEMM panel
-// kernel. Each one has a portable Go body below and, on amd64 hosts
-// with AVX, a 256-bit assembly body (simd_amd64.s); on hosts with
-// AVX-512 the panel kernel runs 512-bit bodies instead. All of them
-// are bit-identical: every lane rounds each multiply, divide, square
-// root and add on its own, exactly as the Go loop does for one element,
-// and no operation is fused. The Go bodies round every product
-// explicitly (float64(a*b)) so that no compiler can contract a product
-// and a sum into one fused multiply-add, which arm64 would otherwise
-// do.
+// The training step's element-wise hot loops, the transpose and the
+// GEMM panel and column kernels. Each one has a portable Go body below
+// and, on amd64 hosts with AVX, a 256-bit assembly body (simd_amd64.s);
+// on hosts with AVX-512 the panel and column kernels and the transpose
+// run 512-bit bodies instead. All of them are bit-identical: every lane
+// rounds each multiply, divide, square root and add on its own, exactly
+// as the Go loop does for one element, and no operation is fused. The
+// Go bodies round every product explicitly (float64(a*b)) so that no
+// compiler can contract a product and a sum into one fused
+// multiply-add, which arm64 would otherwise do.
 
 // KernelPath names one set of kernel bodies. Each path includes the
 // ones before it: a host that has AVX-512 has AVX too.
@@ -25,8 +25,8 @@ const (
 	Portable KernelPath = iota
 	// AVX runs the 256-bit assembly bodies.
 	AVX
-	// AVX512 runs the GEMM panel kernel on 512-bit bodies, and the
-	// element-wise kernels on the AVX ones.
+	// AVX512 runs the GEMM panel and column kernels and the transpose
+	// on 512-bit bodies, and the other kernels on the AVX ones.
 	AVX512
 )
 
@@ -108,23 +108,117 @@ func gemmPanelGo(vals []float64, offs []int32, b, c []float64) {
 	}
 }
 
-// maskedAxpy computes y[j] += x[j]·s for j < len(y) where x[j] is not
-// ±0 (a NaN counts as nonzero) and leaves y[j] alone where it is: one
-// k-step of a GEMM column with the kernel's zero-skip. x must be at
-// least len(y) long.
-func maskedAxpy(s float64, x, y []float64) {
-	if kernelPath >= AVX {
-		maskedAxpyAVX(s, x, y)
+// gemvColumns adds the masked products of one column product into y:
+// for each k in ascending order, y[j] += x[k·ldx+j]·s[k] for j < len(y)
+// where x[k·ldx+j] is not ±0 (a NaN counts as nonzero), leaving y[j]
+// alone where it is. Row k of x is column k of the product's a, so
+// every y[j] receives the GEMM's zero-skipped k-ascending sum. When s
+// is not empty, x must hold (len(s)−1)·ldx + len(y) elements.
+func gemvColumns(x []float64, ldx int, s, y []float64) {
+	if len(s) == 0 || len(y) == 0 {
 		return
 	}
-	maskedAxpyGo(s, x, y)
+	// The assembly body does not bounds-check, so check here.
+	_ = x[(len(s)-1)*ldx+len(y)-1]
+	switch kernelPath {
+	case AVX512:
+		gemvColumnsAVX512(x, ldx, s, y)
+	case AVX:
+		gemvColumnsAVX(x, ldx, s, y)
+	default:
+		gemvColumnsGo(x, ldx, s, y)
+	}
 }
 
-func maskedAxpyGo(s float64, x, y []float64) {
+func gemvColumnsGo(x []float64, ldx int, s, y []float64) {
+	for k, sk := range s {
+		for j, xv := range x[k*ldx:][:len(y)] {
+			if xv != 0 {
+				y[j] += float64(xv * sk)
+			}
+		}
+	}
+}
+
+// addTo computes y[j] += x[j] for j < len(y), each add rounded on its
+// own. x must be at least len(y) long.
+func addTo(y, x []float64) {
 	x = x[:len(y)]
+	if kernelPath >= AVX {
+		addToAVX(y, x)
+		return
+	}
 	for j, xv := range x {
-		if xv != 0 {
-			y[j] += float64(xv * s)
+		y[j] += xv
+	}
+}
+
+// transpose writes the rows×cols block of src whose rows start lds
+// elements apart into dst transposed, dst[c·ldd+r] = src[r·lds+c]. On
+// AVX-512 hosts the assembly copies the largest block whose sides are
+// multiples of 8 in 8×8 register tiles; on AVX ones, or for what that
+// leaves of the largest block with sides that are multiples of 4, in
+// 4×4 tiles. The Go loop copies the rest, fewer than 4 columns on the
+// right and rows at the bottom. A copy is exact, so the split cannot
+// change a bit.
+func transpose(dst []float64, ldd int, src []float64, lds, rows, cols int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	// The assembly bodies do not bounds-check, so check here.
+	_, _ = src[(rows-1)*lds+cols-1], dst[(cols-1)*ldd+rows-1]
+	r4, c4, r8, c8 := 0, 0, 0, 0
+	if kernelPath >= AVX {
+		r4, c4 = rows&^3, cols&^3
+	}
+	if kernelPath == AVX512 {
+		r8, c8 = rows&^7, cols&^7
+	}
+	transposeRegion(transposeAVX512, dst, ldd, src, lds, 0, r8, 0, c8)
+	transposeRegion(transposeAVX, dst, ldd, src, lds, 0, r8, c8, c4)
+	transposeRegion(transposeAVX, dst, ldd, src, lds, r8, r4, 0, c4)
+	transposeRegion(transposeGo, dst, ldd, src, lds, 0, r4, c4, cols)
+	transposeRegion(transposeGo, dst, ldd, src, lds, r4, rows, 0, cols)
+}
+
+// transposeRegion runs one transpose body on rows [r0, r1) and columns
+// [c0, c1) of src, if that region is not empty.
+func transposeRegion(body func(dst []float64, ldd int, src []float64, lds, rows, cols int),
+	dst []float64, ldd int, src []float64, lds, r0, r1, c0, c1 int) {
+	if r0 < r1 && c0 < c1 {
+		body(dst[c0*ldd+r0:], ldd, src[r0*lds+c0:], lds, r1-r0, c1-c0)
+	}
+}
+
+// transposeTile is the edge of the square tiles transposeGo copies one
+// at a time: a 16×16 float64 tile of src and of dst (2 KiB each) stays
+// in L1, so neither side is streamed with a cache-missing stride.
+const transposeTile = 16
+
+// transposeGo is the Go body of transpose.
+func transposeGo(dst []float64, ldd int, src []float64, lds, rows, cols int) {
+	for r0 := 0; r0 < rows; r0 += transposeTile {
+		r1 := min(r0+transposeTile, rows)
+		for c0 := 0; c0 < cols; c0 += transposeTile {
+			c1 := min(c0+transposeTile, cols)
+			r := r0
+			// Four source rows per pass, so each dst row gets four
+			// contiguous elements per store group.
+			for ; r+4 <= r1; r += 4 {
+				s0 := src[r*lds+c0 : r*lds+c1]
+				s1 := src[(r+1)*lds+c0 : (r+1)*lds+c1]
+				s2 := src[(r+2)*lds+c0 : (r+2)*lds+c1]
+				s3 := src[(r+3)*lds+c0 : (r+3)*lds+c1]
+				for c := range s0 {
+					d := dst[(c0+c)*ldd+r : (c0+c)*ldd+r+4]
+					d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
+				}
+			}
+			for ; r < r1; r++ {
+				for c, v := range src[r*lds+c0 : r*lds+c1] {
+					dst[(c0+c)*ldd+r] = v
+				}
+			}
 		}
 	}
 }

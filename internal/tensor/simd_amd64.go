@@ -24,7 +24,19 @@ func gemmPanelAVX512(vals []float64, offs []int32, b, c []float64)
 func gemmQuadAVX512(vals []float64, ldv int, offs []int32, b, c []float64, ldc int)
 
 //go:noescape
-func maskedAxpyAVX(s float64, x, y []float64)
+func gemvColumnsAVX(x []float64, ldx int, s, y []float64)
+
+//go:noescape
+func gemvColumnsAVX512(x []float64, ldx int, s, y []float64)
+
+//go:noescape
+func addToAVX(y, x []float64)
+
+//go:noescape
+func transposeAVX(dst []float64, ldd int, src []float64, lds, rows, cols int)
+
+//go:noescape
+func transposeAVX512(dst []float64, ldd int, src []float64, lds, rows, cols int)
 
 //go:noescape
 func adamStepAVX(w, g, m, v []float64, k *AdamCoef)

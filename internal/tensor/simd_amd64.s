@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // Assembly bodies of the kernels in simd.go: 256-bit AVX bodies for
-// all of them, and 512-bit AVX-512 bodies for the GEMM panel kernel.
+// all of them, and 512-bit AVX-512 bodies for the GEMM panel and column
+// kernels and the transpose.
 // Only VEX- or EVEX-encoded VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD (and
 // their scalar forms for the tails) do arithmetic, never a fused
 // multiply-add, so every lane rounds each operation on its own exactly
@@ -442,51 +443,565 @@ qdone:
 	VZEROUPPER
 	RET
 
-// func maskedAxpyAVX(s float64, x, y []float64)
-// y[j] = x[j] ≠ 0 ? y[j] + x[j]·s : y[j]. The NEQ_UQ compare is true
-// for NaN and false for either zero, and the blend keeps y's own bits
-// where it is false, as the skipped scalar step does. Four elements per
-// pass, then the 0-3 leftovers one at a time.
-TEXT ·maskedAxpyAVX(SB), NOSPLIT, $0-56
-	VBROADCASTSD s+0(FP), Y0
-	MOVQ         x_base+8(FP), SI
-	MOVQ         y_base+32(FP), DI
-	MOVQ         y_len+40(FP), CX
-	VXORPD       Y1, Y1, Y1
-	SUBQ         $4, CX
-	JL           masktail
+// func gemvColumnsAVX(x []float64, ldx int, s, y []float64)
+// For each k in ascending order, y[j] = x[k·ldx+j] ≠ 0 ?
+// y[j] + x[k·ldx+j]·s[k] : y[j]. The NEQ_UQ compare is true for NaN and
+// false for either zero, and the blend keeps y's own bits where it is
+// false, as the skipped scalar step does. The segment of y stays in YMM
+// accumulators across all of k and is loaded and stored once: 32
+// elements in eight registers per pass, then a 16-, 8- and 4-wide pass
+// for the 0-31 leftover ones, then the 0-3 last ones one at a time,
+// each pass walking every k.
+TEXT ·gemvColumnsAVX(SB), NOSPLIT, $0-80
+	MOVQ         x_base+0(FP), SI
+	MOVQ         ldx+24(FP), R9
+	MOVQ         s_base+32(FP), DX
+	MOVQ         s_len+40(FP), CX
+	MOVQ         y_base+56(FP), DI
+	MOVQ         y_len+64(FP), R8
+	SHLQ         $3, R9
+	VXORPD       Y14, Y14, Y14
+	TESTQ        CX, CX
+	JE           gemvdone
 
-mask4:
-	VMOVUPD   (SI), Y2
-	VCMPPD    $0x04, Y1, Y2, Y3 // x ≠ 0
-	VMULPD    Y0, Y2, Y2        // x·s
-	VMOVUPD   (DI), Y4
-	VADDPD    Y2, Y4, Y2        // y + x·s
-	VBLENDVPD Y3, Y2, Y4, Y4    // x ≠ 0 ? y + x·s : y
-	VMOVUPD   Y4, (DI)
-	ADDQ      $32, SI
-	ADDQ      $32, DI
-	SUBQ      $4, CX
-	JGE       mask4
+gemv32:
+	CMPQ         R8, $32
+	JL           gemv16
+	VMOVUPD      0(DI), Y0
+	VMOVUPD      32(DI), Y1
+	VMOVUPD      64(DI), Y2
+	VMOVUPD      96(DI), Y3
+	VMOVUPD      128(DI), Y4
+	VMOVUPD      160(DI), Y5
+	VMOVUPD      192(DI), Y6
+	VMOVUPD      224(DI), Y7
+	MOVQ         SI, AX
+	XORQ         BX, BX
 
-masktail:
+gemvk32:
+	VBROADCASTSD (DX)(BX*8), Y15
+	VMOVUPD      0(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9 // x ≠ 0
+	VMULPD       Y15, Y8, Y8        // x·s
+	VADDPD       Y8, Y0, Y8         // y + x·s
+	VBLENDVPD    Y9, Y8, Y0, Y0     // x ≠ 0 ? y + x·s : y
+	VMOVUPD      32(AX), Y10
+	VCMPPD       $0x04, Y14, Y10, Y11
+	VMULPD       Y15, Y10, Y10
+	VADDPD       Y10, Y1, Y10
+	VBLENDVPD    Y11, Y10, Y1, Y1
+	VMOVUPD      64(AX), Y12
+	VCMPPD       $0x04, Y14, Y12, Y13
+	VMULPD       Y15, Y12, Y12
+	VADDPD       Y12, Y2, Y12
+	VBLENDVPD    Y13, Y12, Y2, Y2
+	VMOVUPD      96(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9
+	VMULPD       Y15, Y8, Y8
+	VADDPD       Y8, Y3, Y8
+	VBLENDVPD    Y9, Y8, Y3, Y3
+	VMOVUPD      128(AX), Y10
+	VCMPPD       $0x04, Y14, Y10, Y11
+	VMULPD       Y15, Y10, Y10
+	VADDPD       Y10, Y4, Y10
+	VBLENDVPD    Y11, Y10, Y4, Y4
+	VMOVUPD      160(AX), Y12
+	VCMPPD       $0x04, Y14, Y12, Y13
+	VMULPD       Y15, Y12, Y12
+	VADDPD       Y12, Y5, Y12
+	VBLENDVPD    Y13, Y12, Y5, Y5
+	VMOVUPD      192(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9
+	VMULPD       Y15, Y8, Y8
+	VADDPD       Y8, Y6, Y8
+	VBLENDVPD    Y9, Y8, Y6, Y6
+	VMOVUPD      224(AX), Y10
+	VCMPPD       $0x04, Y14, Y10, Y11
+	VMULPD       Y15, Y10, Y10
+	VADDPD       Y10, Y7, Y10
+	VBLENDVPD    Y11, Y10, Y7, Y7
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           gemvk32
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	VMOVUPD      Y4, 128(DI)
+	VMOVUPD      Y5, 160(DI)
+	VMOVUPD      Y6, 192(DI)
+	VMOVUPD      Y7, 224(DI)
+	ADDQ         $256, DI
+	ADDQ         $256, SI
+	SUBQ         $32, R8
+	JMP          gemv32
+
+gemv16:
+	CMPQ         R8, $16
+	JL           gemv8
+	VMOVUPD      0(DI), Y0
+	VMOVUPD      32(DI), Y1
+	VMOVUPD      64(DI), Y2
+	VMOVUPD      96(DI), Y3
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+gemvk16:
+	VBROADCASTSD (DX)(BX*8), Y15
+	VMOVUPD      0(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9
+	VMULPD       Y15, Y8, Y8
+	VADDPD       Y8, Y0, Y8
+	VBLENDVPD    Y9, Y8, Y0, Y0
+	VMOVUPD      32(AX), Y10
+	VCMPPD       $0x04, Y14, Y10, Y11
+	VMULPD       Y15, Y10, Y10
+	VADDPD       Y10, Y1, Y10
+	VBLENDVPD    Y11, Y10, Y1, Y1
+	VMOVUPD      64(AX), Y12
+	VCMPPD       $0x04, Y14, Y12, Y13
+	VMULPD       Y15, Y12, Y12
+	VADDPD       Y12, Y2, Y12
+	VBLENDVPD    Y13, Y12, Y2, Y2
+	VMOVUPD      96(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9
+	VMULPD       Y15, Y8, Y8
+	VADDPD       Y8, Y3, Y8
+	VBLENDVPD    Y9, Y8, Y3, Y3
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           gemvk16
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	SUBQ         $16, R8
+
+gemv8:
+	CMPQ         R8, $8
+	JL           gemv4
+	VMOVUPD      0(DI), Y0
+	VMOVUPD      32(DI), Y1
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+gemvk8:
+	VBROADCASTSD (DX)(BX*8), Y15
+	VMOVUPD      0(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9
+	VMULPD       Y15, Y8, Y8
+	VADDPD       Y8, Y0, Y8
+	VBLENDVPD    Y9, Y8, Y0, Y0
+	VMOVUPD      32(AX), Y10
+	VCMPPD       $0x04, Y14, Y10, Y11
+	VMULPD       Y15, Y10, Y10
+	VADDPD       Y10, Y1, Y10
+	VBLENDVPD    Y11, Y10, Y1, Y1
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           gemvk8
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	SUBQ         $8, R8
+
+gemv4:
+	CMPQ         R8, $4
+	JL           gemv1
+	VMOVUPD      0(DI), Y0
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+gemvk4:
+	VBROADCASTSD (DX)(BX*8), Y15
+	VMOVUPD      0(AX), Y8
+	VCMPPD       $0x04, Y14, Y8, Y9
+	VMULPD       Y15, Y8, Y8
+	VADDPD       Y8, Y0, Y8
+	VBLENDVPD    Y9, Y8, Y0, Y0
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           gemvk4
+	VMOVUPD      Y0, 0(DI)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	SUBQ         $4, R8
+
+gemv1:
+	TESTQ        R8, R8
+	JE           gemvdone
+	VMOVSD       (DI), X0
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+gemvk1:
+	VMOVSD       (AX), X8
+	VCMPSD       $0x04, X14, X8, X9
+	VMULSD       (DX)(BX*8), X8, X8
+	VADDSD       X8, X0, X8
+	VBLENDVPD    X9, X8, X0, X0
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           gemvk1
+	VMOVSD       X0, (DI)
+	ADDQ         $8, DI
+	ADDQ         $8, SI
+	DECQ         R8
+	JMP          gemv1
+
+gemvdone:
+	VZEROUPPER
+	RET
+
+// func gemvColumnsAVX512(x []float64, ldx int, s, y []float64)
+// gemvColumnsAVX with 512-bit registers: the NEQ_UQ compare writes an
+// opmask, and the add merges under it, so lanes where x is ±0 keep
+// their accumulator bits without a blend. 32 elements in four ZMM
+// accumulators per pass, then a 16- and an 8-wide pass, then one pass
+// for the 1-7 last ones under the opmask K1 (bit j of (1<<w)−1 selects
+// element j), whose masked-off lanes neither load nor store.
+TEXT ·gemvColumnsAVX512(SB), NOSPLIT, $0-80
+	MOVQ         x_base+0(FP), SI
+	MOVQ         ldx+24(FP), R9
+	MOVQ         s_base+32(FP), DX
+	MOVQ         s_len+40(FP), CX
+	MOVQ         y_base+56(FP), DI
+	MOVQ         y_len+64(FP), R8
+	SHLQ         $3, R9
+	VPXORQ       Z14, Z14, Z14
+	TESTQ        CX, CX
+	JE           zgemvdone
+
+zgemv32:
+	CMPQ         R8, $32
+	JL           zgemv16
+	VMOVUPD      0(DI), Z0
+	VMOVUPD      64(DI), Z1
+	VMOVUPD      128(DI), Z2
+	VMOVUPD      192(DI), Z3
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+zgemvk32:
+	VBROADCASTSD (DX)(BX*8), Z15
+	VMOVUPD      0(AX), Z8
+	VCMPPD       $0x04, Z14, Z8, K2 // x ≠ 0
+	VMULPD       Z15, Z8, Z8        // x·s
+	VADDPD       Z8, Z0, K2, Z0     // x ≠ 0 ? y + x·s : y
+	VMOVUPD      64(AX), Z9
+	VCMPPD       $0x04, Z14, Z9, K3
+	VMULPD       Z15, Z9, Z9
+	VADDPD       Z9, Z1, K3, Z1
+	VMOVUPD      128(AX), Z10
+	VCMPPD       $0x04, Z14, Z10, K4
+	VMULPD       Z15, Z10, Z10
+	VADDPD       Z10, Z2, K4, Z2
+	VMOVUPD      192(AX), Z11
+	VCMPPD       $0x04, Z14, Z11, K5
+	VMULPD       Z15, Z11, Z11
+	VADDPD       Z11, Z3, K5, Z3
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           zgemvk32
+	VMOVUPD      Z0, 0(DI)
+	VMOVUPD      Z1, 64(DI)
+	VMOVUPD      Z2, 128(DI)
+	VMOVUPD      Z3, 192(DI)
+	ADDQ         $256, DI
+	ADDQ         $256, SI
+	SUBQ         $32, R8
+	JMP          zgemv32
+
+zgemv16:
+	CMPQ         R8, $16
+	JL           zgemv8
+	VMOVUPD      0(DI), Z0
+	VMOVUPD      64(DI), Z1
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+zgemvk16:
+	VBROADCASTSD (DX)(BX*8), Z15
+	VMOVUPD      0(AX), Z8
+	VCMPPD       $0x04, Z14, Z8, K2
+	VMULPD       Z15, Z8, Z8
+	VADDPD       Z8, Z0, K2, Z0
+	VMOVUPD      64(AX), Z9
+	VCMPPD       $0x04, Z14, Z9, K3
+	VMULPD       Z15, Z9, Z9
+	VADDPD       Z9, Z1, K3, Z1
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           zgemvk16
+	VMOVUPD      Z0, 0(DI)
+	VMOVUPD      Z1, 64(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	SUBQ         $16, R8
+
+zgemv8:
+	CMPQ         R8, $8
+	JL           zgemvtail
+	VMOVUPD      0(DI), Z0
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+zgemvk8:
+	VBROADCASTSD (DX)(BX*8), Z15
+	VMOVUPD      0(AX), Z8
+	VCMPPD       $0x04, Z14, Z8, K2
+	VMULPD       Z15, Z8, Z8
+	VADDPD       Z8, Z0, K2, Z0
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           zgemvk8
+	VMOVUPD      Z0, 0(DI)
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	SUBQ         $8, R8
+
+zgemvtail:
+	TESTQ        R8, R8
+	JE           zgemvdone
+	MOVQ         CX, R12
+	MOVQ         R8, CX
+	MOVL         $1, R11
+	SHLL         CX, R11
+	DECL         R11
+	MOVQ         R12, CX
+	KMOVW        R11, K1
+	VMOVUPD.Z    0(DI), K1, Z0
+	MOVQ         SI, AX
+	XORQ         BX, BX
+
+zgemvk1:
+	VBROADCASTSD (DX)(BX*8), Z15
+	VMOVUPD.Z    0(AX), K1, Z8 // masked-off lanes read as +0 and are skipped
+	VCMPPD       $0x04, Z14, Z8, K2
+	VMULPD       Z15, Z8, Z8
+	VADDPD       Z8, Z0, K2, Z0
+	ADDQ         R9, AX
+	INCQ         BX
+	CMPQ         BX, CX
+	JL           zgemvk1
+	VMOVUPD      Z0, K1, 0(DI)
+
+zgemvdone:
+	VZEROUPPER
+	RET
+
+// func addToAVX(y, x []float64)
+// y[j] += x[j]: sixteen elements per pass, then four, then the 0-3
+// leftovers one at a time.
+TEXT ·addToAVX(SB), NOSPLIT, $0-48
+	MOVQ    y_base+0(FP), DI
+	MOVQ    y_len+8(FP), CX
+	MOVQ    x_base+24(FP), SI
+	SUBQ    $16, CX
+	JL      add4
+
+add16:
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VADDPD  0(SI), Y0, Y0
+	VADDPD  32(SI), Y1, Y1
+	VADDPD  64(SI), Y2, Y2
+	VADDPD  96(SI), Y3, Y3
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JGE     add16
+
+add4:
+	ADDQ    $12, CX
+	JL      addtail
+
+add4loop:
+	VMOVUPD (DI), Y0
+	VADDPD  (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JGE     add4loop
+
+addtail:
 	ADDQ $4, CX
-	JE   maskdone
+	JE   adddone
 
-mask1:
-	VMOVSD    (SI), X2
-	VCMPSD    $0x04, X1, X2, X3
-	VMULSD    X0, X2, X2
-	VMOVSD    (DI), X4
-	VADDSD    X2, X4, X2
-	VBLENDVPD X3, X2, X4, X4
-	VMOVSD    X4, (DI)
-	ADDQ      $8, SI
-	ADDQ      $8, DI
-	DECQ      CX
-	JNE       mask1
+add1:
+	VMOVSD (DI), X0
+	VADDSD (SI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNE    add1
 
-maskdone:
+adddone:
+	VZEROUPPER
+	RET
+
+// func transposeAVX(dst []float64, ldd int, src []float64, lds, rows, cols int)
+// dst[c·ldd+r] = src[r·lds+c] for a rows×cols block whose sides are
+// multiples of 4, one 4×4 tile at a time: four dst rows (source
+// columns) across all of r, then the next four, so that dst is written
+// sequentially and the strided side is the loads, which run ahead of
+// the stores. Each tile loads the two-element halves of its rows so
+// that one YMM register holds rows r and r+2 and another rows r+1 and
+// r+3; one unpack then gives each dst row's four elements.
+TEXT ·transposeAVX(SB), NOSPLIT, $0-80
+	MOVQ        dst_base+0(FP), DI
+	MOVQ        ldd+24(FP), R8
+	MOVQ        src_base+32(FP), SI
+	MOVQ        lds+56(FP), R9
+	MOVQ        rows+64(FP), R10
+	MOVQ        cols+72(FP), R11
+	TESTQ       R10, R10
+	JE          tdone
+	TESTQ       R11, R11
+	JE          tdone
+	SHLQ        $3, R8
+	SHLQ        $3, R9
+	LEAQ        (R8)(R8*2), R13 // three dst rows
+	LEAQ        (R9)(R9*2), R12 // three src rows
+
+tcols:
+	MOVQ        SI, AX
+	MOVQ        DI, BX
+	MOVQ        R10, CX
+
+ttile:
+	VMOVUPD     (AX), X0
+	VINSERTF128 $1, (AX)(R9*2), Y0, Y0      // s[r][c:c+2] | s[r+2][c:c+2]
+	VMOVUPD     (AX)(R9*1), X1
+	VINSERTF128 $1, (AX)(R12*1), Y1, Y1     // s[r+1][c:c+2] | s[r+3][c:c+2]
+	VMOVUPD     16(AX), X2
+	VINSERTF128 $1, 16(AX)(R9*2), Y2, Y2    // s[r][c+2:c+4] | s[r+2][c+2:c+4]
+	VMOVUPD     16(AX)(R9*1), X3
+	VINSERTF128 $1, 16(AX)(R12*1), Y3, Y3   // s[r+1][c+2:c+4] | s[r+3][c+2:c+4]
+	VUNPCKLPD   Y1, Y0, Y4                  // d[c][r:r+4]
+	VUNPCKHPD   Y1, Y0, Y5                  // d[c+1][r:r+4]
+	VUNPCKLPD   Y3, Y2, Y6                  // d[c+2][r:r+4]
+	VUNPCKHPD   Y3, Y2, Y7                  // d[c+3][r:r+4]
+	VMOVUPD     Y4, (BX)
+	VMOVUPD     Y5, (BX)(R8*1)
+	VMOVUPD     Y6, (BX)(R8*2)
+	VMOVUPD     Y7, (BX)(R13*1)
+	LEAQ        (AX)(R9*4), AX
+	ADDQ        $32, BX
+	SUBQ        $4, CX
+	JNE         ttile
+	ADDQ        $32, SI
+	LEAQ        (DI)(R8*4), DI
+	SUBQ        $4, R11
+	JNE         tcols
+
+tdone:
+	VZEROUPPER
+	RET
+
+// func transposeAVX512(dst []float64, ldd int, src []float64, lds, rows, cols int)
+// transposeAVX with 8×8 tiles in ZMM registers, for sides that are
+// multiples of 8, in the same order. Rows r..r+7 of a tile load whole
+// into Z0-Z7; unpacking pairs of rows interleaves their even and odd
+// columns, and two rounds of 128-bit lane shuffles (VSHUFF64X2, lanes
+// 0 and 2 with 0x88, 1 and 3 with 0xdd) gather each column's eight
+// elements into one register.
+TEXT ·transposeAVX512(SB), NOSPLIT, $0-80
+	MOVQ       dst_base+0(FP), DI
+	MOVQ       ldd+24(FP), R8
+	MOVQ       src_base+32(FP), SI
+	MOVQ       lds+56(FP), R9
+	MOVQ       rows+64(FP), R10
+	MOVQ       cols+72(FP), R11
+	TESTQ      R10, R10
+	JE         ztdone
+	TESTQ      R11, R11
+	JE         ztdone
+	SHLQ       $3, R8
+	SHLQ       $3, R9
+	LEAQ       (R8)(R8*2), R13 // three dst rows
+	LEAQ       (R9)(R9*2), R12 // three src rows
+
+ztcols:
+	MOVQ       SI, AX
+	MOVQ       DI, BX
+	MOVQ       R10, CX
+
+zttile:
+	LEAQ       (AX)(R9*4), R14
+	VMOVUPD    (AX), Z0
+	VMOVUPD    (AX)(R9*1), Z1
+	VMOVUPD    (AX)(R9*2), Z2
+	VMOVUPD    (AX)(R12*1), Z3
+	VMOVUPD    (R14), Z4
+	VMOVUPD    (R14)(R9*1), Z5
+	VMOVUPD    (R14)(R9*2), Z6
+	VMOVUPD    (R14)(R12*1), Z7
+	// Rows q and q+1 → columns 0,2,4,6 (low) and 1,3,5,7 (high) of both.
+	VUNPCKLPD  Z1, Z0, Z8
+	VUNPCKHPD  Z1, Z0, Z9
+	VUNPCKLPD  Z3, Z2, Z10
+	VUNPCKHPD  Z3, Z2, Z11
+	VUNPCKLPD  Z5, Z4, Z12
+	VUNPCKHPD  Z5, Z4, Z13
+	VUNPCKLPD  Z7, Z6, Z14
+	VUNPCKHPD  Z7, Z6, Z15
+	// Rows q..q+3 → columns {0,4}, {2,6}, {1,5}, {3,7}.
+	VSHUFF64X2 $0x88, Z10, Z8, Z0
+	VSHUFF64X2 $0xdd, Z10, Z8, Z1
+	VSHUFF64X2 $0x88, Z11, Z9, Z2
+	VSHUFF64X2 $0xdd, Z11, Z9, Z3
+	VSHUFF64X2 $0x88, Z14, Z12, Z4
+	VSHUFF64X2 $0xdd, Z14, Z12, Z5
+	VSHUFF64X2 $0x88, Z15, Z13, Z6
+	VSHUFF64X2 $0xdd, Z15, Z13, Z7
+	// All eight rows → one column each.
+	VSHUFF64X2 $0x88, Z4, Z0, Z8  // d[c][r:r+8]
+	VSHUFF64X2 $0x88, Z6, Z2, Z9  // d[c+1]
+	VSHUFF64X2 $0x88, Z5, Z1, Z10 // d[c+2]
+	VSHUFF64X2 $0x88, Z7, Z3, Z11 // d[c+3]
+	VSHUFF64X2 $0xdd, Z4, Z0, Z12 // d[c+4]
+	VSHUFF64X2 $0xdd, Z6, Z2, Z13 // d[c+5]
+	VSHUFF64X2 $0xdd, Z5, Z1, Z14 // d[c+6]
+	VSHUFF64X2 $0xdd, Z7, Z3, Z15 // d[c+7]
+	LEAQ       (BX)(R8*4), DX
+	VMOVUPD    Z8, (BX)
+	VMOVUPD    Z9, (BX)(R8*1)
+	VMOVUPD    Z10, (BX)(R8*2)
+	VMOVUPD    Z11, (BX)(R13*1)
+	VMOVUPD    Z12, (DX)
+	VMOVUPD    Z13, (DX)(R8*1)
+	VMOVUPD    Z14, (DX)(R8*2)
+	VMOVUPD    Z15, (DX)(R13*1)
+	LEAQ       (AX)(R9*8), AX
+	ADDQ       $64, BX
+	SUBQ       $8, CX
+	JNE        zttile
+	ADDQ       $64, SI
+	LEAQ       (DI)(R8*8), DI
+	SUBQ       $8, R11
+	JNE        ztcols
+
+ztdone:
 	VZEROUPPER
 	RET
 

@@ -29,9 +29,9 @@ func mlpAdamCoef(t int, lr, beta1, beta2, eps float64) AdamCoef {
 	}
 }
 
-// refAdam, refMaskedAxpy, refReLU and refReLUGrad are the scalar
-// references the element-wise kernels are pinned to, one rounded
-// operation at a time.
+// refAdam, refGemvColumns, refAddRowVector, refColSums, refReLU and
+// refReLUGrad are the scalar references the element-wise kernels are
+// pinned to, one rounded operation at a time.
 func refAdam(w, g, m, v []float64, k *AdamCoef) {
 	for j := range w {
 		m[j] = float64(k.B1*m[j]) + float64(k.OneMinusB1*g[j])
@@ -40,12 +40,32 @@ func refAdam(w, g, m, v []float64, k *AdamCoef) {
 	}
 }
 
-func refMaskedAxpy(s float64, x, y []float64) {
-	for j := range y {
-		if x[j] != 0 {
-			y[j] = y[j] + float64(x[j]*s)
+func refGemvColumns(x []float64, ldx int, s, y []float64) {
+	for k := range s {
+		for j := range y {
+			if xv := x[k*ldx+j]; xv != 0 {
+				y[j] = y[j] + float64(xv*s[k])
+			}
 		}
 	}
+}
+
+func refAddRowVector(m *Matrix, v []float64) {
+	for r := 0; r < m.Rows; r++ {
+		for c := range v {
+			m.Data[r*m.Cols+c] = m.Data[r*m.Cols+c] + v[c]
+		}
+	}
+}
+
+func refColSums(m *Matrix) []float64 {
+	sums := make([]float64, m.Cols)
+	for r := 0; r < m.Rows; r++ {
+		for c := range sums {
+			sums[c] = sums[c] + m.Data[r*m.Cols+c]
+		}
+	}
+	return sums
 }
 
 func refReLU(x []float64) {
@@ -66,25 +86,34 @@ func refReLUGrad(d, act []float64) {
 
 // FuzzElementwise checks AdamStep (under both callers' coefficient
 // conventions, and with C1 = 1, where the bias-correction divide is
-// skipped), maskedAxpy, ReLUInPlace and ReLUGradInPlace against the
+// skipped), the GEMM column kernel, AddRowVector, ColSumsInto,
+// TransposeInto (and the strided block transpose under the plain
+// single-column GEMM), ReLUInPlace and ReLUGradInPlace against the
 // scalar references bit for bit, on every kernel path. The first byte
-// gives the length in [0, 70], which crosses every SIMD body/tail
-// split; the second the Adam step number and one masked-axpy scale;
-// the rest are cycled through fuzzValue (±0, NaN, ±Inf, subnormal and
-// normal values) to fill the operands. The masked axpy also runs with
-// a scale of every awkward class.
+// gives the length n in [0, 70], which crosses every SIMD body/tail
+// split; the second the Adam step number, one column-kernel scale, and
+// a row count in [1, 12], which crosses the 4×4 and 8×8 transpose
+// tiles; the rest are cycled through fuzzValue (±0, NaN, ±Inf,
+// subnormal and normal values) to fill the operands. The column kernel
+// also runs with a scale of every awkward class.
 func FuzzElementwise(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{7, 3, 8, 9, 0, 10, 3, 11, 4, 5, 6, 7})
 	f.Add([]byte{70, 9, 0x18, 0x28, 3, 0, 0x47, 0xf8, 0x7a})
 	f.Add([]byte{33, 1, 0x38, 2, 0x19, 4, 0x29, 5, 6, 0x88})
+	// 9×17, 8×16, 12×33 and 5×4 matrices: 8-lane and 4-lane tiles with
+	// and without tails on either side.
+	f.Add([]byte{17, 160, 8, 0x19, 3, 0x2a, 4, 0x3b, 7, 5, 0x4c, 0, 6})
+	f.Add([]byte{16, 140, 0x5d, 0x17, 0x6e, 2, 0x7f, 0x28})
+	f.Add([]byte{33, 220, 8, 3, 0x19, 0x27, 0x2a, 1, 4})
+	f.Add([]byte{4, 80, 0x39, 0x4a, 0, 0x5b, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		n, step, payload := int(data[0])%71, 1+int(data[1])%20, data[2:]
+		n, step, rows, payload := int(data[0])%71, 1+int(data[1])%20, 1+int(data[1]/20)%12, data[2:]
 		e := 0
-		fill := func() []float64 {
+		fill := func(n int) []float64 {
 			s := make([]float64, n)
 			for i := range s {
 				if len(payload) > 0 {
@@ -96,7 +125,8 @@ func FuzzElementwise(f *testing.F) {
 			}
 			return s
 		}
-		w, g, m, v, act := fill(), fill(), fill(), fill(), fill()
+		w, g, m, v, act := fill(n), fill(n), fill(n), fill(n), fill(n)
+		mat := &Matrix{Rows: rows, Cols: n, Data: fill(rows * n)}
 		clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
 		unbiased := mlpAdamCoef(step, 1e-3, 0.9, 0.999, 1e-8)
 		unbiased.C1 = 1
@@ -114,27 +144,70 @@ func FuzzElementwise(f *testing.F) {
 				requireSliceBitEqual(t, gw, ww, label+" w")
 			}
 
-			scales := []float64{fuzzValue(data[1], n), 0, math.Copysign(0, -1), math.NaN(),
-				math.Inf(1), math.Inf(-1), 5e-324, -1.5}
+			// The column kernel over mat's rows as its k-steps, both
+			// over whole rows and over a segment of each.
+			scales := [][]float64{w[:min(rows, n)], {fuzzValue(data[1], n)}, {0}, {math.Copysign(0, -1)},
+				{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {5e-324}, {-1.5}}
 			for _, sc := range scales {
-				want := clone(v)
-				refMaskedAxpy(sc, w, want)
-				got := clone(v)
-				WithKernel(path, func() { maskedAxpy(sc, w, got) })
-				requireSliceBitEqual(t, got, want, fmt.Sprintf("masked axpy n=%d s=%v path=%v", n, sc, path))
+				for _, seg := range [][2]int{{0, n}, {n / 3, n - n/4}} {
+					y := v[seg[0]:seg[1]]
+					want := clone(y)
+					refGemvColumns(mat.Data[seg[0]:], n, sc, want)
+					got := clone(y)
+					WithKernel(path, func() { gemvColumns(mat.Data[seg[0]:], n, sc, got) })
+					requireSliceBitEqual(t, got, want,
+						fmt.Sprintf("gemv %dx%d seg=%v s=%v path=%v", len(sc), n, seg, sc, path))
+				}
 			}
 
-			want := clone(w)
-			refReLU(want)
-			got := &Matrix{Rows: 1, Cols: n, Data: clone(w)}
-			WithKernel(path, got.ReLUInPlace)
-			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu n=%d path=%v", n, path))
+			want := mat.Clone()
+			refAddRowVector(want, w)
+			got := mat.Clone()
+			WithKernel(path, func() { got.AddRowVector(w) })
+			requireBitEqual(t, got, want, fmt.Sprintf("add row vector %dx%d path=%v", rows, n, path))
 
-			want = clone(g)
-			refReLUGrad(want, act)
+			sums := clone(act) // stale contents the kernel must clear
+			WithKernel(path, func() { mat.ColSumsInto(sums) })
+			requireSliceBitEqual(t, sums, refColSums(mat), fmt.Sprintf("col sums %dx%d path=%v", rows, n, path))
+
+			tr := New(n, rows)
+			WithKernel(path, func() { TransposeInto(tr, mat) })
+			requireBitEqual(t, tr, refTranspose(mat), fmt.Sprintf("transpose %dx%d path=%v", rows, n, path))
+
+			// The strided block form: rows × (n−1) of mat into a dst
+			// whose rows are rows+3 long. The padding must stay as it was.
+			if n > 1 {
+				const pad = 3
+				ldd := rows + pad
+				dst := make([]float64, (n-1)*ldd)
+				for i := range dst {
+					dst[i] = -7
+				}
+				WithKernel(path, func() { transpose(dst, ldd, mat.Data, n, rows, n-1) })
+				for c := 0; c < n-1; c++ {
+					for r := 0; r < ldd; r++ {
+						wantV := -7.0
+						if r < rows {
+							wantV = mat.Data[r*n+c]
+						}
+						if gotV := dst[c*ldd+r]; !bitEqual(gotV, wantV) {
+							t.Fatalf("strided transpose %dx%d path=%v: dst[%d][%d] = %v, want %v", rows, n-1, path, c, r, gotV, wantV)
+						}
+					}
+				}
+			}
+
+			want = &Matrix{Rows: 1, Cols: n, Data: clone(w)}
+			refReLU(want.Data)
+			got = &Matrix{Rows: 1, Cols: n, Data: clone(w)}
+			WithKernel(path, got.ReLUInPlace)
+			requireBitEqual(t, got, want, fmt.Sprintf("relu n=%d path=%v", n, path))
+
+			want = &Matrix{Rows: 1, Cols: n, Data: clone(g)}
+			refReLUGrad(want.Data, act)
 			got = &Matrix{Rows: 1, Cols: n, Data: clone(g)}
 			WithKernel(path, func() { got.ReLUGradInPlace(&Matrix{Rows: 1, Cols: n, Data: act}) })
-			requireSliceBitEqual(t, got.Data, want, fmt.Sprintf("relu grad n=%d path=%v", n, path))
+			requireBitEqual(t, got, want, fmt.Sprintf("relu grad n=%d path=%v", n, path))
 		}
 	})
 }
@@ -259,8 +332,8 @@ func TestAdamStepLengthPanics(t *testing.T) {
 // BenchmarkElementwise times the training step's element-wise kernels
 // on every path: Adam over a 256×256 weight matrix, early (step 3) and
 // late (step 400, where C1 = 1 and the bias-correction divide is
-// skipped), and the ReLU and ReLU-gradient steps over one batch-16 MLP
-// hidden layer.
+// skipped), and the ReLU, ReLU-gradient, bias and bias-gradient steps
+// over one batch-16 MLP hidden layer.
 func BenchmarkElementwise(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := benchMatrix(rng, 256, 256, 0)
@@ -269,6 +342,7 @@ func BenchmarkElementwise(b *testing.B) {
 	act := benchMatrix(rng, 16, 256, 0)
 	d := benchMatrix(rng, 16, 256, 0)
 	x := New(16, 256)
+	bias := benchMatrix(rng, 1, 256, 0).Data
 	k := mlpAdamCoef(3, 1e-3, 0.9, 0.999, 1e-8)
 	late := mlpAdamCoef(400, 1e-3, 0.9, 0.999, 1e-8)
 	for _, path := range KernelPaths() {
@@ -292,6 +366,16 @@ func BenchmarkElementwise(b *testing.B) {
 			b.Run(fmt.Sprintf("relugrad-16x256/path=%v", path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					d.ReLUGradInPlace(act)
+				}
+			})
+			b.Run(fmt.Sprintf("addrowvector-16x256/path=%v", path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					x.AddRowVector(bias)
+				}
+			})
+			b.Run(fmt.Sprintf("colsums-16x256/path=%v", path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.ColSumsInto(bias)
 				}
 			})
 		})
