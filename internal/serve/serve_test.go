@@ -421,41 +421,62 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestQueueDeadline pins the 503 path: a request admitted to the queue
-// but unable to get a workspace before its deadline is shed. The
-// deadline is the request's own context, which the test cancels once
-// the request holds its admission token while the only workspace is
-// wedged, so the order of events does not depend on a timer.
+// but unable to get a workspace before its deadline is shed. The only
+// workspace stays wedged throughout, so the deadline is the one event
+// that can end the wait and the order of events does not depend on a
+// timer. Two deadlines end it: the request's own context, which the
+// test cancels once the request holds its admission token, and
+// Config.RequestTimeout, set to a nanosecond so that it has passed by
+// the time the request waits. shed runs one request under cfg and ctx,
+// cancelling it with cancel, if that is not nil, once it is admitted.
 func TestQueueDeadline(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4})
-	ws := <-srv.pool // wedge the only workspace
-	defer func() { srv.pool <- ws }()
+	shed := func(t *testing.T, cfg Config, ctx context.Context, cancel func()) {
+		t.Helper()
+		srv := New(cfg)
+		ws := <-srv.pool // wedge the only workspace
+		defer func() { srv.pool <- ws }()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/plan",
-		strings.NewReader(`{"dataset":"Cora","micro_batch":96}`)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	shed0 := mDeadline.Value()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.handler.ServeHTTP(rec, req)
-	}()
-	for len(srv.queued) != 1 {
+		req := httptest.NewRequest(http.MethodPost, "/v1/plan",
+			strings.NewReader(`{"dataset":"Cora","micro_batch":96}`)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		shed0 := mDeadline.Value()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.handler.ServeHTTP(rec, req)
+		}()
+		for cancel != nil && len(srv.queued) != 1 {
+			select {
+			case <-done:
+				t.Fatalf("request finished before it was admitted: status %d: %s", rec.Code, rec.Body)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		if cancel != nil {
+			cancel()
+		}
 		select {
 		case <-done:
-			t.Fatalf("request finished before it was admitted: status %d: %s", rec.Code, rec.Body)
-		case <-time.After(time.Millisecond):
+		case <-time.After(time.Minute):
+			// Only a deadline that does not bound the wait gets here.
+			t.Fatal("admitted request still waiting for the wedged workspace after a minute")
+		}
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
+		}
+		if shed := mDeadline.Value() - shed0; shed != 1 {
+			t.Fatalf("serve.deadline_shed moved by %d, want 1", shed)
 		}
 	}
-	cancel()
-	<-done
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
-	}
-	if shed := mDeadline.Value() - shed0; shed != 1 {
-		t.Fatalf("serve.deadline_shed moved by %d, want 1", shed)
-	}
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		shed(t, Config{Workers: 1, QueueDepth: 4}, ctx, cancel)
+	})
+	t.Run("request-timeout", func(t *testing.T) {
+		shed(t, Config{Workers: 1, QueueDepth: 4, RequestTimeout: time.Nanosecond},
+			context.Background(), nil)
+	})
 }
 
 // TestCacheHitsBypassAdmission: a cached plan must be served even when

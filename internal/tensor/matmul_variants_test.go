@@ -98,9 +98,9 @@ func transposed(m *Matrix) *Matrix {
 }
 
 // variantShapes crosses the GEMM tile boundaries (32/128) in every
-// dimension, the 8-wide body/tail of the axpy, and the 16×16 transpose
-// tiles, and includes the degenerate single-row/column cases the fast
-// paths special-case.
+// dimension, the column kernel's passes, and the 4×4, 8×8 and 16×16
+// transpose tiles, and includes the degenerate single-row/column cases
+// the fast paths special-case.
 var variantShapes = []struct{ m, k, n int }{
 	{1, 1, 1}, {3, 5, 7}, {16, 9, 256}, {16, 256, 1}, {256, 16, 1},
 	{16, 1, 256}, {130, 257, 33}, {33, 130, 257}, {64, 300, 16},

@@ -8,8 +8,8 @@ import (
 // The training step's element-wise hot loops, the transpose and the
 // GEMM panel and column kernels. Each one has a portable Go body below
 // and, on amd64 hosts with AVX, a 256-bit assembly body (simd_amd64.s);
-// on hosts with AVX-512 the panel and column kernels and the transpose
-// run 512-bit bodies instead. All of them are bit-identical: every lane
+// on hosts with AVX-512 the panel kernels and the transpose run 512-bit
+// bodies instead. All of them are bit-identical: every lane
 // rounds each multiply, divide, square root and add on its own, exactly
 // as the Go loop does for one element, and no operation is fused. The
 // Go bodies round every product explicitly (float64(a*b)) so that no
@@ -25,8 +25,8 @@ const (
 	Portable KernelPath = iota
 	// AVX runs the 256-bit assembly bodies.
 	AVX
-	// AVX512 runs the GEMM panel and column kernels and the transpose
-	// on 512-bit bodies, and the other kernels on the AVX ones.
+	// AVX512 runs the GEMM panel kernels and the transpose on 512-bit
+	// bodies, and the other kernels on the AVX ones.
 	AVX512
 )
 
@@ -120,14 +120,11 @@ func gemvColumns(x []float64, ldx int, s, y []float64) {
 	}
 	// The assembly body does not bounds-check, so check here.
 	_ = x[(len(s)-1)*ldx+len(y)-1]
-	switch kernelPath {
-	case AVX512:
-		gemvColumnsAVX512(x, ldx, s, y)
-	case AVX:
+	if kernelPath >= AVX {
 		gemvColumnsAVX(x, ldx, s, y)
-	default:
-		gemvColumnsGo(x, ldx, s, y)
+		return
 	}
+	gemvColumnsGo(x, ldx, s, y)
 }
 
 func gemvColumnsGo(x []float64, ldx int, s, y []float64) {
@@ -154,39 +151,33 @@ func addTo(y, x []float64) {
 }
 
 // transpose writes the rows×cols block of src whose rows start lds
-// elements apart into dst transposed, dst[c·ldd+r] = src[r·lds+c]. On
-// AVX-512 hosts the assembly copies the largest block whose sides are
-// multiples of 8 in 8×8 register tiles; on AVX ones, or for what that
-// leaves of the largest block with sides that are multiples of 4, in
-// 4×4 tiles. The Go loop copies the rest, fewer than 4 columns on the
-// right and rows at the bottom. A copy is exact, so the split cannot
-// change a bit.
+// elements apart into dst transposed, dst[c·ldd+r] = src[r·lds+c]. The
+// assembly copies the largest block whose sides are multiples of its
+// tile edge: 8 on AVX-512 hosts when both sides reach 8, else 4 on AVX
+// ones. The Go loop copies the rest, the columns on the right and the
+// rows at the bottom, and everything on the portable path. A copy is
+// exact, so the split cannot change a bit.
 func transpose(dst []float64, ldd int, src []float64, lds, rows, cols int) {
 	if rows == 0 || cols == 0 {
 		return
 	}
 	// The assembly bodies do not bounds-check, so check here.
 	_, _ = src[(rows-1)*lds+cols-1], dst[(cols-1)*ldd+rows-1]
-	r4, c4, r8, c8 := 0, 0, 0, 0
-	if kernelPath >= AVX {
-		r4, c4 = rows&^3, cols&^3
+	// The assembly copies rows [0, ra) × columns [0, ca).
+	ra, ca := 0, cols
+	switch {
+	case kernelPath == AVX512 && rows >= 8 && cols >= 8:
+		ra, ca = rows&^7, cols&^7
+		transposeAVX512(dst, ldd, src, lds, ra, ca)
+	case kernelPath >= AVX && rows >= 4 && cols >= 4:
+		ra, ca = rows&^3, cols&^3
+		transposeAVX(dst, ldd, src, lds, ra, ca)
 	}
-	if kernelPath == AVX512 {
-		r8, c8 = rows&^7, cols&^7
+	if ca < cols {
+		transposeGo(dst[ca*ldd:], ldd, src[ca:], lds, ra, cols-ca)
 	}
-	transposeRegion(transposeAVX512, dst, ldd, src, lds, 0, r8, 0, c8)
-	transposeRegion(transposeAVX, dst, ldd, src, lds, 0, r8, c8, c4)
-	transposeRegion(transposeAVX, dst, ldd, src, lds, r8, r4, 0, c4)
-	transposeRegion(transposeGo, dst, ldd, src, lds, 0, r4, c4, cols)
-	transposeRegion(transposeGo, dst, ldd, src, lds, r4, rows, 0, cols)
-}
-
-// transposeRegion runs one transpose body on rows [r0, r1) and columns
-// [c0, c1) of src, if that region is not empty.
-func transposeRegion(body func(dst []float64, ldd int, src []float64, lds, rows, cols int),
-	dst []float64, ldd int, src []float64, lds, r0, r1, c0, c1 int) {
-	if r0 < r1 && c0 < c1 {
-		body(dst[c0*ldd+r0:], ldd, src[r0*lds+c0:], lds, r1-r0, c1-c0)
+	if ra < rows {
+		transposeGo(dst[ra:], ldd, src[ra*lds:], lds, rows-ra, cols)
 	}
 }
 

@@ -27,9 +27,6 @@ func gemmQuadAVX512(vals []float64, ldv int, offs []int32, b, c []float64, ldc i
 func gemvColumnsAVX(x []float64, ldx int, s, y []float64)
 
 //go:noescape
-func gemvColumnsAVX512(x []float64, ldx int, s, y []float64)
-
-//go:noescape
 func addToAVX(y, x []float64)
 
 //go:noescape

@@ -661,146 +661,6 @@ gemvdone:
 	VZEROUPPER
 	RET
 
-// func gemvColumnsAVX512(x []float64, ldx int, s, y []float64)
-// gemvColumnsAVX with 512-bit registers: the NEQ_UQ compare writes an
-// opmask, and the add merges under it, so lanes where x is ±0 keep
-// their accumulator bits without a blend. 32 elements in four ZMM
-// accumulators per pass, then a 16- and an 8-wide pass, then one pass
-// for the 1-7 last ones under the opmask K1 (bit j of (1<<w)−1 selects
-// element j), whose masked-off lanes neither load nor store.
-TEXT ·gemvColumnsAVX512(SB), NOSPLIT, $0-80
-	MOVQ         x_base+0(FP), SI
-	MOVQ         ldx+24(FP), R9
-	MOVQ         s_base+32(FP), DX
-	MOVQ         s_len+40(FP), CX
-	MOVQ         y_base+56(FP), DI
-	MOVQ         y_len+64(FP), R8
-	SHLQ         $3, R9
-	VPXORQ       Z14, Z14, Z14
-	TESTQ        CX, CX
-	JE           zgemvdone
-
-zgemv32:
-	CMPQ         R8, $32
-	JL           zgemv16
-	VMOVUPD      0(DI), Z0
-	VMOVUPD      64(DI), Z1
-	VMOVUPD      128(DI), Z2
-	VMOVUPD      192(DI), Z3
-	MOVQ         SI, AX
-	XORQ         BX, BX
-
-zgemvk32:
-	VBROADCASTSD (DX)(BX*8), Z15
-	VMOVUPD      0(AX), Z8
-	VCMPPD       $0x04, Z14, Z8, K2 // x ≠ 0
-	VMULPD       Z15, Z8, Z8        // x·s
-	VADDPD       Z8, Z0, K2, Z0     // x ≠ 0 ? y + x·s : y
-	VMOVUPD      64(AX), Z9
-	VCMPPD       $0x04, Z14, Z9, K3
-	VMULPD       Z15, Z9, Z9
-	VADDPD       Z9, Z1, K3, Z1
-	VMOVUPD      128(AX), Z10
-	VCMPPD       $0x04, Z14, Z10, K4
-	VMULPD       Z15, Z10, Z10
-	VADDPD       Z10, Z2, K4, Z2
-	VMOVUPD      192(AX), Z11
-	VCMPPD       $0x04, Z14, Z11, K5
-	VMULPD       Z15, Z11, Z11
-	VADDPD       Z11, Z3, K5, Z3
-	ADDQ         R9, AX
-	INCQ         BX
-	CMPQ         BX, CX
-	JL           zgemvk32
-	VMOVUPD      Z0, 0(DI)
-	VMOVUPD      Z1, 64(DI)
-	VMOVUPD      Z2, 128(DI)
-	VMOVUPD      Z3, 192(DI)
-	ADDQ         $256, DI
-	ADDQ         $256, SI
-	SUBQ         $32, R8
-	JMP          zgemv32
-
-zgemv16:
-	CMPQ         R8, $16
-	JL           zgemv8
-	VMOVUPD      0(DI), Z0
-	VMOVUPD      64(DI), Z1
-	MOVQ         SI, AX
-	XORQ         BX, BX
-
-zgemvk16:
-	VBROADCASTSD (DX)(BX*8), Z15
-	VMOVUPD      0(AX), Z8
-	VCMPPD       $0x04, Z14, Z8, K2
-	VMULPD       Z15, Z8, Z8
-	VADDPD       Z8, Z0, K2, Z0
-	VMOVUPD      64(AX), Z9
-	VCMPPD       $0x04, Z14, Z9, K3
-	VMULPD       Z15, Z9, Z9
-	VADDPD       Z9, Z1, K3, Z1
-	ADDQ         R9, AX
-	INCQ         BX
-	CMPQ         BX, CX
-	JL           zgemvk16
-	VMOVUPD      Z0, 0(DI)
-	VMOVUPD      Z1, 64(DI)
-	ADDQ         $128, DI
-	ADDQ         $128, SI
-	SUBQ         $16, R8
-
-zgemv8:
-	CMPQ         R8, $8
-	JL           zgemvtail
-	VMOVUPD      0(DI), Z0
-	MOVQ         SI, AX
-	XORQ         BX, BX
-
-zgemvk8:
-	VBROADCASTSD (DX)(BX*8), Z15
-	VMOVUPD      0(AX), Z8
-	VCMPPD       $0x04, Z14, Z8, K2
-	VMULPD       Z15, Z8, Z8
-	VADDPD       Z8, Z0, K2, Z0
-	ADDQ         R9, AX
-	INCQ         BX
-	CMPQ         BX, CX
-	JL           zgemvk8
-	VMOVUPD      Z0, 0(DI)
-	ADDQ         $64, DI
-	ADDQ         $64, SI
-	SUBQ         $8, R8
-
-zgemvtail:
-	TESTQ        R8, R8
-	JE           zgemvdone
-	MOVQ         CX, R12
-	MOVQ         R8, CX
-	MOVL         $1, R11
-	SHLL         CX, R11
-	DECL         R11
-	MOVQ         R12, CX
-	KMOVW        R11, K1
-	VMOVUPD.Z    0(DI), K1, Z0
-	MOVQ         SI, AX
-	XORQ         BX, BX
-
-zgemvk1:
-	VBROADCASTSD (DX)(BX*8), Z15
-	VMOVUPD.Z    0(AX), K1, Z8 // masked-off lanes read as +0 and are skipped
-	VCMPPD       $0x04, Z14, Z8, K2
-	VMULPD       Z15, Z8, Z8
-	VADDPD       Z8, Z0, K2, Z0
-	ADDQ         R9, AX
-	INCQ         BX
-	CMPQ         BX, CX
-	JL           zgemvk1
-	VMOVUPD      Z0, K1, 0(DI)
-
-zgemvdone:
-	VZEROUPPER
-	RET
-
 // func addToAVX(y, x []float64)
 // y[j] += x[j]: sixteen elements per pass, then four, then the 0-3
 // leftovers one at a time.

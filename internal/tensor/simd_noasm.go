@@ -14,9 +14,8 @@ func gemmPanelAVX512(vals []float64, offs []int32, b, c []float64) { panic(noAsm
 func gemmQuadAVX512(vals []float64, ldv int, offs []int32, b, c []float64, ldc int) {
 	panic(noAsm)
 }
-func gemvColumnsAVX(x []float64, ldx int, s, y []float64)    { panic(noAsm) }
-func gemvColumnsAVX512(x []float64, ldx int, s, y []float64) { panic(noAsm) }
-func addToAVX(y, x []float64)                                { panic(noAsm) }
+func gemvColumnsAVX(x []float64, ldx int, s, y []float64) { panic(noAsm) }
+func addToAVX(y, x []float64)                             { panic(noAsm) }
 func transposeAVX(dst []float64, ldd int, src []float64, lds, rows, cols int) {
 	panic(noAsm)
 }
