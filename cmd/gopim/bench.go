@@ -93,10 +93,9 @@ func renderAttribution(f *bench.File, format experiments.Format) error {
 	return res.RenderAs(os.Stdout, format)
 }
 
-// diffCmd compares two BENCH files or raw -metrics snapshots
-// (`gopim diff old new`) and returns the strict failure count (Sim
-// values that moved, appeared or vanished) the caller turns into the
-// exit status.
+// diffCmd compares two BENCH files (`gopim diff old new`) and returns
+// the strict failure count (Sim values that moved, appeared or
+// vanished) the caller turns into the exit status.
 func diffCmd(args []string, format experiments.Format) (failures int, err error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	showAll := fs.Bool("all", false, "include unchanged metrics in the report")
@@ -108,7 +107,7 @@ func diffCmd(args []string, format experiments.Format) (failures int, err error)
 		return 0, err
 	}
 	if fs.NArg() != 2 {
-		return 0, fmt.Errorf("diff: want exactly two files (BENCH_*.json or -metrics *.json), got %d", fs.NArg())
+		return 0, fmt.Errorf("diff: want exactly two BENCH_*.json files, got %d", fs.NArg())
 	}
 	oldF, err := bench.Load(fs.Arg(0))
 	if err != nil {

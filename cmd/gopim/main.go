@@ -20,8 +20,7 @@
 //	gopim bench -label L           run the regression bench suite and
 //	                               write BENCH_L.json; -attrib adds the
 //	                               stage-level attribution report
-//	gopim diff <old> <new>         compare two BENCH files (or raw
-//	                               -metrics JSON snapshots); nonzero
+//	gopim diff <old> <new>         compare two BENCH files; nonzero
 //	                               exit on sim-clock regression
 //	gopim serve -addr A            run the allocation-planning daemon
 //	                               (POST /v1/plan; see DESIGN.md §13)
@@ -58,8 +57,8 @@
 //
 // Observability flags (see DESIGN.md §Observability):
 //
-//	-metrics f   write a metrics snapshot on exit (.csv/.json by
-//	             extension, else text with wall metrics behind '#')
+//	-metrics f   write a text metrics snapshot on exit, wall metrics
+//	             behind '#'
 //	-trace-out f write wall-clock spans (and, for explain, the simulated
 //	             schedule) as Chrome trace-event JSON — load in Perfetto
 //	-manifest f  write the run manifest (default: derived from
@@ -95,7 +94,7 @@ func main() {
 	churnRate := flag.Float64("churn-rate", 0, "streaming-graph churn rate: fraction of edges mutated per epoch in [0,1] (0 = churn off)")
 	churnSeed := flag.Int64("churn-seed", 1, "seed for the deterministic churn streams")
 	refreshPolicy := flag.String("refresh-policy", "", "ISU plan refresh policy under churn: eager|threshold|adaptive (default threshold)")
-	metricsPath := flag.String("metrics", "", "write a metrics snapshot to this file on exit (.csv/.json by extension, else text)")
+	metricsPath := flag.String("metrics", "", "write a text metrics snapshot to this file on exit (wall metrics behind '#')")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto)")
 	manifestPath := flag.String("manifest", "", "write the run manifest to this file (default: derived from -metrics/-trace-out)")
 	progress := flag.Bool("progress", false, "report per-experiment progress on stderr")

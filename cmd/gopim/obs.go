@@ -225,7 +225,7 @@ func (s *obsSession) finish() error {
 		}
 	}
 	if s.metricsFile != nil {
-		keep(writeMetricsSnapshot(s.metricsFile, s.flags.metricsPath))
+		keep(writeMetricsSnapshot(s.metricsFile))
 	}
 	if s.traceFile != nil {
 		obs.SetTracer(nil)
@@ -257,20 +257,11 @@ func (s *obsSession) close() {
 	}
 }
 
-// writeMetricsSnapshot renders the registry in the format the path's
-// extension picks: .csv and .json carry the Sim clock only (the
-// machine-readable formats are for cross-run comparison, which only
-// the deterministic clock supports); the default text format prints
-// Sim metrics plainly and appends the Wall section behind '#' so
-// `grep -v '^#'` recovers the comparable part.
-func writeMetricsSnapshot(w io.Writer, path string) error {
+// writeMetricsSnapshot renders the registry as text: Sim metrics
+// plainly, then the Wall section behind '#' so `grep -v '^#'` recovers
+// the comparable part.
+func writeMetricsSnapshot(w io.Writer) error {
 	reg := obs.Default()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".csv":
-		return reg.WriteCSV(w, obs.Sim)
-	case ".json":
-		return reg.WriteJSON(w, obs.Sim)
-	}
 	bw := bufio.NewWriter(w)
 	if err := reg.WriteText(bw, obs.Sim); err != nil {
 		return err

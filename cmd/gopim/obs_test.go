@@ -250,7 +250,7 @@ func TestWriteMetricsSnapshotTextSeparatesClocks(t *testing.T) {
 	obs.NewCounter("cmdtest.sim_line", obs.Sim, "test").Inc()
 	obs.NewCounter("cmdtest.wall_line", obs.Wall, "test").Inc()
 	var b strings.Builder
-	if err := writeMetricsSnapshot(&b, "m.txt"); err != nil {
+	if err := writeMetricsSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(b.String(), "\n") {

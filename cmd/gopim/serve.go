@@ -33,10 +33,8 @@ func parseServeFlags(args []string) (serveFlags, error) {
 	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "cached plans before LRU eviction")
 	reqTimeout := fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline (queue wait + computation)")
 	accessLog := fs.String("access-log", "", "structured JSON access log destination (\"-\" = stderr)")
-	traceSample := fs.Float64("trace-sample", 1.0, "fraction of requests recording per-stage spans (0..1)")
-	ring := fs.Int("requests-ring", serve.DefaultRequestRing, "completed requests retained by /debug/requests (0 = none)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gopim [flags] serve [-addr A] [-serve-workers N] [-queue N] [-cache N] [-request-timeout D] [-access-log PATH] [-trace-sample F] [-requests-ring N]")
+		fmt.Fprintln(os.Stderr, "usage: gopim [flags] serve [-addr A] [-serve-workers N] [-queue N] [-cache N] [-request-timeout D] [-access-log PATH]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -54,19 +52,15 @@ func parseServeFlags(args []string) (serveFlags, error) {
 	if *reqTimeout <= 0 {
 		return serveFlags{}, fmt.Errorf("serve: -request-timeout %v must be positive", *reqTimeout)
 	}
-	if *traceSample < 0 || *traceSample > 1 || *traceSample != *traceSample {
-		return serveFlags{}, fmt.Errorf("serve: -trace-sample %v must be in [0,1]", *traceSample)
-	}
-	if *ring < 0 {
-		return serveFlags{}, fmt.Errorf("serve: -requests-ring %d must be ≥ 0", *ring)
-	}
 	f := serveFlags{
 		cfg: serve.Config{
 			Addr:           *addr,
 			Workers:        *workers,
 			CacheSize:      *cacheSize,
 			RequestTimeout: *reqTimeout,
-			TraceSample:    *traceSample,
+			// Sample every request: its stage spans reach the Chrome
+			// trace whenever -trace-out installs a tracer.
+			TraceSample: 1,
 		},
 		accessLog: *accessLog,
 	}
@@ -75,11 +69,6 @@ func parseServeFlags(args []string) (serveFlags, error) {
 		f.cfg.QueueDepth = -1
 	} else {
 		f.cfg.QueueDepth = *queue
-	}
-	if *ring == 0 {
-		f.cfg.RequestRing = -1
-	} else {
-		f.cfg.RequestRing = *ring
 	}
 	return f, nil
 }

@@ -18,13 +18,12 @@ func TestParseServeFlagsDefaults(t *testing.T) {
 		QueueDepth:     serve.DefaultQueueDepth,
 		CacheSize:      serve.DefaultCacheSize,
 		RequestTimeout: serve.DefaultRequestTimeout,
-		TraceSample:    1.0,
-		RequestRing:    serve.DefaultRequestRing,
+		TraceSample:    1,
 	}
 	if f.cfg.Addr != want.Addr || f.cfg.Workers != want.Workers ||
 		f.cfg.QueueDepth != want.QueueDepth || f.cfg.CacheSize != want.CacheSize ||
 		f.cfg.RequestTimeout != want.RequestTimeout ||
-		f.cfg.TraceSample != want.TraceSample || f.cfg.RequestRing != want.RequestRing {
+		f.cfg.TraceSample != want.TraceSample {
 		t.Fatalf("defaults = %+v, want %+v", f.cfg, want)
 	}
 	if f.accessLog != "" {
@@ -33,30 +32,12 @@ func TestParseServeFlagsDefaults(t *testing.T) {
 }
 
 func TestParseServeFlagsTelemetry(t *testing.T) {
-	f, err := parseServeFlags([]string{
-		"-access-log", "-", "-trace-sample", "0.25", "-requests-ring", "64",
-	})
+	f, err := parseServeFlags([]string{"-access-log", "-"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.accessLog != "-" {
 		t.Fatalf("accessLog = %q, want -", f.accessLog)
-	}
-	if f.cfg.TraceSample != 0.25 {
-		t.Fatalf("TraceSample = %v, want 0.25", f.cfg.TraceSample)
-	}
-	if f.cfg.RequestRing != 64 {
-		t.Fatalf("RequestRing = %d, want 64", f.cfg.RequestRing)
-	}
-
-	// -requests-ring 0 disables retention, which the Config spells as a
-	// negative capacity (0 would mean the default).
-	f, err = parseServeFlags([]string{"-requests-ring", "0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.cfg.RequestRing != -1 {
-		t.Fatalf("RequestRing = %d, want -1 for -requests-ring 0", f.cfg.RequestRing)
 	}
 }
 
@@ -84,10 +65,6 @@ func TestParseServeFlagsRejectsBadValues(t *testing.T) {
 		{"-queue", "-1"},
 		{"-cache", "0"},
 		{"-request-timeout", "-1s"},
-		{"-trace-sample", "1.5"},
-		{"-trace-sample", "-0.1"},
-		{"-trace-sample", "NaN"},
-		{"-requests-ring", "-2"},
 		{"stray-positional"},
 	} {
 		if _, err := parseServeFlags(args); err == nil {

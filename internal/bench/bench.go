@@ -8,10 +8,10 @@
 // measures it in cold child processes, in alternating pairs.
 //
 // Run writes a versioned BENCH_<label>.json; Diff (diff.go) compares
-// two such files (or raw -metrics JSON snapshots) metric-by-metric and
-// classifies every value as improved, regressed, unchanged, added or
-// removed; Attribution (attrib.go) pivots the per-{dataset, model}
-// accelerator series into a "where did the time and energy go" table.
+// two such files metric-by-metric and classifies every value as
+// improved, regressed, unchanged, added or removed; Attribution
+// (attrib.go) pivots the per-{dataset, model} accelerator series into
+// a "where did the time and energy go" table.
 // The gopim CLI surfaces all three as `gopim bench` and `gopim diff`.
 package bench
 
@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -267,18 +266,11 @@ func (f *File) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Load reads a comparable file: either a BENCH_*.json written by
-// WriteFile, or a raw -metrics JSON snapshot (the array the registry's
-// WriteJSON emits), which loads as a single pseudo-configuration named
-// "snapshot" so bench runs and ad-hoc metric dumps diff uniformly.
+// Load reads a BENCH_*.json written by WriteFile.
 func Load(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	if strings.HasPrefix(trimmed, "[") {
-		return loadRawSnapshot(path, data)
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -289,38 +281,4 @@ func Load(path string) (*File, error) {
 			path, f.Schema, Schema)
 	}
 	return &f, nil
-}
-
-// loadRawSnapshot converts a registry WriteJSON array into File form.
-func loadRawSnapshot(path string, data []byte) (*File, error) {
-	var raw []struct {
-		Name   string            `json:"name"`
-		Clock  string            `json:"clock"`
-		Kind   string            `json:"kind"`
-		Values map[string]string `json:"values"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	var metrics []MetricValue
-	for _, m := range raw {
-		fields := make([]string, 0, len(m.Values))
-		for k := range m.Values {
-			fields = append(fields, k)
-		}
-		sort.Strings(fields)
-		for _, k := range fields {
-			metrics = append(metrics, MetricValue{
-				Name: m.Name, Clock: m.Clock, Kind: m.Kind,
-				Field: k, Value: m.Values[k],
-			})
-		}
-	}
-	return &File{
-		Schema: Schema,
-		Label:  path,
-		Configs: []ConfigResult{{
-			Name: "snapshot", SimMetrics: metrics,
-		}},
-	}, nil
 }

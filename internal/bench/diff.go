@@ -64,11 +64,6 @@ func directionOf(name, field string) Direction {
 	return Neutral
 }
 
-// wallRel is the relative change under which a non-Sim metric of a raw
-// -metrics snapshot reads as unchanged. Those metrics are report-only;
-// Sim metrics compare exactly.
-const wallRel = 0.25
-
 // MetricDiff is one compared value.
 type MetricDiff struct {
 	Config string
@@ -93,16 +88,15 @@ type Report struct {
 	Diffs []MetricDiff
 }
 
-// classify compares two rendered values under a direction and relative
-// threshold.
-func classify(oldV, newV string, dir Direction, rel float64) (Class, float64) {
+// classify compares two rendered values exactly under a direction.
+func classify(oldV, newV string, dir Direction) (Class, float64) {
 	if oldV == newV {
 		return Unchanged, 0
 	}
 	of, errO := strconv.ParseFloat(oldV, 64)
 	nf, errN := strconv.ParseFloat(newV, 64)
 	if errO != nil || errN != nil {
-		// Non-numeric and unequal: there is no magnitude to tolerate.
+		// Non-numeric and unequal: there is no magnitude to report.
 		return Regressed, math.NaN()
 	}
 	var delta float64
@@ -116,9 +110,6 @@ func classify(oldV, newV string, dir Direction, rel float64) (Class, float64) {
 		}
 	default:
 		delta = (nf - of) / math.Abs(of)
-	}
-	if math.Abs(delta) <= rel {
-		return Unchanged, delta
 	}
 	switch dir {
 	case LowerIsBetter:
@@ -161,10 +152,6 @@ func diffConfig(name string, old, new ConfigResult) []MetricDiff {
 		o, haveOld := oldByKey[k]
 		n, haveNew := newByKey[k]
 		strict := (haveOld && o.Clock == "sim") || (haveNew && n.Clock == "sim")
-		rel := 0.0
-		if !strict {
-			rel = wallRel
-		}
 		d := MetricDiff{Config: name, Key: k, Strict: strict}
 		switch {
 		case !haveOld:
@@ -173,8 +160,7 @@ func diffConfig(name string, old, new ConfigResult) []MetricDiff {
 			d.Class, d.Old, d.New, d.RelDelta = Removed, o.Value, "", math.NaN()
 		default:
 			d.Old, d.New = o.Value, n.Value
-			d.Class, d.RelDelta = classify(o.Value, n.Value,
-				directionOf(o.Name, o.Field), rel)
+			d.Class, d.RelDelta = classify(o.Value, n.Value, directionOf(o.Name, o.Field))
 		}
 		out = append(out, d)
 	}

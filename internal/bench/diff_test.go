@@ -3,12 +3,8 @@ package bench
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"gopim/internal/obs"
 )
 
 // twoFiles builds a matched old/new pair with one config each.
@@ -126,55 +122,6 @@ func TestDiffConfigMismatchReported(t *testing.T) {
 	}
 	if got := Diff(new, old).Failures(); got != 2 {
 		t.Errorf("config only in old: %d failures, want 2", got)
-	}
-}
-
-// A raw -metrics JSON snapshot (the registry WriteJSON array) must load
-// and diff against another snapshot. Its Wall metrics are report-only,
-// and a move within wallRel reads as unchanged.
-func TestDiffRawSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, observe, jitter, stall float64) string {
-		r := obs.NewRegistry()
-		r.NewCounter("raw.counter", obs.Sim, "").Add(3)
-		r.NewDistribution("raw.makespan_ns", obs.Sim, "").Observe(observe)
-		r.NewDistribution("raw.jitter_ns", obs.Wall, "").Observe(jitter)
-		r.NewDistribution("raw.stall_ns", obs.Wall, "").Observe(stall)
-		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf, obs.Sim, obs.Wall); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	oldPath := write("m1.json", 100, 100, 100)
-	newPath := write("m2.json", 150, 110, 200)
-	oldF, err := Load(oldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newF, err := Load(newPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Diff(oldF, newF)
-	if got := findDiff(t, r, "raw.makespan_ns max").Class; got != Regressed {
-		t.Errorf("raw snapshot slowdown = %s, want regressed", got)
-	}
-	if got := findDiff(t, r, "raw.counter count").Class; got != Unchanged {
-		t.Errorf("raw counter = %s, want unchanged", got)
-	}
-	if r.Failures() == 0 {
-		t.Error("raw sim regression not strict")
-	}
-	if d := findDiff(t, r, "raw.jitter_ns max"); d.Class != Unchanged || d.Strict {
-		t.Errorf("10%% wall move = %+v, want report-only unchanged", d)
-	}
-	if d := findDiff(t, r, "raw.stall_ns max"); d.Class != Regressed || d.Strict {
-		t.Errorf("2x wall slowdown = %+v, want report-only regressed", d)
 	}
 }
 

@@ -6,20 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
-)
-
-// debugReg holds the registry the process-wide "gopim_metrics" expvar
-// reads. expvar.Publish panics on duplicate names, so the name is
-// published exactly once — but the closure dereferences this pointer
-// on every read, so a later ServeDebug call with a different registry
-// swaps what /debug/vars reports instead of silently serving the first
-// registry forever (the pre-fix behaviour).
-var (
-	debugReg    atomic.Pointer[Registry]
-	publishOnce sync.Once
 )
 
 // ServerTimeouts bundles the slow-client hardening knobs every GoPIM
@@ -88,7 +75,7 @@ func (s *DebugServer) Close() error { return s.srv.Close() }
 // DebugMux returns the debug endpoint set served for reg:
 //
 //	/debug/pprof/*   net/http/pprof profiles
-//	/debug/vars      expvar, including the registry under "gopim_metrics"
+//	/debug/vars      the standard library's expvar (memstats, cmdline)
 //	/debug/metrics   the registry's text snapshot (all clocks)
 func DebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -109,9 +96,7 @@ func DebugMux(reg *Registry) *http.ServeMux {
 // endpoint set) with the default hardening timeouts. The listener is
 // bound synchronously so an unusable address fails here, before any
 // experiment runs; the server itself runs in the background until
-// Shutdown or Close. The process-wide "gopim_metrics" expvar is
-// re-pointed at reg, so the most recent ServeDebug call's registry is
-// the one /debug/vars reports.
+// Shutdown or Close.
 func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	return ServeDebugTimeouts(addr, reg, DefaultServerTimeouts())
 }
@@ -122,15 +107,6 @@ func ServeDebugTimeouts(addr string, reg *Registry, t ServerTimeouts) (*DebugSer
 	if err != nil {
 		return nil, err
 	}
-	debugReg.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("gopim_metrics", expvar.Func(func() any {
-			if r := debugReg.Load(); r != nil {
-				return r.ExpvarMap()
-			}
-			return map[string]map[string]string{}
-		}))
-	})
 	s := &DebugServer{
 		ln:   ln,
 		srv:  NewHTTPServer(DebugMux(reg), t),

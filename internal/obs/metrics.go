@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -511,55 +510,4 @@ func (r *Registry) WriteText(w io.Writer, clocks ...Clock) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteCSV renders a snapshot as "name,clock,kind,field,value" rows
-// with a header line.
-func (r *Registry) WriteCSV(w io.Writer, clocks ...Clock) error {
-	var b strings.Builder
-	b.WriteString("name,clock,kind,field,value\n")
-	for _, s := range r.Snapshot(clocks...) {
-		for _, f := range s.Fields {
-			fmt.Fprintf(&b, "%s,%s,%s,%s,%s\n", s.Name, s.Clock, s.Kind, f.Key, f.Value)
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteJSON renders a snapshot as a JSON array of metric objects.
-// encoding/json sorts map keys, so output is deterministic.
-func (r *Registry) WriteJSON(w io.Writer, clocks ...Clock) error {
-	type jsonMetric struct {
-		Name   string            `json:"name"`
-		Clock  string            `json:"clock"`
-		Kind   string            `json:"kind"`
-		Values map[string]string `json:"values"`
-	}
-	snaps := r.Snapshot(clocks...)
-	out := make([]jsonMetric, 0, len(snaps))
-	for _, s := range snaps {
-		values := make(map[string]string, len(s.Fields))
-		for _, f := range s.Fields {
-			values[f.Key] = f.Value
-		}
-		out = append(out, jsonMetric{Name: s.Name, Clock: s.Clock.String(), Kind: s.Kind, Values: values})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ExpvarMap returns the full snapshot as nested maps, the shape the
-// debug server publishes through expvar.
-func (r *Registry) ExpvarMap() map[string]map[string]string {
-	out := map[string]map[string]string{}
-	for _, s := range r.Snapshot() {
-		values := map[string]string{"clock": s.Clock.String(), "kind": s.Kind}
-		for _, f := range s.Fields {
-			values[f.Key] = f.Value
-		}
-		out[s.Name] = values
-	}
-	return out
 }

@@ -1,14 +1,14 @@
 package obs
 
 // Prometheus/OpenMetrics text exposition for the registry. The native
-// snapshot formats (WriteText/WriteCSV/WriteJSON) exist for exact
-// cross-run diffing of the Sim clock; this renderer exists for real
-// scrapers, so it follows Prometheus conventions instead: families are
-// prefixed gopim_, dots become underscores, the {k=v} label suffix a
-// LabelSuffix-named series carries is re-rendered as proper Prometheus
-// labels, counters gain the _total suffix, and histograms expand into
-// cumulative _bucket/_sum/_count series over the power-of-two bounds
-// the obs.Histogram already maintains.
+// text snapshot (WriteText) exists for exact cross-run diffing of the
+// Sim clock; this renderer exists for real scrapers, so it follows
+// Prometheus conventions instead: families are prefixed gopim_, dots
+// become underscores, the {k=v} label suffix a LabelSuffix-named series
+// carries is re-rendered as proper Prometheus labels, counters gain the
+// _total suffix, and histograms expand into cumulative
+// _bucket/_sum/_count series over the power-of-two bounds the
+// obs.Histogram already maintains.
 
 import (
 	"fmt"
@@ -140,9 +140,8 @@ type promFamily struct {
 
 // WritePrometheus renders the registry in Prometheus text exposition
 // format 0.0.4 (also valid OpenMetrics when the caller appends the
-// "# EOF" terminator). With no clocks given, both clocks are exposed —
-// a scraper wants the full picture; exact Sim-only diffing stays on
-// the native formats.
+// "# EOF" terminator). Both clocks are exposed — a scraper wants the
+// full picture; exact Sim-only diffing stays on WriteText.
 //
 // Kind mapping: counters → counter families suffixed _total; gauges →
 // gauges; histograms and timers → histogram families with cumulative
@@ -151,19 +150,7 @@ type promFamily struct {
 // families _count/_min/_max (+_sum, which is order-sensitive and so
 // only meaningful on the Wall clock, where all distributions that
 // render it live).
-func (r *Registry) WritePrometheus(w io.Writer, clocks ...Clock) error {
-	keep := func(c Clock) bool {
-		if len(clocks) == 0 {
-			return true
-		}
-		for _, k := range clocks {
-			if k == c {
-				return true
-			}
-		}
-		return false
-	}
-
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	fams := map[string]*promFamily{}
 	family := func(name, typ, help string) *promFamily {
 		f, ok := fams[name]
@@ -175,9 +162,6 @@ func (r *Registry) WritePrometheus(w io.Writer, clocks ...Clock) error {
 	}
 
 	for _, m := range r.Metrics() {
-		if !keep(m.Clock()) {
-			continue
-		}
 		base, labels := promSplit(m.Name())
 		labels = promJoinLabels(labels, `clock="`+m.Clock().String()+`"`)
 		switch m := m.(type) {

@@ -72,23 +72,6 @@ func TestWritePrometheusMapping(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusClockFilter(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("a.sim", Sim, "").Inc()
-	r.NewCounter("a.wall", Wall, "").Inc()
-
-	var b bytes.Buffer
-	if err := r.WritePrometheus(&b, Wall); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "gopim_a_sim") {
-		t.Fatal("clock filter leaked a Sim metric")
-	}
-	if !strings.Contains(b.String(), "gopim_a_wall_total") {
-		t.Fatal("clock filter dropped the Wall metric")
-	}
-}
-
 func TestWritePrometheusLabelledSeriesShareFamily(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("http.requests"+LabelSuffix("code", "2xx"), Wall, "responses").Add(5)

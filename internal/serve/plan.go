@@ -119,15 +119,18 @@ func badf(format string, args ...any) error {
 // normalized cache key — the complete untrusted-input surface of the
 // planning endpoint, factored out of the HTTP handler so the fuzz
 // target (FuzzDecodePlanRequest) can drive it directly with arbitrary
-// bytes. Malformed JSON, unknown fields and validation violations all
-// come back as badRequestError (HTTP 400); any other error class is a
-// server-side fault the handler maps to 500.
+// bytes. Malformed JSON, unknown fields, anything but whitespace after
+// the object, and validation violations all come back as
+// badRequestError (HTTP 400).
 func decodePlanRequest(body io.Reader) (planKey, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req PlanRequest
 	if err := dec.Decode(&req); err != nil {
 		return planKey{}, badf("decode request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return planKey{}, badf("decode request: data after the JSON object")
 	}
 	return normalize(req)
 }

@@ -31,6 +31,8 @@ func planSeeds() []string {
 		`{"dataset":"arxiv","budget":2000000000}`,
 		`{"dataset":"arxiv","micro_batch":-2}`,
 		`{"dataset":"arxiv","profile":"turbo"}`,
+		`{"dataset":"ddi"}{"dataset":"arxiv"}`,
+		`{"dataset":"ddi"} garbage`,
 		// Valid requests the mutator can perturb.
 		`{"dataset":"ddi"}`,
 		`{"dataset":"arxiv","model":"GoPIM","theta":0.5,"budget":1000,"simulate":true}`,

@@ -73,8 +73,6 @@ var (
 		"planning requests shed with 429 (queue full)")
 	mDeadline = obs.NewCounter("serve.deadline_shed", obs.Wall,
 		"planning requests shed with 503 (deadline hit while queued)")
-	mLatency = obs.NewTimer("serve.request_ns",
-		"wall latency per planning request")
 )
 
 // Config tunes the daemon.
@@ -95,8 +93,6 @@ type Config struct {
 	// RequestTimeout bounds one request's queue wait + computation
 	// (default DefaultRequestTimeout).
 	RequestTimeout time.Duration
-	// Timeouts harden the HTTP listener (zero value: obs defaults).
-	Timeouts obs.ServerTimeouts
 	// OnRequest, when non-nil, observes every planning request after it
 	// completes: a short id, its wall duration, and the terminal error
 	// (nil for 200s). The CLI wires this to the run manifest.
@@ -110,10 +106,6 @@ type Config struct {
 	// Chrome-trace spans for each lifecycle stage. Incoming sampled
 	// traceparent flags are always honored regardless.
 	TraceSample float64
-	// RequestRing bounds the completed requests /debug/requests
-	// retains. 0 means DefaultRequestRing; negative disables retention
-	// (active requests still show).
-	RequestRing int
 }
 
 // Defaults for Config's zero values.
@@ -121,7 +113,9 @@ const (
 	DefaultQueueDepth     = 64
 	DefaultCacheSize      = 1024
 	DefaultRequestTimeout = 30 * time.Second
-	DefaultRequestRing    = 128
+	// DefaultRequestRing is how many completed requests /debug/requests
+	// retains.
+	DefaultRequestRing = 128
 )
 
 // Server is the planning daemon.
@@ -161,15 +155,6 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.Timeouts == (obs.ServerTimeouts{}) {
-		cfg.Timeouts = obs.DefaultServerTimeouts()
-	}
-	switch {
-	case cfg.RequestRing == 0:
-		cfg.RequestRing = DefaultRequestRing
-	case cfg.RequestRing < 0:
-		cfg.RequestRing = 0
-	}
 	if cfg.TraceSample < 0 {
 		cfg.TraceSample = 0
 	} else if cfg.TraceSample > 1 {
@@ -186,7 +171,7 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Workers; i++ {
 		s.pool <- struct{}{}
 	}
-	s.reqlog = obs.NewRequestLog(cfg.RequestRing)
+	s.reqlog = obs.NewRequestLog(DefaultRequestRing)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/plan", s.handlePlan)
 	s.mux.HandleFunc("/v1/datasets", s.handleDatasets)
@@ -210,7 +195,7 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	s.srv = obs.NewHTTPServer(s.handler, s.cfg.Timeouts)
+	s.srv = obs.NewHTTPServer(s.handler, obs.DefaultServerTimeouts())
 	s.started = true
 	go func() {
 		defer close(s.done)
@@ -267,7 +252,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var reqID string
 	var terminal error
 	defer func() {
-		mLatency.ObserveDuration(time.Since(start))
 		if s.cfg.OnRequest != nil {
 			if reqID == "" {
 				reqID = "plan:invalid"
@@ -290,11 +274,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	key, err := decodePlanRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		mBadRequests.Inc()
-		status := http.StatusBadRequest
-		if !errors.As(err, &badRequestError{}) {
-			status = http.StatusInternalServerError
-		}
-		fail(status, err)
+		fail(http.StatusBadRequest, err)
 		return
 	}
 	reqID = fmt.Sprintf("plan:%s/%s", key.datasetOf().Name, key.model)
@@ -429,57 +409,39 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// handleMetrics serves the registry in the negotiated format:
+// handleMetrics serves the registry in the format the Accept header
+// asks for:
 //
-//   - default (plain curl): the legacy deterministic text snapshot,
-//     Sim clock only; ?clock=all appends the Wall section. Existing
-//     scripts and CI greps keep working unchanged.
-//   - Prometheus/OpenMetrics scrapers (by Accept header, or forced
-//     with ?format=prometheus / ?format=openmetrics): the exposition
-//     format, both clocks, plus Go runtime stats.
-//   - ?format=json or Accept: application/json: the JSON snapshot.
+//   - application/openmetrics-text: OpenMetrics, both clocks, plus Go
+//     runtime stats and the "# EOF" terminator;
+//   - text/plain with version=0.0.4: the same families as Prometheus
+//     text 0.0.4, without the terminator;
+//   - anything else (plain curl): the legacy deterministic text
+//     snapshot, Sim clock only, which snapshot tooling and CI greps
+//     read. The Wall numbers stay on the exposition formats.
 //
-// Scrape-format requests refresh the saturation gauges first; none of
+// Exposition requests refresh the saturation gauges first; none of
 // that touches a Sim metric, so scraping cannot perturb deterministic
 // snapshots.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		accept := r.Header.Get("Accept")
-		switch {
-		case strings.Contains(accept, "application/openmetrics-text"):
-			format = "openmetrics"
-		case strings.Contains(accept, "text/plain") && strings.Contains(accept, "version=0.0.4"):
-			format = "prometheus"
-		case strings.Contains(accept, "application/json"):
-			format = "json"
-		}
-	}
+	accept := r.Header.Get("Accept")
+	openMetrics := strings.Contains(accept, "application/openmetrics-text")
+	prometheus := strings.Contains(accept, "text/plain") && strings.Contains(accept, "version=0.0.4")
 	reg := obs.Default()
-	switch format {
-	case "prometheus", "openmetrics":
-		s.refreshScrapeGauges()
-		openMetrics := format == "openmetrics"
-		if openMetrics {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		} else {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		}
-		_ = reg.WritePrometheus(w)
-		_ = obs.WriteRuntimePrometheus(w)
-		if openMetrics {
-			_, _ = fmt.Fprintln(w, "# EOF")
-		}
-	case "json":
-		s.refreshScrapeGauges()
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
-	default:
+	if !openMetrics && !prometheus {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r.URL.Query().Get("clock") == "all" {
-			_ = reg.WriteText(w)
-			return
-		}
 		_ = reg.WriteText(w, obs.Sim)
+		return
+	}
+	s.refreshScrapeGauges()
+	if openMetrics {
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+	} else {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	}
+	_ = reg.WritePrometheus(w)
+	_ = obs.WriteRuntimePrometheus(w)
+	if openMetrics {
+		_, _ = fmt.Fprintln(w, "# EOF")
 	}
 }

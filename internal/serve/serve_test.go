@@ -180,6 +180,8 @@ func TestPlanValidation(t *testing.T) {
 		{"silly budget", `{"dataset":"arxiv","budget":2000000000}`, http.StatusBadRequest, "budget"},
 		{"bad micro batch", `{"dataset":"arxiv","micro_batch":-2}`, http.StatusBadRequest, "micro_batch"},
 		{"bad profile", `{"dataset":"arxiv","profile":"turbo"}`, http.StatusBadRequest, "profile"},
+		{"second object", `{"dataset":"ddi"}{"dataset":"arxiv"}`, http.StatusBadRequest, "after the JSON object"},
+		{"trailing garbage", `{"dataset":"ddi"} garbage`, http.StatusBadRequest, "after the JSON object"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,6 +198,12 @@ func TestPlanValidation(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("trailing whitespace", func(t *testing.T) {
+		if resp, body := postPlan(t, ts.URL, "{\"dataset\":\"ddi\"}\r\n\t "); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200: %s", resp.StatusCode, body)
+		}
+	})
 
 	t.Run("method not allowed", func(t *testing.T) {
 		resp, err := http.Get(ts.URL + "/v1/plan")

@@ -169,10 +169,14 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		classCounters[codeClass(status)].Inc()
 		routeTimers[route].ObserveDuration(time.Since(start))
 		if s.cfg.AccessLog != nil {
-			switch status {
-			case http.StatusTooManyRequests:
+			// Only planning requests are shed; any other 503 (a draining
+			// /readyz) is an ordinary answer.
+			switch {
+			case route != "/v1/plan":
+				s.cfg.AccessLog.LogRequest(rec)
+			case status == http.StatusTooManyRequests:
 				s.cfg.AccessLog.LogShed(rec, "queue full")
-			case http.StatusServiceUnavailable:
+			case status == http.StatusServiceUnavailable:
 				s.cfg.AccessLog.LogShed(rec, rec.Error)
 			default:
 				s.cfg.AccessLog.LogRequest(rec)
@@ -188,6 +192,19 @@ func (s *Server) refreshScrapeGauges() {
 	mQueueDepth.Set(float64(len(s.queued)))
 	mPoolBusy.Set(float64(s.cfg.Workers - len(s.pool)))
 	mCacheEntries.Set(float64(s.cache.Len()))
+}
+
+// handleRequests serves GET /debug/requests: every active and recently
+// completed request — status, latency, cache disposition, trace ID and
+// per-stage waterfall — as one JSON body. It reads copies of the
+// Wall-clock request log and never touches a Sim metric, so scraping
+// it cannot perturb deterministic snapshots.
+func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
+	active, completed := s.reqlog.Snapshot()
+	writeJSON(w, http.StatusOK, struct {
+		Active    []obs.RequestRecord `json:"active"`
+		Completed []obs.RequestRecord `json:"completed"`
+	}{active, completed})
 }
 
 // beginStage opens one named lifecycle stage on the request's

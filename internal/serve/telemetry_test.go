@@ -73,9 +73,12 @@ func TestTracePropagation(t *testing.T) {
 
 // TestReadyzDrain is the readiness regression test: /readyz flips to
 // 503 the moment draining begins while /healthz stays 200 — liveness
-// and readiness must be distinct signals.
+// and readiness must be distinct signals. A draining /readyz is an
+// ordinary answer, not a shed request, so the access log records it
+// as a plain request line.
 func TestReadyzDrain(t *testing.T) {
-	srv := New(Config{Workers: 1})
+	var buf bytes.Buffer
+	srv := New(Config{Workers: 1, AccessLog: obs.NewAccessLogger(&syncBuffer{buf: &buf})})
 	ts := httptest.NewServer(srv.handler)
 	defer ts.Close()
 
@@ -103,6 +106,23 @@ func TestReadyzDrain(t *testing.T) {
 	if got := status("/healthz"); got != http.StatusOK {
 		t.Fatalf("/healthz during drain: %d, want 200 (alive, just not ready)", got)
 	}
+	var drained int
+	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
+	for sc.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("access log line is not JSON: %s", sc.Text())
+		}
+		if m["msg"] != "request" || m["level"] != "INFO" {
+			t.Errorf("access line = %v, want an INFO request line", m)
+		}
+		if m["path"] == "/readyz" && m["status"] == float64(http.StatusServiceUnavailable) {
+			drained++
+		}
+	}
+	if drained != 1 {
+		t.Fatalf("%d request lines for the draining /readyz, want 1:\n%s", drained, buf.String())
+	}
 
 	// Shutdown (even on a never-started server) also begins the drain.
 	srv2 := New(Config{})
@@ -121,9 +141,9 @@ func TestReadyzDrain(t *testing.T) {
 	}
 }
 
-// TestMetricsNegotiation pins the /metrics format surface: the legacy
-// deterministic text by default, exposition for Prometheus/OpenMetrics
-// scrapers (linting clean), JSON on request.
+// TestMetricsNegotiation pins the /metrics format surface: the Accept
+// header alone picks exposition for Prometheus/OpenMetrics scrapers
+// (linting clean); anything else gets the legacy deterministic text.
 func TestMetricsNegotiation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	postPlan(t, ts.URL, `{"dataset":"ddi","micro_batch":40}`)
@@ -159,7 +179,7 @@ func TestMetricsNegotiation(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE gopim_serve_requests_total counter",
 		"gopim_http_requests_total{",
-		"gopim_serve_request_ns_bucket{",
+		`gopim_http_request_ns_bucket{path="/v1/plan",`,
 		"gopim_http_in_flight",
 		"gopim_go_goroutines",
 	} {
@@ -183,26 +203,14 @@ func TestMetricsNegotiation(t *testing.T) {
 		t.Errorf("openmetrics exposition does not lint clean: %v", errs)
 	}
 
-	// Forced via query param, whatever the Accept header says.
-	forced, _ := fetch("/metrics?format=prometheus", "text/html")
-	if !strings.Contains(forced, "gopim_serve_requests_total") {
-		t.Error("?format=prometheus did not force exposition")
-	}
-
-	// JSON snapshot.
-	js, ct := fetch("/metrics?format=json", "")
-	if !strings.Contains(ct, "application/json") {
-		t.Errorf("json Content-Type = %q", ct)
-	}
-	var decoded any
-	if err := json.Unmarshal([]byte(js), &decoded); err != nil {
-		t.Errorf("json snapshot does not parse: %v", err)
-	}
-
-	// The legacy ?clock=all escape hatch still works.
-	all, _ := fetch("/metrics?clock=all", "")
-	if !strings.Contains(all, "serve.request_ns") {
-		t.Error("?clock=all lost the wall section")
+	// Any other Accept, query parameters included, gets the legacy text.
+	for _, path := range []string{"/metrics?format=prometheus", "/metrics?clock=all"} {
+		for _, accept := range []string{"", "application/json", "text/html"} {
+			body, _ := fetch(path, accept)
+			if body != legacy {
+				t.Errorf("GET %s (Accept %q) is not the legacy Sim text:\n%s", path, accept, body)
+			}
+		}
 	}
 }
 
@@ -276,19 +284,21 @@ func (s *syncBuffer) Write(p []byte) (int, error) {
 	return s.buf.Write(p)
 }
 
-// TestRequestInspector exercises /debug/requests in both renderings:
-// the JSON payload carries trace IDs, cache dispositions and the stage
-// waterfall; the HTML page renders rows and stage bars.
+// TestRequestInspector exercises /debug/requests: the JSON payload
+// carries trace IDs, cache dispositions and the stage waterfall.
 func TestRequestInspector(t *testing.T) {
 	ts := newTestServer(t, Config{TraceSample: 0})
 	resp, _ := postPlan(t, ts.URL, `{"dataset":"ddi","micro_batch":72,"simulate":true}`)
 	wantTrace := resp.Header.Get("X-Gopim-Trace-Id")
 
-	r, err := http.Get(ts.URL + "/debug/requests?format=json")
+	r, err := http.Get(ts.URL + "/debug/requests")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
+	if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("inspector Content-Type = %q", ct)
+	}
 	var payload struct {
 		Active    []obs.RequestRecord `json:"active"`
 		Completed []obs.RequestRecord `json:"completed"`
@@ -318,22 +328,6 @@ func TestRequestInspector(t *testing.T) {
 	for _, want := range []string{"cache_lookup", "admission", "workspace_acquire", "plan", "simulate", "marshal"} {
 		if !stages[want] {
 			t.Errorf("waterfall missing stage %q (have %v)", want, rec.Stages)
-		}
-	}
-
-	// HTML rendering.
-	hr, err := http.Get(ts.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	html, _ := io.ReadAll(hr.Body)
-	if ct := hr.Header.Get("Content-Type"); !strings.Contains(ct, "text/html") {
-		t.Fatalf("inspector Content-Type = %q", ct)
-	}
-	for _, want := range []string{"request inspector", "plan:ddi/GoPIM", `class="stage"`, "cache_lookup"} {
-		if !strings.Contains(string(html), want) {
-			t.Errorf("inspector HTML missing %q", want)
 		}
 	}
 }
@@ -384,13 +378,13 @@ func TestScrapedLoadKeepsSimSnapshotIdentical(t *testing.T) {
 		stop := make(chan struct{})
 		var scrapers sync.WaitGroup
 		if scrape {
-			for _, path := range []string{
-				"/metrics?format=prometheus",
-				"/metrics?format=openmetrics",
-				"/debug/requests?format=json",
-				"/debug/requests",
+			for _, scr := range []struct{ path, accept string }{
+				{"/metrics", "text/plain;version=0.0.4"},
+				{"/metrics", "application/openmetrics-text"},
+				{"/metrics", ""},
+				{"/debug/requests", ""},
 			} {
-				path := path
+				scr := scr
 				scrapers.Add(1)
 				go func() {
 					defer scrapers.Done()
@@ -400,7 +394,11 @@ func TestScrapedLoadKeepsSimSnapshotIdentical(t *testing.T) {
 							return
 						default:
 						}
-						resp, err := http.Get(ts.URL + path)
+						req, _ := http.NewRequest(http.MethodGet, ts.URL+scr.path, nil)
+						if scr.accept != "" {
+							req.Header.Set("Accept", scr.accept)
+						}
+						resp, err := http.DefaultClient.Do(req)
 						if err != nil {
 							return // server closing
 						}
