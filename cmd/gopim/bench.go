@@ -15,7 +15,9 @@ import (
 // benchCmd runs the regression bench suite (`gopim bench`): it
 // executes the workload matrix, writes BENCH_<label>.json, and prints
 // a per-configuration summary. With a positional BENCH file argument
-// it skips the run and reports on the existing file instead.
+// it skips the run and reports on the existing file instead. The
+// default suite's file is byte-identical to BENCH_baseline.json unless
+// a Sim-clock value moved.
 func benchCmd(args []string, seed int64, fast bool, format experiments.Format) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	label := fs.String("label", "local", "bench label; output goes to BENCH_<label>.json")
@@ -40,14 +42,12 @@ func benchCmd(args []string, seed int64, fast bool, format experiments.Format) e
 		if err != nil {
 			return err
 		}
-		return renderAttribution(f, format)
+		return renderAttribution(f, fs.Arg(0), format)
 	}
 
 	cfg := bench.Config{
-		Label: *label,
-		Seed:  seed,
-		Fast:  fast || !*full, // the smoke suite is always fast-scale
-		Args:  os.Args[1:],
+		Seed: seed,
+		Fast: fast || !*full, // the smoke suite is always fast-scale
 	}
 	if *expList != "" {
 		cfg.Experiments = splitCSV(*expList)
@@ -68,61 +68,29 @@ func benchCmd(args []string, seed int64, fast bool, format experiments.Format) e
 	if err := f.WriteFile(path); err != nil {
 		return err
 	}
-	fmt.Printf("bench %s: seed=%d fast=%v -> %s\n", f.Label, f.Suite.Seed, f.Suite.Fast, path)
+	fmt.Printf("bench %s: seed=%d fast=%v -> %s\n", *label, f.Suite.Seed, f.Suite.Fast, path)
 	for _, c := range f.Configs {
 		fmt.Printf("  %-12s %d sim metric values\n", c.Name, len(c.SimMetrics))
 	}
 	if *attrib {
-		return renderAttribution(f, format)
+		return renderAttribution(f, path, format)
 	}
 	return nil
 }
 
 // renderAttribution prints the stage-level attribution table for the
-// richest configuration of a BENCH file.
-func renderAttribution(f *bench.File, format experiments.Format) error {
+// richest configuration of the BENCH file at path.
+func renderAttribution(f *bench.File, path string, format experiments.Format) error {
 	cfg, err := bench.AttributionConfig(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	res, err := bench.Attribution(cfg.SimMetrics)
 	if err != nil {
 		return err
 	}
-	res.Title += fmt.Sprintf(" (%s, config %s)", f.Label, cfg.Name)
+	res.Title += fmt.Sprintf(" (%s, config %s)", filepath.Base(path), cfg.Name)
 	return res.RenderAs(os.Stdout, format)
-}
-
-// diffCmd compares two BENCH files (`gopim diff old new`) and returns
-// the strict failure count (Sim values that moved, appeared or
-// vanished) the caller turns into the exit status.
-func diffCmd(args []string, format experiments.Format) (failures int, err error) {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	showAll := fs.Bool("all", false, "include unchanged metrics in the report")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gopim [flags] diff [-all] <old.json> <new.json>")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	if fs.NArg() != 2 {
-		return 0, fmt.Errorf("diff: want exactly two BENCH_*.json files, got %d", fs.NArg())
-	}
-	oldF, err := bench.Load(fs.Arg(0))
-	if err != nil {
-		return 0, err
-	}
-	newF, err := bench.Load(fs.Arg(1))
-	if err != nil {
-		return 0, err
-	}
-	rep := bench.Diff(oldF, newF)
-	if err := rep.Result(*showAll).RenderAs(os.Stdout, format); err != nil {
-		return 0, err
-	}
-	fmt.Println(rep.Summary())
-	return rep.Failures(), nil
 }
 
 // splitCSV splits a comma-separated list, trimming blanks.

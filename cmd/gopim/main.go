@@ -17,11 +17,11 @@
 //	gopim explain <dataset> [model]  critical-path bottleneck analysis:
 //	                               which stage bounds the makespan, why,
 //	                               and what ±1 replica would change
-//	gopim bench -label L           run the regression bench suite and
-//	                               write BENCH_L.json; -attrib adds the
+//	gopim bench -label L           run the Sim-clock bench suite and
+//	                               write BENCH_L.json (the default suite
+//	                               reproduces BENCH_baseline.json byte
+//	                               for byte); -attrib adds the
 //	                               stage-level attribution report
-//	gopim diff <old> <new>         compare two BENCH files; nonzero
-//	                               exit on sim-clock regression
 //	gopim serve -addr A            run the allocation-planning daemon
 //	                               (POST /v1/plan; see DESIGN.md §13)
 //
@@ -148,9 +148,6 @@ func main() {
 	}
 	opt := gopim.ExperimentOptions{Seed: *seed, Fast: *fast}
 
-	// exitCode defers a nonzero exit (diff regressions) until after the
-	// observability session has flushed its artifacts.
-	exitCode := 0
 	switch args[0] {
 	case "list":
 		for _, id := range gopim.Experiments() {
@@ -199,23 +196,11 @@ func main() {
 		if err := serveCmd(sess, args[1:]); err != nil {
 			fatal(err.Error())
 		}
-	case "diff":
-		failures, err := diffCmd(args[1:], outFormat)
-		if err != nil {
-			fatal(err.Error())
-		}
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "gopim: %d sim-clock metric value(s) regressed, appeared or vanished\n", failures)
-			exitCode = 1
-		}
 	default:
 		runExperiments(sess, args, opt, outFormat)
 	}
 	if err := sess.finish(); err != nil {
 		fatal(err.Error())
-	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
 	}
 }
 
@@ -246,10 +231,9 @@ usage:
   gopim [flags] compare <dataset>
   gopim [flags] theta <dataset>
   gopim [flags] endurance <dataset>
-  gopim [flags] bench [-label L] [-attrib]
+  gopim [flags] bench [-label L] [-attrib] [BENCH_x.json]
   gopim [flags] explain [-mb N] [-json] [-no-sensitivity] [-gantt] <dataset> [model]
   gopim [flags] churn [-epochs N] [-wear-days D] <dataset>
-  gopim [flags] diff [-all] <old.json> <new.json>
   gopim [flags] serve [-addr A] [-serve-workers N] [-queue N] [-cache N]
 
 flags:

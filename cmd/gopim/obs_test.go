@@ -11,12 +11,15 @@ import (
 	"gopim/internal/parallel"
 )
 
-// resetObs restores global observability state a session mutated.
+// resetObs restores global observability state a session mutated,
+// including the default registry's values, so a repeat run (-count=N)
+// starts from the same counts as the first.
 func resetObs(t *testing.T) {
 	t.Helper()
 	t.Cleanup(func() {
 		obs.SetEnabled(false)
 		obs.SetTracer(nil)
+		obs.Default().Reset()
 	})
 }
 

@@ -289,7 +289,7 @@ func AttributionConfig(f *File) (ConfigResult, error) {
 		}
 	}
 	if best < 0 {
-		return ConfigResult{}, fmt.Errorf("bench: %s has no labelled accel series to attribute", f.Label)
+		return ConfigResult{}, fmt.Errorf("bench: no labelled accel series to attribute")
 	}
 	return f.Configs[best], nil
 }

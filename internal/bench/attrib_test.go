@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+func sim(name, field, value string) MetricValue {
+	return MetricValue{Name: name, Kind: "distribution", Field: field, Value: value}
+}
+
 func labelled(base, dataset, model, field, value string) MetricValue {
 	return sim(base+"{dataset="+dataset+",model="+model+"}", field, value)
 }
@@ -122,7 +126,7 @@ func TestAttributionRejectsUnlabelledSnapshot(t *testing.T) {
 
 func TestAttributionConfigPicksRichest(t *testing.T) {
 	f := &File{
-		Schema: Schema, Label: "x",
+		Schema: Schema,
 		Configs: []ConfigResult{
 			{Name: "experiments", SimMetrics: []MetricValue{sim("pipeline.simulations", "count", "1")}},
 			{Name: "sim-matrix", SimMetrics: attribMetrics()},
@@ -135,7 +139,7 @@ func TestAttributionConfigPicksRichest(t *testing.T) {
 	if c.Name != "sim-matrix" {
 		t.Errorf("picked %q, want sim-matrix", c.Name)
 	}
-	if _, err := AttributionConfig(&File{Label: "empty"}); err == nil {
+	if _, err := AttributionConfig(&File{}); err == nil {
 		t.Error("empty file accepted")
 	}
 }

@@ -1,18 +1,18 @@
 // Package bench is GoPIM's Sim-clock regression gate. It runs a
 // standard workload suite — a {dataset, model} simulation matrix plus a
 // set of experiment harnesses — once per group and captures each
-// group's full Sim-clock metric snapshot from the obs registry. That
-// snapshot is a pure function of the suite and seed (byte-identical at
-// any worker count), so it diffs strictly across runs, machines and
-// commits. Wall time is not gated here: perfbench (perfbench/run.sh)
+// group's full Sim-clock metric snapshot from the obs registry. A BENCH
+// file holds nothing else, so its bytes are a pure function of the
+// suite and seed (identical at any worker count, on any run of the same
+// code). The checked-in BENCH_baseline.json is therefore a golden file:
+// TestBaselineGolden rebuilds it and fails on any byte that moved,
+// naming each changed, added or removed value, and `-update` rewrites
+// it. Wall time is not gated here: perfbench (perfbench/run.sh)
 // measures it in cold child processes, in alternating pairs.
 //
-// Run writes a versioned BENCH_<label>.json; Diff (diff.go) compares
-// two such files metric-by-metric and classifies every value as
-// improved, regressed, unchanged, added or removed; Attribution
-// (attrib.go) pivots the per-{dataset, model} accelerator series into
-// a "where did the time and energy go" table.
-// The gopim CLI surfaces all three as `gopim bench` and `gopim diff`.
+// Run builds a versioned BENCH file; Attribution (attrib.go) pivots the
+// per-{dataset, model} accelerator series into a "where did the time
+// and energy go" table. The gopim CLI surfaces both as `gopim bench`.
 package bench
 
 import (
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"gopim/internal/accel"
 	"gopim/internal/experiments"
@@ -30,16 +29,15 @@ import (
 )
 
 // Schema is the BENCH file format version; bump it on any breaking
-// change to File so diffs fail loudly instead of misreading old files.
+// change to File so Load fails loudly instead of misreading old files.
 // Version 3 dropped the wall and allocation stats and the per-worker
-// configurations.
-const Schema = 3
+// configurations; version 4 dropped the label, the run manifest and the
+// per-value clock (always "sim"), so the file depends only on the suite.
+const Schema = 4
 
-// Config tunes one bench-suite run. The zero value of every field
-// selects the smoke-scale default, so Config{} is the CI suite.
+// Config tunes one bench-suite run. The zero value of each list selects
+// the smoke-scale default; the CI suite is Config{Seed: 1, Fast: true}.
 type Config struct {
-	// Label names the output file (BENCH_<label>.json).
-	Label string
 	// Seed drives all synthetic graph generation.
 	Seed int64
 	// Fast shrinks the experiment workloads (experiments.Options.Fast).
@@ -51,8 +49,6 @@ type Config struct {
 	// ddi and Cora × the six Fig. 13 baselines).
 	Datasets []string
 	Models   []accel.Kind
-	// Args is recorded in the run manifest for provenance.
-	Args []string
 }
 
 // SmokeExperiments is the default experiment set: the cheap motivation
@@ -63,9 +59,6 @@ func SmokeExperiments() []string { return []string{"fig4", "fig5", "fig6", "fig7
 func SmokeDatasets() []string { return []string{"ddi", "Cora"} }
 
 func (c *Config) defaults() {
-	if c.Label == "" {
-		c.Label = "local"
-	}
 	if len(c.Experiments) == 0 {
 		c.Experiments = SmokeExperiments()
 	}
@@ -77,8 +70,8 @@ func (c *Config) defaults() {
 	}
 }
 
-// Suite records the workload definition inside the BENCH file, so a
-// diff can tell when two files measured different things.
+// Suite records the workload definition inside the BENCH file, so two
+// files that measured different things never compare equal.
 type Suite struct {
 	Seed        int64    `json:"seed"`
 	Fast        bool     `json:"fast"`
@@ -87,12 +80,10 @@ type Suite struct {
 	Models      []string `json:"models"`
 }
 
-// MetricValue is one flattened metric field from a registry snapshot.
-// Values keep the registry's deterministic string rendering; the diff
-// engine parses them back to floats when both sides are numeric.
+// MetricValue is one flattened Sim-clock metric field from a registry
+// snapshot. Values keep the registry's deterministic string rendering.
 type MetricValue struct {
 	Name  string `json:"name"`
-	Clock string `json:"clock"`
 	Kind  string `json:"kind"`
 	Field string `json:"field"`
 	Value string `json:"value"`
@@ -100,21 +91,17 @@ type MetricValue struct {
 
 // ConfigResult is one workload group's outcome.
 type ConfigResult struct {
-	// Name identifies the group ("sim-matrix"); diffs match
-	// configurations by this name.
+	// Name identifies the group ("sim-matrix").
 	Name string `json:"name"`
-	// SimMetrics is the group's flattened Sim-clock snapshot (strictly
-	// diffable).
+	// SimMetrics is the group's flattened Sim-clock snapshot.
 	SimMetrics []MetricValue `json:"sim_metrics"`
 }
 
 // File is the versioned on-disk BENCH format.
 type File struct {
-	Schema   int            `json:"schema"`
-	Label    string         `json:"label"`
-	Suite    Suite          `json:"suite"`
-	Manifest *obs.Manifest  `json:"manifest,omitempty"`
-	Configs  []ConfigResult `json:"configs"`
+	Schema  int            `json:"schema"`
+	Suite   Suite          `json:"suite"`
+	Configs []ConfigResult `json:"configs"`
 }
 
 // FileName returns the canonical file name for a label, sanitised to
@@ -149,8 +136,7 @@ func flattenSim(reg *obs.Registry) []MetricValue {
 		}
 		for _, f := range s.Fields {
 			out = append(out, MetricValue{
-				Name: s.Name, Clock: s.Clock.String(), Kind: s.Kind,
-				Field: f.Key, Value: f.Value,
+				Name: s.Name, Kind: s.Kind, Field: f.Key, Value: f.Value,
 			})
 		}
 	}
@@ -201,17 +187,11 @@ func Run(cfg Config) (*File, error) {
 	}
 	f := &File{
 		Schema: Schema,
-		Label:  cfg.Label,
 		Suite: Suite{
 			Seed: cfg.Seed, Fast: cfg.Fast, Experiments: cfg.Experiments,
 			Datasets: cfg.Datasets, Models: models,
 		},
-		Manifest: obs.NewManifest(cfg.Args),
 	}
-	f.Manifest.Seed = cfg.Seed
-	f.Manifest.Workers = parallel.Workers()
-	f.Manifest.Fast = cfg.Fast
-	f.Manifest.Format = "bench"
 
 	simMatrix := func() error {
 		type pair struct {
@@ -244,16 +224,13 @@ func Run(cfg Config) (*File, error) {
 		// OnReset hook), so the snapshot — hit/miss counters included —
 		// covers exactly one cold pass of this group.
 		obs.Default().Reset()
-		t0 := time.Now()
 		if err := group.body(); err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", group.name, err)
 		}
-		f.Manifest.Record(group.name, time.Since(t0), nil)
 		f.Configs = append(f.Configs, ConfigResult{
 			Name: group.name, SimMetrics: flattenSim(obs.Default()),
 		})
 	}
-	f.Manifest.Finish()
 	return f, nil
 }
 

@@ -20,13 +20,16 @@ func TestSharedPredictorCacheDeterministicCounts(t *testing.T) {
 		t.Skip("trains MLP predictors")
 	}
 	defer parallel.SetWorkers(0)
+	// Each round starts from a cleared registry: the reset zeroes the
+	// counters and (its OnReset hook) empties the predictor memo, so
+	// every round trains anew and a repeat run (-count=N) sees the same
+	// counts as the first.
+	t.Cleanup(obs.Default().Reset)
 	// The predictor memo domain's own counters (registered by
 	// simmemo.NewCache; NewCounter returns the existing ones).
 	mHits := obs.NewCounter("simmemo.predictor_hits", obs.Sim, "")
 	mMisses := obs.NewCounter("simmemo.predictor_misses", obs.Sim, "")
 
-	// Distinct seeds far from other tests' keys so this test's misses
-	// are its own even if another test already warmed the cache.
 	keys := []Options{
 		{Seed: 90101, Fast: true},
 		{Seed: 90102, Fast: true},
@@ -35,36 +38,28 @@ func TestSharedPredictorCacheDeterministicCounts(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		parallel.SetWorkers(workers)
-		// Fresh keys per worker count: shift seeds so every round
-		// trains anew rather than hitting the previous round's cache.
-		round := make([]Options, len(keys))
-		for i, k := range keys {
-			round[i] = Options{Seed: k.Seed + int64(workers)*1000, Fast: true}
-		}
-
-		hits0, misses0 := mHits.Value(), mMisses.Value()
+		obs.Default().Reset()
 		var wg sync.WaitGroup
-		models := make([]any, len(round)*callersPerKey)
+		models := make([]any, len(keys)*callersPerKey)
 		for i := range models {
 			i := i
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				models[i] = SharedPredictor(round[i%len(round)])
+				models[i] = SharedPredictor(keys[i%len(keys)])
 			}()
 		}
 		wg.Wait()
 
-		misses := mMisses.Value() - misses0
-		hits := mHits.Value() - hits0
-		wantMisses := int64(len(round))
-		wantHits := int64(len(round)*callersPerKey) - wantMisses
+		misses, hits := mMisses.Value(), mHits.Value()
+		wantMisses := int64(len(keys))
+		wantHits := int64(len(keys)*callersPerKey) - wantMisses
 		if misses != wantMisses || hits != wantHits {
 			t.Fatalf("workers=%d: misses=%d hits=%d, want misses=%d hits=%d (scheduling leaked into the totals)",
 				workers, misses, hits, wantMisses, wantHits)
 		}
 		for i := range models {
-			if models[i] != models[i%len(round)] {
+			if models[i] != models[i%len(keys)] {
 				t.Fatalf("workers=%d: caller %d got a different model than the first caller of its key", workers, i)
 			}
 		}

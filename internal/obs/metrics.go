@@ -208,7 +208,7 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // buckets: the bucket holding the target rank is found by cumulative
 // count and the value interpolated linearly inside its [2^(k-1), 2^k)
 // span. Resolution is therefore the bucket width — good enough to tell
-// a 10µs p99 from a 10ms one, which is what bench diffs compare — and
+// a 10µs p99 from a 10ms one, which is what BENCH files record — and
 // the estimate is a pure function of the (deterministic) bucket
 // counts, so Sim-clock quantiles diff exactly across runs.
 //
@@ -273,7 +273,7 @@ func (h *Histogram) Fields() []Field {
 		{"sum", strconv.FormatInt(h.sum.Load(), 10)},
 	}
 	if h.count.Load() > 0 {
-		// Tail-latency estimates, so bench diffs compare p95/p99 and not
+		// Tail-latency estimates, so BENCH files record p95/p99 and not
 		// just the extremes.
 		fields = append(fields,
 			Field{"p50", formatFloat(h.Quantile(0.50))},

@@ -2,7 +2,7 @@ package obs
 
 // Edge-case pins for Histogram.Quantile: empty and single-observation
 // histograms, out-of-range and NaN q, and linear interpolation at the
-// power-of-two bucket boundaries. Quantile estimates feed bench diffs,
+// power-of-two bucket boundaries. Quantile estimates feed BENCH files,
 // so every case must be defined (never NaN) and a pure function of the
 // bucket counts.
 
