@@ -78,11 +78,12 @@ type ChurnResult struct {
 
 // RunChurn drives the GoPIM model through a streaming-graph mutation
 // sequence: each epoch the churn stream mutates the degree sequence,
-// incremental re-mapping (mapping.ApplyDelta) relocates only the
-// stripes whose rank changed, the refresh policy decides whether the
-// ISU plan is recomputed, accumulated churn writes feed the endurance
-// model so wear retires crossbars mid-run, and replica allocation
-// degrades around the shrinking pool instead of erroring.
+// incremental re-mapping (mapping.ApplyDelta, in place on the run's
+// one layout) relocates only the stripes whose rank changed, the
+// refresh policy decides whether the ISU plan is recomputed,
+// accumulated churn writes feed the endurance model so wear retires
+// crossbars mid-run, and replica allocation degrades around the
+// shrinking pool instead of erroring.
 //
 // The loop is strictly sequential and every random draw is keyed by
 // (seed, epoch), so results — and the churn.* Sim counters — are
@@ -91,11 +92,20 @@ func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	return runChurn(w, cc, epochs, nil)
 }
 
-// runChurn is RunChurn with an observer called after each epoch's
-// degree update with the mutated degrees and the carried active-block
-// terms (tests check the carried terms against a fresh pass).
-func runChurn(w Workload, cc churn.Config, epochs int,
-	observe func(degs []float64, active *stage.ActiveBlocks)) (ChurnResult, error) {
+// churnState is what runChurn carries across epochs, as its observer
+// sees it after an epoch's degree update and re-mapping: the mutated
+// degrees, the active-block terms, the layout and the epoch's dead
+// flags (tests check the carried state against fresh builds).
+type churnState struct {
+	degs   []float64
+	active *stage.ActiveBlocks
+	layout *mapping.Layout
+	dead   []bool
+}
+
+// runChurn is RunChurn with an observer called once per epoch, after
+// the layout has followed the degree update.
+func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState)) (ChurnResult, error) {
 	if epochs < 1 {
 		return ChurnResult{}, fmt.Errorf("accel: churn epochs %d must be ≥ 1", epochs)
 	}
@@ -135,9 +145,6 @@ func runChurn(w Workload, cc churn.Config, epochs int,
 		res.EdgesAdded += delta.EdgesAdded
 		res.EdgesRemoved += delta.EdgesRemoved
 		active.Update(degs, delta.Changed)
-		if observe != nil {
-			observe(degs, active)
-		}
 
 		// Endurance coupling: the hottest rows (important set, rewritten
 		// every epoch) have absorbed (e+1)·DaysPerEpoch days of the
@@ -164,8 +171,10 @@ func runChurn(w Workload, cc churn.Config, epochs int,
 		}
 		prevRetired = retired
 
-		var dstats mapping.DeltaStats
-		layout, dstats = layout.ApplyDelta(degs, delta.Changed, dead)
+		dstats := layout.ApplyDelta(degs, delta.Changed, dead)
+		if observe != nil {
+			observe(churnState{degs: degs, active: active, layout: layout, dead: dead})
+		}
 		mChurnStripesMoved.Add(int64(dstats.StripesMoved))
 		res.StripesMoved += dstats.StripesMoved
 		if dstats.Full {

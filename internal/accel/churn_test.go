@@ -10,6 +10,7 @@ import (
 	"gopim/internal/churn"
 	"gopim/internal/fault"
 	"gopim/internal/graphgen"
+	"gopim/internal/mapping"
 	"gopim/internal/obs"
 	"gopim/internal/parallel"
 	"gopim/internal/reram"
@@ -192,7 +193,8 @@ func TestChurnCarriedActiveBlocks(t *testing.T) {
 	w := ddiWorkload(t)
 	w.defaults()
 	seen := 0
-	_, err := runChurn(w, churnConfig(epochs), epochs, func(degs []float64, active *stage.ActiveBlocks) {
+	_, err := runChurn(w, churnConfig(epochs), epochs, func(st churnState) {
+		degs, active := st.degs, st.active
 		seen++
 		if got, want := active.Mean(), avgActiveBlocksRef(w.Chip, degs); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("epoch %d: carried mean %v, reference %v", seen-1, got, want)
@@ -210,12 +212,65 @@ func TestChurnCarriedActiveBlocks(t *testing.T) {
 	}
 }
 
-// BenchmarkRunChurn prices the first epochs of perfbench's churn run:
-// arxiv at 0.5% edge churn with the threshold policy and wear
-// calibrated for a 40-epoch run. At 4 epochs the run's set-up (the
-// initial interleaved layout and active-block terms) is about a third
-// of each op.
+// TestChurnCarriedLayout: after every epoch of a wear run, the layout
+// the loop carries and updates in place must equal a fresh
+// InterleavedLayoutHealthy of the mutated degrees under that epoch's
+// dead flags — order, routing and rank order — and its update plan
+// NewUpdatePlan's. It runs arxiv at perfbench's 0.5% rate, where the
+// layout patches incrementally (on ddi every epoch falls back to a full
+// remap); the run must retire crossbars mid-way and take the
+// incremental path, so both the routing and the merge are exercised.
+func TestChurnCarriedLayout(t *testing.T) {
+	const epochs = 8
+	d, err := graphgen.ByName("arxiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{Dataset: d, Seed: 1}
+	w.defaults()
+	cc := churnConfig(epochs)
+	cc.Rate = 0.005
+	rows := w.Chip.CrossbarRows
+	seen, deadEpochs := 0, 0
+	res, err := runChurn(w, cc, epochs, func(st churnState) {
+		seen++
+		if st.dead != nil {
+			deadEpochs++
+		}
+		want := mapping.InterleavedLayoutHealthy(st.degs, rows, st.dead)
+		if st.dead == nil {
+			want = mapping.InterleavedLayout(st.degs, rows)
+		}
+		if !st.layout.Equal(want) {
+			t.Errorf("epoch %d: carried layout differs from a fresh build", seen-1)
+		}
+		theta := w.Theta()
+		if got, want := st.layout.UpdatePlan(theta, isuStalePeriod), mapping.NewUpdatePlan(st.degs, theta, isuStalePeriod); !reflect.DeepEqual(got, want) {
+			t.Errorf("epoch %d: plan from the carried ranking differs from NewUpdatePlan", seen-1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != epochs {
+		t.Fatalf("observer ran %d times, want %d", seen, epochs)
+	}
+	if res.Retirements == 0 || deadEpochs == 0 {
+		t.Fatalf("no retirement during the run (retirements %d, epochs with dead flags %d)", res.Retirements, deadEpochs)
+	}
+	if res.FullRemaps == epochs {
+		t.Fatal("every epoch fell back to a full remap; the incremental path is untested")
+	}
+}
+
+// BenchmarkRunChurn prices perfbench's churn run: arxiv at 0.5% edge
+// churn with the threshold policy and wear calibrated for the run's
+// 40 epochs. The run's set-up (the initial interleaved layout and
+// active-block terms) is a small part of each op, so a profile of a few
+// ops shows the epoch's steps, which perfbench's single traced run is
+// too short to resolve.
 func BenchmarkRunChurn(b *testing.B) {
+	const epochs = 40
 	d, err := graphgen.ByName("arxiv")
 	if err != nil {
 		b.Fatal(err)
@@ -225,12 +280,12 @@ func BenchmarkRunChurn(b *testing.B) {
 		Rate:         0.005,
 		Seed:         1,
 		Policy:       churn.Threshold,
-		DaysPerEpoch: ChurnDaysForRetirement(40, 1.2),
+		DaysPerEpoch: ChurnDaysForRetirement(epochs, 1.2),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunChurn(w, cc, 4); err != nil {
+		if _, err := RunChurn(w, cc, epochs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,6 +22,7 @@ package churn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -126,7 +127,10 @@ type Delta struct {
 	EdgesAdded   int
 	EdgesRemoved int
 	// Changed lists the vertex ids whose degree differs from the epoch
-	// start, ascending and unique.
+	// start, ascending and unique. Stream.Mutate compares only the ids
+	// its batch touched, against the degree each had when first touched;
+	// for the non-NaN degrees this module uses, that is every id whose
+	// degree differs.
 	Changed []int
 }
 
@@ -136,9 +140,11 @@ type Delta struct {
 // reuses the stream's buffers, so one stream serves one driver loop.
 type Stream struct {
 	cfg Config
-	// Per-epoch scratch, kept across epochs: the two endpoint pickers
-	// and the epoch-start degrees.
+	// Per-epoch scratch, kept across epochs: the two endpoint pickers,
+	// a bitset of the ids the batch touched (clear between epochs) and
+	// each touched id's degree before its first touch.
 	insert, remove picker
+	touched        []uint64
 	orig           []float64
 }
 
@@ -163,15 +169,23 @@ func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 		return d
 	}
 	rng := rand.New(rand.NewSource(streamSeed(s.cfg.Seed, tagEpoch, int64(epoch))))
-	s.orig = append(s.orig[:0], degs...)
 	insert, remove := &s.insert, &s.remove
-	insert.reset(degs, 1) // degree+1 weighted
-	remove.reset(degs, 0) // degree weighted
-
-	var totalDeg float64
-	for _, g := range degs {
-		totalDeg += g
+	totalDeg := resetPair(insert, remove, degs)
+	n := len(degs)
+	if len(s.touched) != (n+63)/64 {
+		s.touched = make([]uint64, (n+63)/64)
 	}
+	s.orig = slices.Grow(s.orig[:0], n)[:n]
+	touched, orig := s.touched, s.orig
+	// touch saves v's epoch-start degree the first time the batch
+	// changes it.
+	touch := func(v int) {
+		if bit := uint64(1) << (v & 63); touched[v>>6]&bit == 0 {
+			touched[v>>6] |= bit
+			orig[v] = degs[v]
+		}
+	}
+
 	ops := int(math.Round(s.cfg.Rate * totalDeg / 2))
 	for op := 0; op < ops; op++ {
 		if rng.Float64() < 0.5 {
@@ -179,6 +193,8 @@ func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 			if u == v {
 				continue
 			}
+			touch(u)
+			touch(v)
 			degs[u]++
 			degs[v]++
 			d.EdgesAdded++
@@ -187,15 +203,33 @@ func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 			if u < 0 || v < 0 || u == v || degs[u] < 1 || degs[v] < 1 {
 				continue
 			}
+			touch(u)
+			touch(v)
 			degs[u]--
 			degs[v]--
 			d.EdgesRemoved++
 		}
 	}
 
-	for v, g := range s.orig {
-		if degs[v] != g {
-			d.Changed = append(d.Changed, v)
+	// Touched ids in ascending order, clearing the bitset behind. The
+	// changed ids are among them, so one allocation of the touched count
+	// holds the list.
+	count := 0
+	for _, word := range touched {
+		count += bits.OnesCount64(word)
+	}
+	for w, word := range touched {
+		if word == 0 {
+			continue
+		}
+		touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			if v := w<<6 | bits.TrailingZeros64(word); degs[v] != orig[v] {
+				if d.Changed == nil {
+					d.Changed = make([]int, 0, count)
+				}
+				d.Changed = append(d.Changed, v)
+			}
 		}
 	}
 	return d
@@ -336,10 +370,46 @@ func (p *picker) reset(degs []float64, bias float64) {
 		sum += w
 		prefix[i] = sum
 	}
+	p.index(sum)
+}
+
+// resetPair is insert.reset(degs, 1) and remove.reset(degs, 0) in one
+// pass over the degrees, returning their plain sum as well. That sum
+// is its own accumulator: negative degrees count in it, while both
+// pickers clamp their weights at zero.
+func resetPair(insert, remove *picker, degs []float64) (total float64) {
+	n := len(degs)
+	insert.prefix = slices.Grow(insert.prefix[:0], n)[:n]
+	remove.prefix = slices.Grow(remove.prefix[:0], n)[:n]
+	ip, rp := insert.prefix, remove.prefix
+	var isum, rsum float64
+	for i, g := range degs {
+		wi, wr := g+1, g
+		if wi < 0 {
+			wi = 0
+		}
+		if wr < 0 {
+			wr = 0
+		}
+		isum += wi
+		rsum += wr
+		ip[i], rp[i] = isum, rsum
+		total += g
+	}
+	insert.index(isum)
+	remove.index(rsum)
+	return total
+}
+
+// index records the weight total and builds the guide table over the
+// filled prefix sums.
+func (p *picker) index(sum float64) {
 	p.total = sum
 	if sum <= 0 {
 		return
 	}
+	prefix := p.prefix
+	n := len(prefix)
 	m := max(1, n/guideStride)
 	p.guide = slices.Grow(p.guide[:0], m)[:m]
 	// guide[b] is the first id whose prefix falls in bucket b or later.

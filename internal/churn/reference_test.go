@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -177,24 +178,116 @@ func FuzzPickerMatchesSearch(f *testing.F) {
 	})
 }
 
+// signedDegrees returns n degrees from seed: a power-law body with hubs,
+// runs of zeros stored as −0 and +0 alternately, zero-weight vertices
+// under both pickers (degree −1 and below) and ties. Every shape a
+// reset, a pick or the changed-id scan treats specially is in it.
+func signedDegrees(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	degs := make([]float64, n)
+	for i := range degs {
+		switch r := rng.Intn(10); {
+		case r < 2:
+			degs[i] = math.Copysign(0, float64(i%2)-0.5) // −0 at even ids
+		case r < 3:
+			degs[i] = -float64(1 + rng.Intn(3))
+		case r < 4:
+			degs[i] = 5 // a tie class
+		default:
+			degs[i] = math.Floor(math.Pow(rng.Float64(), -1.2))
+		}
+	}
+	return degs
+}
+
 func TestMutateMatchesReference(t *testing.T) {
 	arxiv, err := graphgen.ByName("arxiv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, degs := range map[string][]float64{
-		"small": degSeq(400, 4),
-		"arxiv": arxiv.SynthDegreeModel(1).DegreesByIndex,
-	} {
+	cases := map[string][]float64{
+		"small":  degSeq(400, 4),
+		"signed": signedDegrees(700, 9),
+		"arxiv":  arxiv.SynthDegreeModel(1).DegreesByIndex,
+	}
+	for name, degs := range cases {
 		cfg := Config{Rate: 0.01, Seed: 5}
 		got, want := slices.Clone(degs), slices.Clone(degs)
 		s := newStream(t, cfg)
 		for e := 0; e < 10; e++ {
-			dg, dw := s.Mutate(got, e), mutateRef(cfg, want, e)
-			if !reflect.DeepEqual(dg, dw) || !slices.Equal(got, want) {
-				t.Fatalf("%s epoch %d: Mutate diverged from the reference (delta %d/%d changed)",
-					name, e, len(dg.Changed), len(dw.Changed))
-			}
+			checkMutate(t, name, s, cfg, got, want, e)
 		}
 	}
+	// One stream over many epochs and over sequences of different
+	// lengths: the touched-id bitset and the saved degrees must carry
+	// nothing from one epoch into the next.
+	cfg := Config{Rate: 0.05, Seed: 6}
+	s := newStream(t, cfg)
+	for i, n := range []int{300, 300, 64, 1000} {
+		degs := signedDegrees(n, int64(20+i))
+		got, want := slices.Clone(degs), slices.Clone(degs)
+		for e := 0; e < 40; e++ {
+			checkMutate(t, fmt.Sprintf("reused n=%d", n), s, cfg, got, want, 40*i+e)
+		}
+	}
+}
+
+// checkMutate runs epoch e on got through s and on want through
+// mutateRef and fails unless the deltas and the degrees agree bit for
+// bit (−0 and +0 differ).
+func checkMutate(t *testing.T, name string, s *Stream, cfg Config, got, want []float64, e int) {
+	t.Helper()
+	dg, dw := s.Mutate(got, e), mutateRef(cfg, want, e)
+	if !reflect.DeepEqual(dg, dw) {
+		t.Fatalf("%s epoch %d: delta %+v, reference %+v", name, e, dg, dw)
+	}
+	for v := range got {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s epoch %d: degree %d is %v, reference %v", name, e, v, got[v], want[v])
+		}
+	}
+}
+
+// FuzzMutateMatchesReference runs checkMutate over fuzzed degree
+// shapes, one stream reused for every epoch: seed drives the degrees,
+// n (1–2000) the length and epochs (1–32) the chain. hubEvery (0 =
+// none) plants a hub every that many ids, zeroRun (0 = none) writes
+// zero runs of that length, signed zeros alternate +0 and −0, and
+// ties draws every other degree from a few values.
+func FuzzMutateMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(50), uint8(3), uint8(0), uint8(0), false, false)
+	f.Add(int64(2), uint16(700), uint8(20), uint8(97), uint8(5), true, false)
+	f.Add(int64(3), uint16(1), uint8(8), uint8(0), uint8(1), true, true)
+	f.Add(int64(4), uint16(2000), uint8(4), uint8(13), uint8(40), false, true)
+	f.Add(int64(5), uint16(64), uint8(31), uint8(1), uint8(0), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, epochs8, hubEvery, zeroRun uint8, signed, ties bool) {
+		n := 1 + int(n16)%2000
+		rng := rand.New(rand.NewSource(seed))
+		degs := make([]float64, n)
+		for i := range degs {
+			degs[i] = math.Floor(math.Pow(rng.Float64(), -1.5))
+			if ties && i%2 == 0 {
+				degs[i] = float64(rng.Intn(3))
+			}
+			if hubEvery > 0 && i%int(hubEvery) == 0 {
+				degs[i] = float64(100 + rng.Intn(900))
+			}
+		}
+		if zeroRun > 0 {
+			for start := rng.Intn(n); start < n; start += 3 * int(zeroRun) {
+				for i := start; i < min(n, start+int(zeroRun)); i++ {
+					degs[i] = 0
+					if signed && i%2 == 1 {
+						degs[i] = math.Copysign(0, -1)
+					}
+				}
+			}
+		}
+		cfg := Config{Rate: 0.02, Seed: seed}
+		s := newStream(t, cfg)
+		got, want := slices.Clone(degs), slices.Clone(degs)
+		for e := 0; e < 1+int(epochs8)%32; e++ {
+			checkMutate(t, "fuzz", s, cfg, got, want, e)
+		}
+	})
 }

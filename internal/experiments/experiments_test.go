@@ -2,12 +2,67 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 var fastOpt = Options{Seed: 1, Fast: true}
+
+var updateGolden = flag.Bool("update", false, "rewrite the fast-mode golden files")
+
+// trainingGoldens are the experiments that train models. Their
+// paper-scale run takes minutes, so tier-1 holds their fast-mode
+// output instead: testdata/fast/<id>.golden.txt is the section
+// `gopim -fast -seed 1 <id>` prints. A change that moves one of their
+// numbers on purpose regenerates the files with
+//
+//	go test ./internal/experiments -run TestAllExperimentsRunFast -update
+//
+// Like the serve goldens, the files are the amd64 bits; a host whose
+// compiler fuses multiply-adds (arm64) may differ in the last digits.
+var trainingGoldens = map[string]bool{
+	"fig9": true, "fig16": true, "tab5": true, "cora": true,
+	"gen": true, "tab7": true, "faultsweep": true, "churnsweep": true,
+}
+
+// checkFastGolden compares an experiment's rendered fast-mode output
+// with its golden file, naming the first differing line.
+func checkFastGolden(t *testing.T, id string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", "fast", id+".golden.txt")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			t.Fatalf("%s: fast output drifted from %s at line %d:\n  want %q\n  got  %q", id, golden, i+1, wl, gl)
+		}
+	}
+}
 
 func TestIDsComplete(t *testing.T) {
 	want := []string{"abl", "churnsweep", "cora", "faultsweep", "fig13",
@@ -158,7 +213,8 @@ var raceSkip = map[string]string{
 }
 
 // All remaining experiments must at least run and produce non-empty
-// tables in fast mode.
+// tables in fast mode, and the training experiments must print their
+// golden output.
 func TestAllExperimentsRunFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fast-mode sweep still trains predictors and GCNs")
@@ -186,6 +242,9 @@ func TestAllExperimentsRunFast(t *testing.T) {
 			var buf bytes.Buffer
 			if err := res.Render(&buf); err != nil {
 				t.Fatal(err)
+			}
+			if trainingGoldens[id] {
+				checkFastGolden(t, id, buf.Bytes())
 			}
 		})
 	}

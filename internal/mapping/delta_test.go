@@ -4,17 +4,32 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // layoutsEqual compares every field that affects placement or timing,
-// including the unexported rank order.
-func layoutsEqual(a, b *Layout) bool {
-	return reflect.DeepEqual(a.Order, b.Order) &&
-		a.GroupSize == b.GroupSize &&
-		a.Policy == b.Policy &&
-		reflect.DeepEqual(a.PhysGroups, b.PhysGroups) &&
-		reflect.DeepEqual(a.byDeg, b.byDeg)
+// including the unexported rank order, and checks that the rank keys a
+// layout carries, where it has built them, are those of its ranking.
+func layoutsEqual(a, b *Layout, degs []float64) bool {
+	return a.Equal(b) && keysCurrent(a, degs) && keysCurrent(b, degs)
+}
+
+// keysCurrent reports whether the layout's carried rank keys, if
+// built, are the keys of degs along its ranking.
+func keysCurrent(l *Layout, degs []float64) bool {
+	if l.delta == nil || len(l.delta.keys) == 0 {
+		return true
+	}
+	if len(l.delta.keys) != len(l.byDeg) {
+		return false
+	}
+	for k, v := range l.byDeg {
+		if l.delta.keys[k] != descKey(degs[v]) {
+			return false
+		}
+	}
+	return true
 }
 
 // mutate applies count random degree perturbations and returns the
@@ -74,8 +89,8 @@ func TestApplyDeltaMatchesFullRemap(t *testing.T) {
 			sawIncremental := false
 			for step := 0; step < 50; step++ {
 				changed := mutate(rng, degs, 1+rng.Intn(4))
-				var stats DeltaStats
-				cur, stats = cur.ApplyDelta(degs, changed, dead)
+				prevOrder := slices.Clone(cur.Order) // ApplyDelta updates cur in place
+				stats := cur.ApplyDelta(degs, changed, dead)
 				if stats.Full {
 					sawFull = true
 				} else {
@@ -85,12 +100,18 @@ func TestApplyDeltaMatchesFullRemap(t *testing.T) {
 				if dead != nil {
 					want = InterleavedLayoutHealthy(degs, tc.gs, dead)
 				}
-				if !layoutsEqual(cur, want) {
+				if !layoutsEqual(cur, want, degs) {
 					t.Fatalf("step %d (changed %v, full=%v): delta layout diverged\n got order %v\nwant order %v",
 						step, changed, stats.Full, cur.Order, want.Order)
 				}
 				if !isPermutation(cur.Order) {
 					t.Fatalf("step %d: order not a permutation: %v", step, cur.Order)
+				}
+				if want := recountStats(prevOrder, cur); stats.StripesMoved != want.StripesMoved ||
+					stats.GroupsTouched != want.GroupsTouched {
+					t.Fatalf("step %d (full=%v): stats moved %d / groups %d, recount %d / %d",
+						step, stats.Full, stats.StripesMoved, stats.GroupsTouched,
+						want.StripesMoved, want.GroupsTouched)
 				}
 				theta := []float64{0.5, 0.8, 0.1, 1}[step%4]
 				if got, want := cur.UpdatePlan(theta, 20), NewUpdatePlan(degs, theta, 20); !reflect.DeepEqual(got, want) {
@@ -107,17 +128,16 @@ func TestApplyDeltaMatchesFullRemap(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaNoChange: an empty delta must return an identical
-// layout and zero stats (the churn loop calls this every quiet epoch).
+// TestApplyDeltaNoChange: an empty delta must leave the layout as built
+// and report zero stats (the churn loop calls this every quiet epoch).
 func TestApplyDeltaNoChange(t *testing.T) {
 	degs := []float64{9, 3, 5, 5, 1, 7, 2, 8, 4, 6}
 	l := InterleavedLayout(degs, 4)
-	got, stats := l.ApplyDelta(degs, nil, nil)
-	if stats != (DeltaStats{}) {
+	if stats := l.ApplyDelta(degs, nil, nil); stats != (DeltaStats{}) {
 		t.Fatalf("no-op delta reported work: %+v", stats)
 	}
-	if !layoutsEqual(got, l) {
-		t.Fatalf("no-op delta changed the layout: %v vs %v", got.Order, l.Order)
+	if want := InterleavedLayout(degs, 4); !layoutsEqual(l, want, degs) {
+		t.Fatalf("no-op delta changed the layout: %v vs %v", l.Order, want.Order)
 	}
 }
 
@@ -125,40 +145,116 @@ func TestApplyDeltaNoChange(t *testing.T) {
 // Full and still match a from-scratch build.
 func TestApplyDeltaFallbacks(t *testing.T) {
 	degs := []float64{9, 3, 5, 5, 1, 7, 2, 8, 4, 6}
-	l := InterleavedLayout(degs, 4)
 
 	// Vertex-count change (streaming insert grew the graph).
-	grown := append(append([]float64(nil), degs...), 11, 0.5)
-	got, stats := l.ApplyDelta(grown, []int{10, 11}, nil)
-	if !stats.Full {
+	l := InterleavedLayout(degs, 4)
+	grown := append(slices.Clone(degs), 11, 0.5)
+	if stats := l.ApplyDelta(grown, []int{10, 11}, nil); !stats.Full {
 		t.Fatal("size change must force a full remap")
 	}
-	if !layoutsEqual(got, InterleavedLayout(grown, 4)) {
-		t.Fatalf("grown remap wrong: %v", got.Order)
+	if !layoutsEqual(l, InterleavedLayout(grown, 4), grown) {
+		t.Fatalf("grown remap wrong: %v", l.Order)
 	}
 
 	// Majority churn.
-	many := append([]float64(nil), degs...)
+	l = InterleavedLayout(degs, 4)
+	many := slices.Clone(degs)
 	changed := make([]int, 0, 8)
 	for v := 0; v < 8; v++ {
 		many[v] += 1
 		changed = append(changed, v)
 	}
-	if _, stats := l.ApplyDelta(many, changed, nil); !stats.Full {
+	if stats := l.ApplyDelta(many, changed, nil); !stats.Full {
 		t.Fatal("majority churn must force a full remap")
 	}
 
 	// Rank window reaching the spill region of a short last group:
 	// demote the top vertex to the bottom so the window spans all ranks.
-	spill := append([]float64(nil), degs...)
+	l = InterleavedLayout(degs, 4)
+	spill := slices.Clone(degs)
 	spill[0] = -1
-	got, stats = l.ApplyDelta(spill, []int{0}, nil)
-	if !stats.Full {
+	if stats := l.ApplyDelta(spill, []int{0}, nil); !stats.Full {
 		t.Fatal("spill-window delta must force a full remap")
 	}
-	if !layoutsEqual(got, InterleavedLayout(spill, 4)) {
-		t.Fatalf("spill remap wrong: %v", got.Order)
+	if !layoutsEqual(l, InterleavedLayout(spill, 4), spill) {
+		t.Fatalf("spill remap wrong: %v", l.Order)
 	}
+}
+
+// TestApplyDeltaChainAcrossFallbacks runs one layout through a chain
+// that falls back to a full remap mid-run on each trigger (a spill
+// window, a majority re-rank, a vertex-count change) and continues
+// incrementally after each. Every step must equal a from-scratch build,
+// and once a chain is warm its incremental steps must work in the same
+// two rank buffers, fallbacks included.
+func TestApplyDeltaChainAcrossFallbacks(t *testing.T) {
+	const gs = 8
+	rng := rand.New(rand.NewSource(41))
+	degs := make([]float64, 61) // short last group: a spill region exists
+	for i := range degs {
+		degs[i] = float64(rng.Intn(40))
+	}
+	l := InterleavedLayout(degs, gs)
+	// step applies one delta, checks it against a fresh build and
+	// reports whether it fell back.
+	step := func(name string, changed []int) bool {
+		t.Helper()
+		stats := l.ApplyDelta(degs, changed, nil)
+		if !layoutsEqual(l, InterleavedLayout(degs, gs), degs) {
+			t.Fatalf("%s (full=%v): layout diverged from a fresh build", name, stats.Full)
+		}
+		return stats.Full
+	}
+	// incremental runs small deltas and checks that consecutive
+	// incremental steps rank into the same two arrays (a fallback
+	// installs a fresh ranking, so the pair starts over).
+	incremental := func(name string) {
+		t.Helper()
+		var bufs [2]*int
+		patched := false
+		for i := 0; i < 20; i++ {
+			if step(name, mutate(rng, degs, 1)) {
+				bufs = [2]*int{}
+				continue
+			}
+			patched = true
+			cur := [2]*int{&l.byDeg[0], &l.delta.spareRank[0]}
+			if bufs[0] != nil && cur != bufs && cur != [2]*int{bufs[1], bufs[0]} {
+				t.Fatalf("%s: incremental step %d ranked into a new buffer", name, i)
+			}
+			bufs = cur
+		}
+		if !patched {
+			t.Fatalf("%s: no step patched incrementally", name)
+		}
+	}
+	incremental("warm-up")
+
+	// Spill: the top vertex drops to the bottom rank.
+	top := l.byDeg[0]
+	degs[top] = -1
+	if !step("spill", []int{top}) {
+		t.Fatal("a window reaching the spill rank must fall back")
+	}
+	incremental("after spill")
+
+	// Majority re-rank.
+	var many []int
+	for v := range degs[:40] {
+		degs[v]++
+		many = append(many, v)
+	}
+	if !step("majority", many) {
+		t.Fatal("re-ranking most vertices must fall back")
+	}
+	incremental("after majority")
+
+	// Vertex-count change: the buffers resize, then stay put again.
+	degs = append(degs, 17, 3, 0)
+	if !step("grown", []int{61, 62, 63}) {
+		t.Fatal("a vertex-count change must fall back")
+	}
+	incremental("after growth")
 }
 
 // TestApplyDeltaStatsCountMoves: moved-stripe accounting must reflect
@@ -167,9 +263,9 @@ func TestApplyDeltaStatsCountMoves(t *testing.T) {
 	degs := []float64{40, 30, 20, 10, 8, 6, 4, 2} // 8 vertices, 2 groups of 4
 	l := InterleavedLayout(degs, 4)
 	// Swap the ranks of two adjacent vertices: exactly their two slots move.
-	next := append([]float64(nil), degs...)
+	next := slices.Clone(degs)
 	next[4], next[5] = 6, 8
-	got, stats := l.ApplyDelta(next, []int{4, 5}, nil)
+	stats := l.ApplyDelta(next, []int{4, 5}, nil)
 	if stats.Full {
 		t.Fatalf("adjacent swap should patch incrementally, got %+v", stats)
 	}
@@ -179,8 +275,8 @@ func TestApplyDeltaStatsCountMoves(t *testing.T) {
 	if stats.GroupsTouched < 1 || stats.GroupsTouched > 2 {
 		t.Fatalf("GroupsTouched = %d, want 1..2", stats.GroupsTouched)
 	}
-	if !layoutsEqual(got, InterleavedLayout(next, 4)) {
-		t.Fatalf("swap remap wrong: %v", got.Order)
+	if !layoutsEqual(l, InterleavedLayout(next, 4), next) {
+		t.Fatalf("swap remap wrong: %v", l.Order)
 	}
 }
 
@@ -310,17 +406,16 @@ func FuzzApplyDelta(f *testing.F) {
 			for range rng.Intn(1 + len(changed)) {
 				changed = append(changed, changed[rng.Intn(len(changed))])
 			}
-			prev := cur
-			var stats DeltaStats
-			cur, stats = cur.ApplyDelta(degs, changed, dead)
-			if want := scratch(); !layoutsEqual(cur, want) {
+			prevOrder := slices.Clone(cur.Order) // ApplyDelta updates cur in place
+			stats := cur.ApplyDelta(degs, changed, dead)
+			if want := scratch(); !layoutsEqual(cur, want, degs) {
 				t.Fatalf("step %d (changed %v, full=%v): delta layout diverged\n got order %v\nwant order %v",
 					step, changed, stats.Full, cur.Order, want.Order)
 			}
 			if !isPermutation(cur.Order) {
 				t.Fatalf("step %d: order not a permutation: %v", step, cur.Order)
 			}
-			if want := recountStats(prev, cur); stats.StripesMoved != want.StripesMoved ||
+			if want := recountStats(prevOrder, cur); stats.StripesMoved != want.StripesMoved ||
 				stats.GroupsTouched != want.GroupsTouched {
 				t.Fatalf("step %d (full=%v): stats moved %d / groups %d, recount %d / %d",
 					step, stats.Full, stats.StripesMoved, stats.GroupsTouched,
@@ -330,14 +425,14 @@ func FuzzApplyDelta(f *testing.F) {
 	})
 }
 
-// recountStats derives StripesMoved and GroupsTouched from two layouts
-// of the same size: the slots whose occupant changed, and the distinct
-// groups holding them.
-func recountStats(prev, next *Layout) DeltaStats {
+// recountStats derives StripesMoved and GroupsTouched from a layout's
+// order before a delta and the layout after it: the slots whose occupant
+// changed, and the distinct groups holding them.
+func recountStats(prevOrder []int, next *Layout) DeltaStats {
 	var s DeltaStats
 	groups := map[int]bool{}
 	for p, v := range next.Order {
-		if prev.Order[p] != v {
+		if p >= len(prevOrder) || prevOrder[p] != v {
 			s.StripesMoved++
 			groups[p/next.GroupSize] = true
 		}

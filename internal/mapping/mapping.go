@@ -16,7 +16,10 @@
 // StalePeriod epochs (paper §VI-A: 20).
 package mapping
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Layout is an ordered placement of vertices onto crossbar groups.
 // Consecutive runs of GroupSize vertices in Order share a crossbar
@@ -41,6 +44,18 @@ type Layout struct {
 	// from (rank k → vertex), kept by the interleaved constructors so
 	// ApplyDelta can re-rank incrementally. Nil for index layouts.
 	byDeg []int
+	// delta is ApplyDelta's carried state, nil until its first call.
+	delta *deltaState
+}
+
+// Equal reports whether two layouts place, route and rank their
+// vertices identically: the same Order, GroupSize, Policy, PhysGroups
+// and degree ranking. What ApplyDelta carries between calls is not
+// compared.
+func (l *Layout) Equal(o *Layout) bool {
+	return slices.Equal(l.Order, o.Order) && l.GroupSize == o.GroupSize &&
+		l.Policy == o.Policy && slices.Equal(l.PhysGroups, o.PhysGroups) &&
+		slices.Equal(l.byDeg, o.byDeg)
 }
 
 func newLayout(order []int, groupSize int, policy string) *Layout {
@@ -104,7 +119,7 @@ func InterleavedLayout(degrees []float64, groupSize int) *Layout {
 // short (or nil) dead slice degrades to the identity mapping.
 func InterleavedLayoutHealthy(degrees []float64, groupSize int, dead []bool) *Layout {
 	l := InterleavedLayout(degrees, groupSize)
-	l.PhysGroups = healthyPhysGroups(l.NumGroups(), dead)
+	l.PhysGroups = healthyPhysGroups(nil, l.NumGroups(), dead)
 	l.Policy = "interleaved-healthy"
 	return l
 }
@@ -113,9 +128,10 @@ func InterleavedLayoutHealthy(degrees []float64, groupSize int, dead []bool) *La
 // physical crossbar id whose dead flag is unset. Indices beyond
 // len(dead) count as healthy, so a fully-dead flag slice shifts every
 // group past the damaged region rather than failing: phys ids stay
-// strictly increasing (hence distinct) by construction.
-func healthyPhysGroups(numGroups int, dead []bool) []int {
-	phys := make([]int, numGroups)
+// strictly increasing (hence distinct) by construction. The result
+// reuses dst's array when it fits.
+func healthyPhysGroups(dst []int, numGroups int, dead []bool) []int {
+	phys := resized(dst, numGroups)
 	next := 0
 	for g := range phys {
 		for next < len(dead) && dead[next] {

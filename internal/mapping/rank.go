@@ -13,9 +13,10 @@ var rankPool = sync.Pool{New: func() any { return new([]int) }}
 // ties broken by ascending id — the ranking both the interleaved
 // layout and the ISU plan are derived from. −0 and +0 compare equal.
 // The degrees must not contain NaN, which has no place in a total
-// order; every degree source in this module is finite.
+// order; every degree source in this module is finite. The result has
+// one slot of spare capacity, which ApplyDelta's merge uses.
 func rankByDegree(degrees []float64) []int {
-	rank := make([]int, len(degrees))
+	rank := make([]int, len(degrees), len(degrees)+1)
 	for i := range rank {
 		rank[i] = i
 	}
@@ -72,6 +73,46 @@ func sortByDegree(ids []int, degrees []float64) {
 	}
 	if &src[0] != &ids[0] {
 		copy(ids, src)
+	}
+}
+
+// sortKeyed stably sorts ids by ascending keys, keys[j] being ids[j]'s
+// key, and permutes keys along: the radix of sortByDegree on keys the
+// caller already holds, so no pass goes back to the degrees. idBuf and
+// keyBuf are scratch of at least len(ids) entries.
+func sortKeyed(ids []int, keys []uint64, idBuf []int, keyBuf []uint64) {
+	n := len(ids)
+	if n == 0 {
+		return
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for p := range counts {
+			counts[p][byte(k>>(8*p))]++
+		}
+	}
+	srcI, srcK, dstI, dstK := ids, keys, idBuf[:n], keyBuf[:n]
+	for p := range counts {
+		c := &counts[p]
+		shift := 8 * p
+		if c[byte(keys[0]>>shift)] == n {
+			continue // every key shares this digit
+		}
+		off := 0
+		for b, cnt := range c {
+			c[b] = off
+			off += cnt
+		}
+		for i, k := range srcK {
+			b := byte(k >> shift)
+			dstI[c[b]], dstK[c[b]] = srcI[i], k
+			c[b]++
+		}
+		srcI, srcK, dstI, dstK = dstI, dstK, srcI, srcK
+	}
+	if &srcI[0] != &ids[0] {
+		copy(ids, srcI)
+		copy(keys, srcK)
 	}
 }
 

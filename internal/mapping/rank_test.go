@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -67,6 +68,19 @@ func checkRanking(t *testing.T, degs []float64, groupSize int, theta float64, st
 	want := referenceRank(degs)
 	if got := rankByDegree(degs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rankByDegree(%v) = %v, want %v", degs, got, want)
+	}
+	ids, keys := make([]int, len(degs)), make([]uint64, len(degs))
+	for v, d := range degs {
+		ids[v], keys[v] = v, descKey(d)
+	}
+	sortKeyed(ids, keys, make([]int, len(ids)), make([]uint64, len(keys)))
+	if !slices.Equal(ids, want) {
+		t.Fatalf("sortKeyed on the keys of %v = %v, want %v", degs, ids, want)
+	}
+	for j, v := range ids {
+		if keys[j] != descKey(degs[v]) {
+			t.Fatalf("sortKeyed on the keys of %v: key %d not carried along its id", degs, j)
+		}
 	}
 	l := InterleavedLayout(degs, groupSize)
 	if got, want := l.Order, referenceOrder(want, groupSize); !reflect.DeepEqual(got, want) {

@@ -121,7 +121,7 @@ func TestUpdateDueMatchesReference(t *testing.T) {
 				for li, layout := range layouts {
 					for pi, plan := range plans {
 						cfg := Config{Chip: chip, Deg: deg, Layout: layout, Plan: plan}
-						total, most := updateDue(cfg, featDim)
+						total, most := updateDue(cfg, featDim, slotImportance(cfg))
 						wantTotal, wantMost := updateDueRef(cfg, featDim)
 						if !sameBits(total, wantTotal) || !sameBits(most, wantMost) {
 							t.Errorf("rows/PE=%d n=%d feat=%d layout %d plan %d: updateDue (%v, %v), reference (%v, %v)",

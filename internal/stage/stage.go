@@ -28,6 +28,7 @@ package stage
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gopim/internal/graphgen"
 	"gopim/internal/mapping"
@@ -170,8 +171,9 @@ func validate(cfg Config) {
 func build(cfg Config, active float64) []Stage {
 	L := cfg.Dataset.Layers
 	stages := make([]Stage, 0, 4*L)
+	imp := slotImportance(cfg)
 	for l := 1; l <= L; l++ {
-		stages = append(stages, buildCO(cfg, l), buildAG(cfg, l, active))
+		stages = append(stages, buildCO(cfg, l), buildAG(cfg, l, active, imp))
 	}
 	for l := L; l >= 1; l-- {
 		stages = append(stages, buildLC(cfg, l), buildGC(cfg, l))
@@ -234,11 +236,36 @@ func verticesPerPE(c reram.Chip, featDim int) int {
 	return v
 }
 
+// slotImportance gathers the update plan's importance flags into
+// layout slot order, one bit per slot, so every AG stage counts its
+// write domains from the same bits instead of re-gathering. It is nil
+// when updates are full (no plan or layout) or ReFlip's reloads
+// replace them.
+func slotImportance(cfg Config) []uint64 {
+	if cfg.Plan == nil || cfg.Layout == nil || cfg.ReloadPenalty {
+		return nil
+	}
+	important := cfg.Plan.Important
+	order := cfg.Layout.Order
+	imp := make([]uint64, (len(order)+63)/64)
+	for w := range imp {
+		var word uint64
+		for i, v := range order[w*64 : min(w*64+64, len(order))] {
+			if important[v] {
+				word |= 1 << i
+			}
+		}
+		imp[w] = word
+	}
+	return imp
+}
+
 // updateDue returns, per epoch (steady state): the total number of
 // vertex rewrites across the stage and the rewrites of the busiest
 // PE-sized write domain. Important vertices rewrite every epoch;
-// the rest amortise to 1/StalePeriod per epoch.
-func updateDue(cfg Config, featDim int) (totalDue, maxDomainDue float64) {
+// the rest amortise to 1/StalePeriod per epoch. imp is
+// slotImportance(cfg).
+func updateDue(cfg Config, featDim int, imp []uint64) (totalDue, maxDomainDue float64) {
 	c := cfg.Chip
 	n := cfg.Deg.N
 	vppe := verticesPerPE(c, featDim)
@@ -253,24 +280,35 @@ func updateDue(cfg Config, featDim int) (totalDue, maxDomainDue float64) {
 	}
 
 	// Each PE-sized run of layout slots is one write domain.
-	important := cfg.Plan.Important
 	staleShare := 1 / float64(cfg.Plan.StalePeriod)
-	order := cfg.Layout.Order
-	for start := 0; start < len(order); start += vppe {
-		domain := order[start:min(start+vppe, len(order))]
-		imp := 0
-		for _, v := range domain {
-			if important[v] {
-				imp++
-			}
-		}
-		due := float64(imp) + float64(len(domain)-imp)*staleShare
+	slots := len(cfg.Layout.Order)
+	for start := 0; start < slots; start += vppe {
+		end := min(start+vppe, slots)
+		ones := countOnes(imp, start, end)
+		due := float64(ones) + float64(end-start-ones)*staleShare
 		if due > maxDomainDue {
 			maxDomainDue = due
 		}
 		totalDue += due
 	}
 	return totalDue, maxDomainDue
+}
+
+// countOnes returns the number of set bits at positions [lo, hi).
+func countOnes(b []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	loMask, hiMask := ^uint64(0)<<(lo&63), ^uint64(0)>>(63-(hi-1)&63)
+	if first == last {
+		return bits.OnesCount64(b[first] & loMask & hiMask)
+	}
+	c := bits.OnesCount64(b[first]&loMask) + bits.OnesCount64(b[last]&hiMask)
+	for _, w := range b[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // avgActiveBlocks returns the mean over vertices of the expected number
@@ -352,7 +390,7 @@ func (a *ActiveBlocks) Build(cfg Config) []Stage {
 	return build(cfg, a.Mean())
 }
 
-func buildAG(cfg Config, l int, activeBlocks float64) Stage {
+func buildAG(cfg Config, l int, activeBlocks float64, imp []uint64) Stage {
 	_, out := LayerDims(cfg.Dataset, l)
 	c := cfg.Chip
 	b := float64(cfg.MicroBatch)
@@ -388,7 +426,7 @@ func buildAG(cfg Config, l int, activeBlocks float64) Stage {
 		// the epoch's write wall time is the larger of the busiest PE
 		// domain's serial writes and the lane-limited total, amortised
 		// over the epoch's micro-batches.
-		totalDue, maxDomainDue := updateDue(cfg, out)
+		totalDue, maxDomainDue := updateDue(cfg, out, imp)
 		prog := c.ProgramRowNS()
 		epochWall := math.Max(
 			maxDomainDue*segs*prog,
