@@ -3,8 +3,10 @@ package predictor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gopim/internal/obs"
+	"gopim/internal/parallel"
 	"gopim/internal/simmemo"
 	"gopim/internal/stage"
 )
@@ -24,7 +26,10 @@ var (
 // features. One regressor is trained per stage kind (CO, AG, LC, GC)
 // on log-scaled, min-max-normalised targets — stage times span four
 // orders of magnitude, and the paper's RMSE (≈0.002) is only
-// meaningful on a normalised scale.
+// meaningful on a normalised scale. The per-kind fits are independent
+// units of the parallel pool, run in sorted-kind order; each reads
+// only its own samples and its model's own seed, so a trained
+// predictor is bit-identical at any worker count.
 type TimePredictor struct {
 	// NewModel constructs the regressor family used for each stage
 	// kind; defaults to the paper's MLP.
@@ -70,7 +75,8 @@ func logDenorm(v, lo, hi float64) float64 {
 	return math.Exp(v*(hi-lo) + lo)
 }
 
-// Train fits one model per stage kind on the samples.
+// Train fits one model per stage kind on the samples, the kinds in
+// parallel.
 func (p *TimePredictor) Train(samples []Sample) { p.train(samples, nil) }
 
 // train is Train with its Sim counter increments recorded on t.
@@ -92,10 +98,21 @@ func (p *TimePredictor) train(samples []Sample, t *obs.Tape) {
 		}
 		byKind[s.Kind] = append(byKind[s.Kind], s)
 	}
-	p.models = map[stage.Kind]Regressor{}
-	p.lo = map[stage.Kind]float64{}
-	p.hi = map[stage.Kind]float64{}
-	for kind, ss := range byKind {
+	kinds := make([]stage.Kind, 0, len(byKind))
+	for kind := range byKind {
+		kinds = append(kinds, kind)
+	}
+	slices.Sort(kinds)
+	// Models are constructed on the caller, so NewModel need not be
+	// safe for concurrent use; each fit then reads only its own
+	// samples and its model's own seed.
+	models := make([]Regressor, len(kinds))
+	for i := range models {
+		models[i] = p.NewModel()
+	}
+	type bounds struct{ lo, hi float64 }
+	fits := parallel.Map(len(kinds), func(k int) bounds {
+		ss := byKind[kinds[k]]
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, s := range ss {
 			l := math.Log(s.TimeNS)
@@ -111,11 +128,16 @@ func (p *TimePredictor) train(samples []Sample, t *obs.Tape) {
 			X[i] = logFeatures(s.Features)
 			y[i] = logNorm(s.TimeNS, lo, hi)
 		}
-		m := p.NewModel()
-		m.Fit(X, y)
-		p.models[kind] = m
-		p.lo[kind] = lo
-		p.hi[kind] = hi
+		models[k].Fit(X, y)
+		return bounds{lo, hi}
+	})
+	p.models = make(map[stage.Kind]Regressor, len(kinds))
+	p.lo = make(map[stage.Kind]float64, len(kinds))
+	p.hi = make(map[stage.Kind]float64, len(kinds))
+	for i, kind := range kinds {
+		p.models[kind] = models[i]
+		p.lo[kind] = fits[i].lo
+		p.hi[kind] = fits[i].hi
 	}
 }
 

@@ -40,13 +40,19 @@ func Fit(bits int, maxAbs float64) Scheme {
 // Levels returns the number of positive quantisation steps.
 func (s Scheme) Levels() int64 { return int64(1)<<(s.Bits-1) - 1 }
 
-// QuantizeInt maps x to its integer code in [-Levels, Levels].
+// QuantizeInt maps x to its integer code in [-Levels, Levels]. NaN
+// maps to code 0 on every architecture: Go leaves the conversion of
+// NaN to an integer implementation-defined (amd64 gives MinInt64,
+// arm64 gives 0).
 func (s Scheme) QuantizeInt(x float64) int64 {
 	if s.Scale == 0 {
 		return 0
 	}
 	levels := float64(s.Levels())
 	q := math.Round(x / s.Scale * levels)
+	if math.IsNaN(q) {
+		return 0
+	}
 	if q > levels {
 		q = levels
 	}

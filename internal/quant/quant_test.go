@@ -201,6 +201,32 @@ func TestApplyStuck(t *testing.T) {
 	}
 }
 
+// NaN quantises to code 0 on every architecture, never to the
+// implementation-defined int64(NaN), so a diverged weight reads as 0
+// and a stuck slice damages it like any other zero.
+func TestQuantizeNaN(t *testing.T) {
+	s := Fit(16, 1)
+	nan := math.NaN()
+	if got := s.QuantizeInt(nan); got != 0 {
+		t.Fatalf("QuantizeInt(NaN) = %d, want 0", got)
+	}
+	if got := s.Quantize(nan); got != 0 || math.Signbit(got) {
+		t.Fatalf("Quantize(NaN) = %v, want +0", got)
+	}
+	cells := CellsPerValue(16, 2)
+	for idx := 0; idx < cells; idx++ {
+		for _, high := range []bool{false, true} {
+			got := ApplyStuck(s, nan, 2, cells, idx, high)
+			if want := ApplyStuck(s, 0, 2, cells, idx, high); got != want {
+				t.Fatalf("ApplyStuck(NaN, slice %d, high=%v) = %v, want %v (as for 0)", idx, high, got, want)
+			}
+			if !high && got != 0 {
+				t.Fatalf("ApplyStuck(NaN, slice %d, stuck-at-0) = %v, want 0", idx, got)
+			}
+		}
+	}
+}
+
 func TestApplyStuckBadSlicePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
