@@ -9,6 +9,7 @@ import (
 	"gopim/internal/graphgen"
 	"gopim/internal/mapping"
 	"gopim/internal/obs"
+	"gopim/internal/parallel"
 	"gopim/internal/stage"
 )
 
@@ -85,9 +86,19 @@ type ChurnResult struct {
 // crossbars mid-run, and replica allocation degrades around the
 // shrinking pool instead of erroring.
 //
-// The loop is strictly sequential and every random draw is keyed by
-// (seed, epoch), so results — and the churn.* Sim counters — are
-// byte-identical at any worker count.
+// The loop is software-pipelined in two lanes, run each epoch as the
+// two units of one parallel.For. Lane 0 prices epoch e: it updates the
+// active-block terms and the layout, applies the refresh policy and
+// simulates the epoch. Lane 1 draws epoch e+1's inputs: the mutation
+// of epoch e's degrees and the epoch's fault model, its dead flags and
+// retired count, which depend only on e+1 and those degrees. The
+// stream keeps the degrees in two buffers that swap roles every epoch:
+// lane 0 reads epoch e's, which lane 1 only reads too, while lane 1
+// writes epoch e+1's into the other. So every epoch sees exactly the inputs
+// a plain sequential loop gives it, every random draw is keyed by
+// (seed, epoch), and results — and the churn.* Sim counters — are
+// byte-identical at any worker count. With one worker, or with the
+// pool's budget spent, For runs the lanes in order on the caller.
 func RunChurn(w Workload, cc churn.Config, epochs int) (ChurnResult, error) {
 	return runChurn(w, cc, epochs, nil)
 }
@@ -103,8 +114,17 @@ type churnState struct {
 	dead   []bool
 }
 
-// runChurn is RunChurn with an observer called once per epoch, after
-// the layout has followed the degree update.
+// churnDraw is one epoch's input, drawn one epoch ahead by lane 1.
+type churnDraw struct {
+	degs    []float64
+	delta   churn.Delta
+	fm      *fault.Model
+	dead    []bool
+	retired int
+}
+
+// runChurn is RunChurn with an observer called once per epoch, in lane
+// 0, after the layout has followed the degree update.
 func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState)) (ChurnResult, error) {
 	if epochs < 1 {
 		return ChurnResult{}, fmt.Errorf("accel: churn epochs %d must be ≥ 1", epochs)
@@ -115,8 +135,9 @@ func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState))
 	}
 	cc = stream.Config()
 	w.defaults()
-	// DegModelFor memoizes: mutate a copy, never the shared model.
-	degs := append([]float64(nil), w.Deg.DegreesByIndex...)
+	// DegModelFor memoizes: the stream mutates its own copies, never
+	// the shared model.
+	start := stream.Reset(w.Deg.DegreesByIndex)
 	fm := w.faultModel()
 	baseCfg := fm.Config() // zero Config when fm is nil
 	if baseCfg.RetireThreshold == 0 {
@@ -130,7 +151,30 @@ func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState))
 	cells := w.Chip.CellsPerCrossbar()
 	// The AG stages' active-block mean, carried across epochs: each
 	// epoch re-prices only the vertices whose degree changed.
-	active := stage.NewActiveBlocks(stage.Config{Chip: w.Chip, Deg: graphgen.NewDegreeModel(degs)})
+	active := stage.NewActiveBlocks(stage.Config{Chip: w.Chip, Deg: graphgen.NewDegreeModel(start)})
+
+	// draw is lane 1's work for epoch e: mutate the degrees and draw
+	// the epoch's fault model. Endurance coupling: the hottest rows
+	// (important set, rewritten every epoch) have absorbed
+	// (e+1)·DaysPerEpoch days of the production profile by then; wear
+	// composes with any base fault rate inside EffectiveRate.
+	draw := func(e int) churnDraw {
+		var in churnDraw
+		in.degs, in.delta = stream.Mutate(e)
+		epochCfg := baseCfg
+		if cc.DaysPerEpoch > 0 {
+			days := float64(e+1) * cc.DaysPerEpoch
+			epochCfg.WearWritesPerCell = baseCfg.WearWritesPerCell +
+				endurance.TotalCellWrites(ChurnProfile, 1, days)
+		}
+		in.fm = fault.MustNew(epochCfg)
+		if in.fm.Enabled() {
+			needed := (len(in.degs) + rows - 1) / rows
+			in.dead = in.fm.DeadGroups(needed, cells)
+			in.retired = in.fm.Retired(w.Chip.TotalCrossbars(), cells)
+		}
+		return in
+	}
 
 	res := ChurnResult{Dataset: w.Dataset.Name, Policy: cc.Policy}
 	prevRetired := 0
@@ -138,42 +182,26 @@ func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState))
 		prevRetired = fm.Retired(w.Chip.TotalCrossbars(), cells)
 	}
 	drift := 0.0
-	for e := 0; e < epochs; e++ {
-		delta := stream.Mutate(degs, e)
+	// price is lane 0's work for epoch e on its drawn input. It only
+	// reads the degrees, which the stream leaves unwritten while lane 1
+	// draws the next epoch's.
+	price := func(e int, in churnDraw) {
+		degs, delta := in.degs, in.delta
 		mChurnEdgesAdded.Add(int64(delta.EdgesAdded))
 		mChurnEdgesRemoved.Add(int64(delta.EdgesRemoved))
 		res.EdgesAdded += delta.EdgesAdded
 		res.EdgesRemoved += delta.EdgesRemoved
 		active.Update(degs, delta.Changed)
 
-		// Endurance coupling: the hottest rows (important set, rewritten
-		// every epoch) have absorbed (e+1)·DaysPerEpoch days of the
-		// production profile by now; wear composes with any base fault
-		// rate inside EffectiveRate.
-		epochCfg := baseCfg
-		if cc.DaysPerEpoch > 0 {
-			days := float64(e+1) * cc.DaysPerEpoch
-			epochCfg.WearWritesPerCell = baseCfg.WearWritesPerCell +
-				endurance.TotalCellWrites(ChurnProfile, 1, days)
-		}
-		epochFM := fault.MustNew(epochCfg)
-
-		var dead []bool
-		retired := 0
-		if epochFM.Enabled() {
-			needed := (len(degs) + rows - 1) / rows
-			dead = epochFM.DeadGroups(needed, cells)
-			retired = epochFM.Retired(w.Chip.TotalCrossbars(), cells)
-		}
-		if retired > prevRetired {
+		if in.retired > prevRetired {
 			mChurnRetirements.Inc()
 			res.Retirements++
 		}
-		prevRetired = retired
+		prevRetired = in.retired
 
-		dstats := layout.ApplyDelta(degs, delta.Changed, dead)
+		dstats := layout.ApplyDelta(degs, delta.Changed, in.dead)
 		if observe != nil {
-			observe(churnState{degs: degs, active: active, layout: layout, dead: dead})
+			observe(churnState{degs: degs, active: active, layout: layout, dead: in.dead})
 		}
 		mChurnStripesMoved.Add(int64(dstats.StripesMoved))
 		res.StripesMoved += dstats.StripesMoved
@@ -195,7 +223,7 @@ func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState))
 			res.Refreshes++
 		}
 
-		ep := simulateChurnEpoch(w, epochFM, degs, active, layout, upd)
+		ep := simulateChurnEpoch(w, in.fm, degs, active, layout, upd)
 		ep.Epoch = e
 		ep.EdgesAdded = delta.EdgesAdded
 		ep.EdgesRemoved = delta.EdgesRemoved
@@ -204,11 +232,26 @@ func runChurn(w Workload, cc churn.Config, epochs int, observe func(churnState))
 		ep.FullRemap = dstats.Full
 		ep.Refreshed = refreshed
 		ep.Theta = theta
-		ep.Retired = retired
+		ep.Retired = in.retired
 		res.Epochs = append(res.Epochs, ep)
 		if ep.Degraded {
 			res.DegradedEpochs++
 		}
+	}
+
+	in := draw(0)
+	for e := 0; e < epochs; e++ {
+		var ahead churnDraw
+		parallel.For(2, 1, func(lo, hi int) {
+			for lane := lo; lane < hi; lane++ {
+				if lane == 0 {
+					price(e, in)
+				} else if e+1 < epochs {
+					ahead = draw(e + 1)
+				}
+			}
+		})
+		in = ahead
 	}
 	res.FinalRetired = prevRetired
 	return res, nil

@@ -2,12 +2,15 @@ package accel
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"gopim/internal/churn"
+	"gopim/internal/endurance"
 	"gopim/internal/fault"
 	"gopim/internal/graphgen"
 	"gopim/internal/mapping"
@@ -110,6 +113,159 @@ func TestRunChurnDeterministic(t *testing.T) {
 		for i, ep := range res.Epochs {
 			if ep != wantRes.Epochs[i] {
 				t.Fatalf("workers=%d epoch %d diverged: %+v vs %+v", workers, i, ep, wantRes.Epochs[i])
+			}
+		}
+	}
+}
+
+// churnOracle is runChurn written as a plain serial loop: each epoch
+// mutates the degrees and takes its own copy of them, draws its fault
+// model where it uses it, and prices the epoch on freshly computed
+// active-block terms.
+// The counters it would add are read off its result.
+func churnOracle(t *testing.T, w Workload, cc churn.Config, epochs int) ChurnResult {
+	t.Helper()
+	stream, err := churn.NewStream(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc = stream.Config()
+	w.defaults()
+	stream.Reset(w.Deg.DegreesByIndex)
+	var degs []float64
+	fm := w.faultModel()
+	baseCfg := fm.Config()
+	if baseCfg.RetireThreshold == 0 {
+		baseCfg.RetireThreshold = churnRetireThreshold
+	}
+	theta := w.Theta()
+	isu := stageConfig(GoPIM, w, fm)
+	layout, upd := isu.Layout, isu.Plan
+	cells := w.Chip.CellsPerCrossbar()
+	res := ChurnResult{Dataset: w.Dataset.Name, Policy: cc.Policy}
+	prevRetired := 0
+	if fm.Enabled() {
+		prevRetired = fm.Retired(w.Chip.TotalCrossbars(), cells)
+	}
+	drift := 0.0
+	for e := 0; e < epochs; e++ {
+		next, delta := stream.Mutate(e)
+		degs = slices.Clone(next)
+		res.EdgesAdded += delta.EdgesAdded
+		res.EdgesRemoved += delta.EdgesRemoved
+
+		epochCfg := baseCfg
+		if cc.DaysPerEpoch > 0 {
+			epochCfg.WearWritesPerCell = baseCfg.WearWritesPerCell +
+				endurance.TotalCellWrites(ChurnProfile, 1, float64(e+1)*cc.DaysPerEpoch)
+		}
+		epochFM := fault.MustNew(epochCfg)
+		var dead []bool
+		retired := 0
+		if epochFM.Enabled() {
+			dead = epochFM.DeadGroups((len(degs)+w.Chip.CrossbarRows-1)/w.Chip.CrossbarRows, cells)
+			retired = epochFM.Retired(w.Chip.TotalCrossbars(), cells)
+		}
+		if retired > prevRetired {
+			res.Retirements++
+		}
+		prevRetired = retired
+
+		dstats := layout.ApplyDelta(degs, delta.Changed, dead)
+		res.StripesMoved += dstats.StripesMoved
+		if dstats.Full {
+			res.FullRemaps++
+		}
+		drift += float64(len(delta.Changed)) / float64(len(degs))
+		refreshed := cc.ShouldRefresh(drift)
+		if refreshed {
+			if cc.Policy == churn.Adaptive {
+				theta = mapping.AdaptiveTheta(avgDegree(degs))
+			}
+			upd = layout.UpdatePlan(theta, isuStalePeriod)
+			drift = 0
+			res.Refreshes++
+		}
+		active := stage.NewActiveBlocks(stage.Config{Chip: w.Chip, Deg: graphgen.NewDegreeModel(degs)})
+		ep := simulateChurnEpoch(w, epochFM, degs, active, layout, upd)
+		ep.Epoch = e
+		ep.EdgesAdded = delta.EdgesAdded
+		ep.EdgesRemoved = delta.EdgesRemoved
+		ep.Vertices = len(degs)
+		ep.StripesMoved = dstats.StripesMoved
+		ep.FullRemap = dstats.Full
+		ep.Refreshed = refreshed
+		ep.Theta = theta
+		ep.Retired = retired
+		res.Epochs = append(res.Epochs, ep)
+		if ep.Degraded {
+			res.DegradedEpochs++
+		}
+	}
+	res.FinalRetired = prevRetired
+	return res
+}
+
+// TestRunChurnIdenticalAcrossWorkers: the two-lane loop must give the
+// serial oracle's result, JSON byte for byte, and add exactly the
+// churn.* counts that result implies, at 1, 2 and 8 workers. The cases
+// run arxiv at perfbench's 0.5% under every refresh policy with wear
+// on, and ddi at 2% with the adaptive policy, where every epoch falls
+// back to a full remap.
+func TestRunChurnIdenticalAcrossWorkers(t *testing.T) {
+	arxiv, err := graphgen.ByName("arxiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 6
+	type tc struct {
+		name string
+		w    Workload
+		cc   churn.Config
+	}
+	var cases []tc
+	for _, p := range []churn.Policy{churn.Threshold, churn.Eager, churn.Adaptive} {
+		cc := churnConfig(epochs)
+		cc.Rate, cc.Policy = 0.005, p
+		cases = append(cases, tc{"arxiv/" + string(p), Workload{Dataset: arxiv, Seed: 1}, cc})
+	}
+	ddi := churnConfig(epochs)
+	ddi.Policy = churn.Adaptive
+	cases = append(cases, tc{"ddi/adaptive", ddiWorkload(t), ddi})
+
+	defer parallel.SetWorkers(0)
+	defer obs.Default().Reset()
+	counters := []*obs.Counter{mChurnEdgesAdded, mChurnEdgesRemoved, mChurnStripesMoved,
+		mChurnFullRemaps, mChurnRetirements}
+	for _, c := range cases {
+		oracle := churnOracle(t, c.w, c.cc, epochs)
+		want, err := json.Marshal(oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCounts := []int64{int64(oracle.EdgesAdded), int64(oracle.EdgesRemoved),
+			int64(oracle.StripesMoved), int64(oracle.FullRemaps), int64(oracle.Retirements)}
+		if c.name == "ddi/adaptive" && oracle.FullRemaps != epochs {
+			t.Fatalf("%s: %d of %d epochs fell back; the case wants every one", c.name, oracle.FullRemaps, epochs)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			parallel.SetWorkers(workers)
+			obs.Default().Reset()
+			res, err := RunChurn(c.w, c.cc, epochs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, workers=%d: result differs from the serial oracle\n got %s\nwant %s", c.name, workers, got, want)
+			}
+			for i, m := range counters {
+				if m.Value() != wantCounts[i] {
+					t.Errorf("%s, workers=%d: %s = %d, oracle %d", c.name, workers, m.Name(), m.Value(), wantCounts[i])
+				}
 			}
 		}
 	}

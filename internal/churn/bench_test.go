@@ -1,7 +1,6 @@
 package churn
 
 import (
-	"slices"
 	"testing"
 
 	"gopim/internal/graphgen"
@@ -14,14 +13,14 @@ func BenchmarkMutate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	degs := slices.Clone(d.SynthDegreeModel(1).DegreesByIndex)
 	s, err := NewStream(Config{Rate: 0.005, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.Reset(d.SynthDegreeModel(1).DegreesByIndex)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Mutate(degs, i)
+		s.Mutate(i)
 	}
 }

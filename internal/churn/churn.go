@@ -8,8 +8,12 @@
 // splitmix64 stream keyed by (Seed, epoch) — the internal/fault
 // pattern — never by worker count or call order, so a churn-enabled
 // run is byte-identical at any worker count. Epoch e's mutations
-// depend on the degree state epoch e−1 left behind, so streams are
-// consumed in epoch order by a single driver loop.
+// depend on the degree state epoch e−1 left behind, so a stream is
+// consumed in epoch order by one loop. A Stream keeps two degree
+// buffers that take turns, reading an epoch's degrees from one and
+// writing the next epoch's into the other: accel's churn loop draws
+// epoch e+1's mutation on one worker while another prices epoch e from
+// the buffer Mutate only reads.
 //
 // Power-law preservation: insert endpoints are sampled proportional
 // to degree+1 (preferential attachment — the generative process behind
@@ -128,27 +132,37 @@ type Delta struct {
 	EdgesRemoved int
 	// Changed lists the vertex ids whose degree differs from the epoch
 	// start, ascending and unique. Stream.Mutate compares only the ids
-	// its batch touched, against the degree each had when first touched;
-	// for the non-NaN degrees this module uses, that is every id whose
-	// degree differs.
+	// its batch touched, against their epoch-start degrees; for the
+	// non-NaN degrees this module uses, that is every id whose degree
+	// differs. A Stream writes its next-but-one delta's list into the
+	// same array, so a caller that keeps a delta longer copies it.
 	Changed []int
 }
 
 // Stream draws per-epoch mutation deltas over a degree sequence — the
 // model-level view accel's timing loop runs on, where a vertex's
-// degree is the quantity of interest and edges are implicit. Mutate
-// reuses the stream's buffers, so one stream serves one driver loop.
+// degree is the quantity of interest and edges are implicit. The stream
+// owns the sequence: Reset starts it and each Mutate returns the next
+// epoch's. Mutate reuses the stream's buffers, so one stream serves one
+// driver loop.
 type Stream struct {
 	cfg Config
-	// Per-epoch scratch, kept across epochs: the two endpoint pickers,
-	// a bitset of the ids the batch touched (clear between epochs) and
-	// each touched id's degree before its first touch.
+	// cur holds the degrees the last call returned and next the ones
+	// before them, which the next Mutate overwrites. A disabled stream
+	// never writes, so one copy serves as both.
+	cur, next []float64
+	// Per-epoch scratch, kept across epochs: the two endpoint pickers
+	// and a bitset of the ids the last batch touched. The bits stay set
+	// until the next call has brought next up to date from them.
 	insert, remove picker
 	touched        []uint64
-	orig           []float64
+	// changed[1] is the array of the last delta's Changed list,
+	// changed[0] the one before it, which the next call reuses.
+	changed [2][]int
 }
 
-// NewStream validates the configuration and builds a stream.
+// NewStream validates the configuration and builds a stream over an
+// empty sequence; Reset gives it one.
 func NewStream(cfg Config) (*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,32 +173,55 @@ func NewStream(cfg Config) (*Stream, error) {
 // Config returns the defaulted configuration.
 func (s *Stream) Config() Config { return s.cfg }
 
-// Mutate applies epoch e's mutation batch to the degree sequence in
-// place and returns the delta. The vertex count is fixed; endpoint
-// weights are fixed at epoch start, so one epoch's draws are
-// order-free within the batch.
-func (s *Stream) Mutate(degs []float64, epoch int) Delta {
+// Reset starts the stream over a copy of degs, which it never writes,
+// and returns the copy. Like a slice Mutate returns, the copy stays
+// unwritten until the second Mutate call after it.
+func (s *Stream) Reset(degs []float64) []float64 {
+	s.cur, s.touched = slices.Clone(degs), nil
+	s.next = s.cur
+	if s.cfg.Enabled() {
+		s.next = slices.Clone(degs)
+		s.touched = make([]uint64, (len(degs)+63)/64)
+	}
+	return s.cur
+}
+
+// Mutate applies epoch e's mutation batch to the degrees the last call
+// returned and returns the result with the delta. The vertex count is
+// fixed; endpoint weights are fixed at epoch start, so one epoch's
+// draws are order-free within the batch.
+//
+// The stream keeps two degree buffers that take turns: a call reads the
+// last returned one and writes the other, so a returned slice stays
+// unwritten until the second call after the one that returned it, and
+// another goroutine may read it while the next call runs. The write
+// buffer differs from the read one only at the ids the last call
+// touched, and a call first copies those, bit for bit, so none copies
+// all n degrees. Copying by touched id rather than by Delta.Changed
+// matters for signed zeros: a degree that goes −0 → 1 → +0 compares
+// equal, so it is not in Changed, but its bits moved.
+func (s *Stream) Mutate(epoch int) ([]float64, Delta) {
 	var d Delta
-	if !s.cfg.Enabled() || len(degs) == 0 {
-		return d
+	start, next := s.cur, s.next
+	n := len(start)
+	if !s.cfg.Enabled() || n == 0 {
+		return start, d // a disabled stream never touches an id
+	}
+	touched := s.touched
+	for w, word := range touched {
+		if word == 0 {
+			continue
+		}
+		touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			v := w<<6 | bits.TrailingZeros64(word)
+			next[v] = start[v]
+		}
 	}
 	rng := rand.New(rand.NewSource(streamSeed(s.cfg.Seed, tagEpoch, int64(epoch))))
 	insert, remove := &s.insert, &s.remove
-	totalDeg := resetPair(insert, remove, degs)
-	n := len(degs)
-	if len(s.touched) != (n+63)/64 {
-		s.touched = make([]uint64, (n+63)/64)
-	}
-	s.orig = slices.Grow(s.orig[:0], n)[:n]
-	touched, orig := s.touched, s.orig
-	// touch saves v's epoch-start degree the first time the batch
-	// changes it.
-	touch := func(v int) {
-		if bit := uint64(1) << (v & 63); touched[v>>6]&bit == 0 {
-			touched[v>>6] |= bit
-			orig[v] = degs[v]
-		}
-	}
+	totalDeg := resetPair(insert, remove, start)
+	touch := func(v int) { touched[v>>6] |= 1 << (v & 63) }
 
 	ops := int(math.Round(s.cfg.Rate * totalDeg / 2))
 	for op := 0; op < ops; op++ {
@@ -195,44 +232,44 @@ func (s *Stream) Mutate(degs []float64, epoch int) Delta {
 			}
 			touch(u)
 			touch(v)
-			degs[u]++
-			degs[v]++
+			next[u]++
+			next[v]++
 			d.EdgesAdded++
 		} else {
 			u, v := remove.pick(rng), remove.pick(rng)
-			if u < 0 || v < 0 || u == v || degs[u] < 1 || degs[v] < 1 {
+			if u < 0 || v < 0 || u == v || next[u] < 1 || next[v] < 1 {
 				continue
 			}
 			touch(u)
 			touch(v)
-			degs[u]--
-			degs[v]--
+			next[u]--
+			next[v]--
 			d.EdgesRemoved++
 		}
 	}
 
-	// Touched ids in ascending order, clearing the bitset behind. The
-	// changed ids are among them, so one allocation of the touched count
-	// holds the list.
+	// Touched ids in ascending order; the bitset stays for the next
+	// call. The changed ids are among them, so an array of the touched
+	// count holds the list.
 	count := 0
 	for _, word := range touched {
 		count += bits.OnesCount64(word)
 	}
+	s.changed[0], s.changed[1] = s.changed[1], s.changed[0]
+	changed := slices.Grow(s.changed[1][:0], count)
 	for w, word := range touched {
-		if word == 0 {
-			continue
-		}
-		touched[w] = 0
 		for ; word != 0; word &= word - 1 {
-			if v := w<<6 | bits.TrailingZeros64(word); degs[v] != orig[v] {
-				if d.Changed == nil {
-					d.Changed = make([]int, 0, count)
-				}
-				d.Changed = append(d.Changed, v)
+			if v := w<<6 | bits.TrailingZeros64(word); next[v] != start[v] {
+				changed = append(changed, v)
 			}
 		}
 	}
-	return d
+	s.changed[1] = changed
+	if len(changed) > 0 {
+		d.Changed = changed
+	}
+	s.cur, s.next = next, start
+	return next, d
 }
 
 // GraphState threads churn through an explicit edge set — the view the

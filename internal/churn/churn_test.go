@@ -71,17 +71,23 @@ func degSeq(n int, seed int64) []float64 {
 // identical mutations — the worker-count-independence foundation.
 func TestStreamDeterministic(t *testing.T) {
 	cfg := Config{Rate: 0.05, Seed: 42}
-	a, b := degSeq(200, 1), degSeq(200, 1)
 	sa, sb := newStream(t, cfg), newStream(t, cfg)
+	sa.Reset(degSeq(200, 1))
+	sb.Reset(degSeq(200, 1))
+	var a []float64
 	for e := 0; e < 5; e++ {
-		da, db := sa.Mutate(a, e), sb.Mutate(b, e)
+		var b []float64
+		var da, db Delta
+		a, da = sa.Mutate(e)
+		b, db = sb.Mutate(e)
 		if !reflect.DeepEqual(da, db) || !reflect.DeepEqual(a, b) {
 			t.Fatalf("epoch %d diverged: %+v vs %+v", e, da, db)
 		}
 	}
 	// A different seed must draw a different batch.
-	c := degSeq(200, 1)
-	dc := newStream(t, Config{Rate: 0.05, Seed: 43}).Mutate(c, 0)
+	sc := newStream(t, Config{Rate: 0.05, Seed: 43})
+	sc.Reset(degSeq(200, 1))
+	c, dc := sc.Mutate(0)
 	if reflect.DeepEqual(a, c) && reflect.DeepEqual(dc, Delta{}) {
 		t.Fatal("different seed produced no divergence")
 	}
@@ -97,7 +103,11 @@ func TestStreamDeltaAccounting(t *testing.T) {
 		massBefore += d
 	}
 	s := newStream(t, Config{Rate: 0.1, Seed: 9})
-	d := s.Mutate(degs, 0)
+	start := s.Reset(degs)
+	degs, d := s.Mutate(0)
+	if !reflect.DeepEqual(start, before) {
+		t.Fatal("Mutate wrote to its start buffer")
+	}
 	if d.EdgesAdded == 0 && d.EdgesRemoved == 0 {
 		t.Fatal("10% churn on 300 vertices mutated nothing")
 	}
@@ -132,8 +142,10 @@ func TestStreamDeltaAccounting(t *testing.T) {
 func TestStreamDisabled(t *testing.T) {
 	degs := degSeq(50, 5)
 	before := append([]float64(nil), degs...)
-	d := newStream(t, Config{}).Mutate(degs, 0)
-	if !reflect.DeepEqual(degs, before) || !reflect.DeepEqual(d, Delta{}) {
+	s := newStream(t, Config{})
+	s.Reset(degs)
+	got, d := s.Mutate(0)
+	if !reflect.DeepEqual(got, before) || !reflect.DeepEqual(d, Delta{}) {
 		t.Fatalf("disabled stream mutated: %+v", d)
 	}
 }
@@ -150,8 +162,9 @@ func TestStreamPreservesSkew(t *testing.T) {
 		degs[i] = math.Floor(1 + 50/float64(1+rng.Intn(25)))
 	}
 	s := newStream(t, Config{Rate: 0.05, Seed: 6})
+	s.Reset(degs)
 	for e := 0; e < 40; e++ {
-		s.Mutate(degs, e)
+		degs, _ = s.Mutate(e)
 	}
 	var sum, max float64
 	for _, g := range degs {

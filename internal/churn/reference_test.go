@@ -3,6 +3,7 @@ package churn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -210,42 +211,87 @@ func TestMutateMatchesReference(t *testing.T) {
 		"signed": signedDegrees(700, 9),
 		"arxiv":  arxiv.SynthDegreeModel(1).DegreesByIndex,
 	}
+	touchedEqual := 0 // epochs leaving some touched id at its start degree
 	for name, degs := range cases {
 		cfg := Config{Rate: 0.01, Seed: 5}
-		got, want := slices.Clone(degs), slices.Clone(degs)
 		s := newStream(t, cfg)
+		s.Reset(degs)
+		want := slices.Clone(degs)
 		for e := 0; e < 10; e++ {
-			checkMutate(t, name, s, cfg, got, want, e)
+			d := checkMutate(t, name, s, cfg, want, e)
+			if onesCount(s.touched) > len(d.Changed) {
+				touchedEqual++
+			}
 		}
 	}
-	// One stream over many epochs and over sequences of different
-	// lengths: the touched-id bitset and the saved degrees must carry
-	// nothing from one epoch into the next.
+	if touchedEqual == 0 {
+		t.Fatal("no epoch touched an id without changing it; the catch-up copy is untested")
+	}
+	// One stream over many epochs and reset over sequences of different
+	// lengths: the touched-id bitset must carry nothing from one
+	// sequence into the next.
 	cfg := Config{Rate: 0.05, Seed: 6}
 	s := newStream(t, cfg)
 	for i, n := range []int{300, 300, 64, 1000} {
 		degs := signedDegrees(n, int64(20+i))
-		got, want := slices.Clone(degs), slices.Clone(degs)
+		s.Reset(degs)
+		want := slices.Clone(degs)
 		for e := 0; e < 40; e++ {
-			checkMutate(t, fmt.Sprintf("reused n=%d", n), s, cfg, got, want, 40*i+e)
+			checkMutate(t, fmt.Sprintf("reused n=%d", n), s, cfg, want, 40*i+e)
 		}
 	}
 }
 
-// checkMutate runs epoch e on got through s and on want through
-// mutateRef and fails unless the deltas and the degrees agree bit for
-// bit (−0 and +0 differ).
-func checkMutate(t *testing.T, name string, s *Stream, cfg Config, got, want []float64, e int) {
+func onesCount(b []uint64) int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// TestMutateCatchesUpSignedZero: a batch can take a degree −0 → 1 → +0
+// (a zero-weight endpoint is picked only at x = 0, so the test plants
+// that outcome). The id is touched but not in Changed, and the next
+// call must still copy its +0 into the write buffer before mutating.
+func TestMutateCatchesUpSignedZero(t *testing.T) {
+	cfg := Config{Rate: 0.05, Seed: 8}
+	degs := signedDegrees(500, 4)
+	s := newStream(t, cfg)
+	s.Reset(degs)
+	s.Mutate(0)
+	v := slices.IndexFunc(degs, func(d float64) bool { return math.Signbit(d) && d == 0 })
+	if v < 0 || s.touched[v>>6]>>(v&63)&1 != 0 {
+		t.Fatalf("want an untouched −0 degree, have id %d", v)
+	}
+	s.touched[v>>6] |= 1 << (v & 63)
+	s.cur[v], s.next[v] = 0, math.Copysign(0, -1)
+	want := slices.Clone(s.cur)
+	checkMutate(t, "planted", s, cfg, want, 1)
+}
+
+// checkMutate runs epoch e through s and through mutateRef on want,
+// and fails unless the deltas agree and, bit for bit (−0 and +0
+// differ), both of the stream's buffers match the reference: the
+// returned degrees want's, and the start buffer the epoch-start
+// degrees, only read.
+func checkMutate(t *testing.T, name string, s *Stream, cfg Config, want []float64, e int) Delta {
 	t.Helper()
-	dg, dw := s.Mutate(got, e), mutateRef(cfg, want, e)
+	start := slices.Clone(want)
+	got, dg := s.Mutate(e)
+	dw := mutateRef(cfg, want, e)
 	if !reflect.DeepEqual(dg, dw) {
 		t.Fatalf("%s epoch %d: delta %+v, reference %+v", name, e, dg, dw)
 	}
-	for v := range got {
+	for v := range want {
 		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 			t.Fatalf("%s epoch %d: degree %d is %v, reference %v", name, e, v, got[v], want[v])
 		}
+		if math.Float64bits(s.next[v]) != math.Float64bits(start[v]) {
+			t.Fatalf("%s epoch %d: start degree %d became %v, was %v", name, e, v, s.next[v], start[v])
+		}
 	}
+	return dg
 }
 
 // FuzzMutateMatchesReference runs checkMutate over fuzzed degree
@@ -253,13 +299,16 @@ func checkMutate(t *testing.T, name string, s *Stream, cfg Config, got, want []f
 // n (1–2000) the length and epochs (1–32) the chain. hubEvery (0 =
 // none) plants a hub every that many ids, zeroRun (0 = none) writes
 // zero runs of that length, signed zeros alternate +0 and −0, and
-// ties draws every other degree from a few values.
+// ties draws every other degree from a few values. The rate is 2%, or
+// less on sequences whose degrees total over 1e6. After each epoch both
+// of the stream's buffers must match the reference.
 func FuzzMutateMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint8(3), uint8(0), uint8(0), false, false)
 	f.Add(int64(2), uint16(700), uint8(20), uint8(97), uint8(5), true, false)
 	f.Add(int64(3), uint16(1), uint8(8), uint8(0), uint8(1), true, true)
 	f.Add(int64(4), uint16(2000), uint8(4), uint8(13), uint8(40), false, true)
 	f.Add(int64(5), uint16(64), uint8(31), uint8(1), uint8(0), true, true)
+	f.Add(int64(612), uint16(1999), uint8(8), uint8(0), uint8(0), false, false) // a 1.4e9 hub
 	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, epochs8, hubEvery, zeroRun uint8, signed, ties bool) {
 		n := 1 + int(n16)%2000
 		rng := rand.New(rand.NewSource(seed))
@@ -283,11 +332,19 @@ func FuzzMutateMatchesReference(f *testing.F) {
 				}
 			}
 		}
-		cfg := Config{Rate: 0.02, Seed: seed}
+		// A batch draws Rate × total / 2 ops, and a draw near 0 above
+		// gives a hub of 1e10 or more, so the rate drops on heavy
+		// sequences to hold a batch to about 1e4 ops.
+		total := 0.0
+		for _, g := range degs {
+			total += g
+		}
+		cfg := Config{Rate: min(0.02, 2e4/total), Seed: seed}
 		s := newStream(t, cfg)
-		got, want := slices.Clone(degs), slices.Clone(degs)
+		s.Reset(degs)
+		want := slices.Clone(degs)
 		for e := 0; e < 1+int(epochs8)%32; e++ {
-			checkMutate(t, "fuzz", s, cfg, got, want, e)
+			checkMutate(t, "fuzz", s, cfg, want, e)
 		}
 	})
 }

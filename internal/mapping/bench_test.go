@@ -74,3 +74,28 @@ func BenchmarkApplyDelta(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFullRemap prices ApplyDelta's from-scratch fallback at arxiv
+// scale: every vertex's degree changes, alternating between two degree
+// sequences.
+func BenchmarkFullRemap(b *testing.B) {
+	d, err := graphgen.ByName("arxiv")
+	if err != nil {
+		b.Fatal(err)
+	}
+	degs := d.SynthDegreeModel(1).DegreesByIndex
+	l := InterleavedLayout(degs, 64)
+	next := make([]float64, len(degs))
+	all := make([]int, len(degs))
+	for v := range next {
+		next[v], all[v] = degs[v]+1, v
+	}
+	states := [2][]float64{next, degs}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if stats := l.ApplyDelta(states[i%2], all, nil); !stats.Full {
+			b.Fatal("a delta changing every vertex must fall back")
+		}
+	}
+}

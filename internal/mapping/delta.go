@@ -36,12 +36,15 @@ const stripeTile = 8
 // nothing for it.
 type deltaState struct {
 	// keys[k] is the descKey of rank k's degree. It is empty until
-	// built and emptied by a full remap; the next call rebuilds it.
+	// built; a full remap builds it too.
 	keys []uint64
 	// The next ranking and its keys are merged into the spares, which
 	// then swap places with byDeg and keys.
 	spareRank []int
 	spareKeys []uint64
+	// spareOrder is the slot array a full remap stripes into, before
+	// it swaps places with Order; nil until the first fallback.
+	spareOrder []int
 	// changed is a bitset over vertex ids, touched one over groups;
 	// moved and movedKeys hold the re-sorted changed ids.
 	changed, touched []uint64
@@ -215,16 +218,34 @@ func (l *Layout) restripe(lo, hi int) DeltaStats {
 	return stats
 }
 
-// fullRemap is ApplyDelta's from-scratch fallback, counting how many
-// stripes actually landed somewhere new so the churn counters stay
-// honest across both paths. The carried keys go stale; the next
-// incremental call rebuilds them into the same buffer.
+// fullRemap is ApplyDelta's from-scratch fallback: InterleavedLayout's
+// ranking and striping of newDegs, written into the buffers the layout
+// carries rather than a new layout, so once they have grown to n a
+// fallback allocates nothing. It counts how many stripes actually
+// landed somewhere new, so the churn counters stay honest across both
+// paths.
 func (l *Layout) fullRemap(newDegs []float64, dead []bool) DeltaStats {
-	fresh := InterleavedLayout(newDegs, l.GroupSize)
+	if l.delta == nil {
+		l.delta = new(deltaState)
+	}
+	d := l.delta
+	n := len(newDegs)
+	// Rank every id on its key into the spare pair, with the old
+	// ranking and keys as the sort's scratch; the two pairs then swap.
+	// Ascending ids and the stable radix give rankByDegree's order.
+	rank, keys := resized(d.spareRank, n+1)[:n], resized(d.spareKeys, n+1)[:n]
+	for v := range rank {
+		rank[v], keys[v] = v, descKey(newDegs[v])
+	}
+	d.spareRank, d.spareKeys = resized(l.byDeg, n+1), resized(d.keys, n+1)
+	sortKeyed(rank, keys, d.spareRank, d.spareKeys)
+	l.byDeg, d.keys = rank, keys
+
+	order := resized(d.spareOrder, n)
+	stripe(order, rank, l.GroupSize)
 	stats := DeltaStats{Full: true}
-	groups := fresh.NumGroups()
-	touched := make([]uint64, (groups+63)/64)
-	for p, v := range fresh.Order {
+	touched := clearedBits(&d.touched, numGroups(n, l.GroupSize))
+	for p, v := range order {
 		if p >= len(l.Order) || l.Order[p] != v {
 			stats.StripesMoved++
 			g := p / l.GroupSize
@@ -232,10 +253,7 @@ func (l *Layout) fullRemap(newDegs []float64, dead []bool) DeltaStats {
 		}
 	}
 	stats.GroupsTouched = onesCount(touched)
-	l.Order, l.byDeg = fresh.Order, fresh.byDeg
-	if l.delta != nil {
-		l.delta.keys = l.delta.keys[:0]
-	}
+	l.Order, d.spareOrder = order, l.Order
 	l.applyPhys(dead)
 	return stats
 }

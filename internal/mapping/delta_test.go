@@ -257,6 +257,40 @@ func TestApplyDeltaChainAcrossFallbacks(t *testing.T) {
 	incremental("after growth")
 }
 
+// TestFullRemapReusesBuffers: once a layout has fallen back, later
+// fallbacks on the same vertex count rank and stripe into the buffers
+// it carries, allocating nothing, and still equal a fresh build.
+func TestFullRemapReusesBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	degs := make([]float64, 500)
+	for i := range degs {
+		degs[i] = float64(rng.Intn(30))
+	}
+	all := make([]int, len(degs))
+	for v := range all {
+		all[v] = v
+	}
+	l := InterleavedLayout(degs, 16)
+	states := [2][]float64{slices.Clone(degs), degs}
+	for v := range states[0] {
+		states[0][v] = float64(rng.Intn(30))
+	}
+	l.ApplyDelta(states[0], all, nil) // warm-up: the buffers grow to n
+	i := 1
+	allocs := testing.AllocsPerRun(10, func() {
+		if !l.ApplyDelta(states[i%2], all, nil).Full {
+			t.Fatal("a delta changing every vertex must fall back")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm fallback allocated %v times", allocs)
+	}
+	if want := states[(i-1)%2]; !layoutsEqual(l, InterleavedLayout(want, 16), want) {
+		t.Fatal("layout after repeated fallbacks differs from a fresh build")
+	}
+}
+
 // TestApplyDeltaStatsCountMoves: moved-stripe accounting must reflect
 // real occupant changes, not the size of the changed set.
 func TestApplyDeltaStatsCountMoves(t *testing.T) {

@@ -82,15 +82,24 @@ func IndexLayout(n, groupSize int) *Layout {
 func InterleavedLayout(degrees []float64, groupSize int) *Layout {
 	n := len(degrees)
 	byDeg := rankByDegree(degrees)
-	groups := numGroups(n, groupSize)
 	order := make([]int, n)
+	stripe(order, byDeg, groupSize)
+	l := newLayout(order, groupSize, "interleaved")
+	l.byDeg = byDeg
+	return l
+}
+
+// stripe writes a degree ranking (rank k → vertex) into order, which
+// has one slot per vertex: rank k lands in group k%groups at
+// intra-group position k/groups. When the vertex count is not a
+// multiple of groupSize the last group is short, so late ranks can
+// collide or overflow; those spill into the first free slot.
+func stripe(order, byDeg []int, groupSize int) {
+	n := len(order)
+	groups := numGroups(n, groupSize)
 	for i := range order {
 		order[i] = -1
 	}
-	// Sorted rank k lands in group k%groups at intra-group position
-	// k/groups; convert to a flat slot. When n is not a multiple of
-	// groupSize the last group is short, so late ranks can collide or
-	// overflow — those spill into the first free slot.
 	next := 0 // scan cursor for free slots
 	for k, v := range byDeg {
 		g := k % groups
@@ -104,9 +113,6 @@ func InterleavedLayout(degrees []float64, groupSize int) *Layout {
 		}
 		order[slot] = v
 	}
-	l := newLayout(order, groupSize, "interleaved")
-	l.byDeg = byDeg
-	return l
 }
 
 // InterleavedLayoutHealthy is InterleavedLayout over a chip with

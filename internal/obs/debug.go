@@ -98,11 +98,12 @@ func DebugMux(reg *Registry) *http.ServeMux {
 // experiment runs; the server itself runs in the background until
 // Shutdown or Close.
 func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
-	return ServeDebugTimeouts(addr, reg, DefaultServerTimeouts())
+	return serveDebug(addr, reg, DefaultServerTimeouts())
 }
 
-// ServeDebugTimeouts is ServeDebug with explicit hardening timeouts.
-func ServeDebugTimeouts(addr string, reg *Registry, t ServerTimeouts) (*DebugServer, error) {
+// serveDebug is ServeDebug with explicit hardening timeouts, which only
+// the package's slowloris test shortens.
+func serveDebug(addr string, reg *Registry, t ServerTimeouts) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -79,7 +79,7 @@ func TestServeDebugSlowlorisTimeout(t *testing.T) {
 		Read:       300 * time.Millisecond,
 		Idle:       time.Second,
 	}
-	s, err := ServeDebugTimeouts("127.0.0.1:0", NewRegistry(), timeouts)
+	s, err := serveDebug("127.0.0.1:0", NewRegistry(), timeouts)
 	if err != nil {
 		t.Fatal(err)
 	}
